@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,8 +41,6 @@ from .spectral_env import Environment, SpectralDensity, SpectralKind
 
 __all__ = ["RunConfig", "parse_config", "run_simulate", "run_coefficients",
            "run_dsep", "run_verify", "main"]
-
-THREADS_ENV_VAR = "GAUSSIAN_PATHS_THREADS"
 
 _SPECTRA = {k.value: k for k in SpectralKind}
 _MODES = {m.value: m for m in TrajectoryMode}
@@ -145,15 +141,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(4, os.cpu_count() or 1)
-
-
 def _grid_for(cfg: RunConfig, kind: str | None = None):
     return build_coefficient_grid(cfg.spectral_density(kind), cfg.environment(),
                                   cfg.t_max, cfg.quadrature())
@@ -200,19 +187,16 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
     kinds = sorted(_SPECTRA) if cfg.spectrum == "all" else [cfg.spectrum]
     env, q = cfg.environment(), cfg.quadrature()
     mode = TrajectoryMode(cfg.mode)
-
-    def grid_task(kind: str):
-        if mode is TrajectoryMode.MARKOVIAN:
-            return None
-        return build_coefficient_grid(cfg.spectral_density(kind), env, cfg.t_max, q)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        grids = list(pool.map(grid_task, kinds))
     rows = []
-    for kind, grid in zip(kinds, grids):
-        rows.extend(dsep_sweep(r0_values, cfg.spectral_density(kind), env, mode,
-                               t_max=cfg.t_max, n_samples=cfg.n_samples,
-                               nu0=cfg.nu0, grid=grid))
+    for kind in kinds:
+        spec = cfg.spectral_density(kind)
+        if mode is TrajectoryMode.MARKOVIAN:
+            grid, gamma_m = None, gamma_markov(spec, env, q)
+        else:
+            grid, gamma_m = build_coefficient_grid(spec, env, cfg.t_max, q), None
+        rows.extend(dsep_sweep(r0_values, spec, env, mode, t_max=cfg.t_max,
+                               n_samples=cfg.n_samples, nu0=cfg.nu0, grid=grid,
+                               gamma_m=gamma_m))
     out = out_dir / "dsep_sweep.csv"
     with out.open("w") as fh:
         write_sweep_csv(rows, fh)

@@ -251,22 +251,14 @@ def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environme
                gamma_m: float | None = None) -> list[SweepRow]:
     """Discord at separability for a list of initial squeezings.
 
-    The coefficient grid (or Markovian rate) is shared across r0 values;
+    The coefficient grid (or, in Markovian mode, gamma_m) is required, as in
+    simulate_trajectory (ValueError otherwise), and shared across r0 values;
     rows where the trajectory errors or never crosses carry None entries
     and the sweep continues.
     """
     if not len(r0_values):
         raise ValueError("r0_values must be non-empty")
     mode = TrajectoryMode(mode)
-    if mode is TrajectoryMode.MARKOVIAN:
-        if gamma_m is None:
-            from .coefficients import QuadratureConfig, gamma_markov
-
-            gamma_m = gamma_markov(spec, env, QuadratureConfig())
-    elif grid is None:
-        from .coefficients import QuadratureConfig, build_coefficient_grid
-
-        grid = build_coefficient_grid(spec, env, t_max, QuadratureConfig())
     rows: list[SweepRow] = []
     for r0 in r0_values:
         cm0 = from_sts(STSParams(r=float(r0), nu_T=nu0))

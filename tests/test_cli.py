@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gaussian_paths import QuadratureConfig, TrajectoryMode, dsep_sweep, gamma_markov
 from gaussian_paths.cli import (
     main,
     parse_config,
@@ -78,8 +79,7 @@ def test_run_coefficients_reproducible_bytes(tmp_path):
     assert header == "t,delta,gamma,big_gamma,delta_gamma"
 
 
-def test_run_dsep_all_spectra(tmp_path, monkeypatch):
-    monkeypatch.setenv("GAUSSIAN_PATHS_THREADS", "2")
+def test_run_dsep_all_spectra(tmp_path):
     cfg = parse_config(MINIMAL.replace("spectrum = ohmic", "spectrum = all")
                               .replace("mode = markovian", "mode = nonmarkovian")
                               .replace("t_max = 100", "t_max = 12"))
@@ -90,6 +90,19 @@ def test_run_dsep_all_spectra(tmp_path, monkeypatch):
     assert len(lines) == 7  # 3 spectra x 2 squeezings
     spectra = [ln.split(",")[2] for ln in lines[1:]]
     assert spectra == ["ohmic", "ohmic", "superohmic", "superohmic", "white", "white"]
+
+
+def test_run_dsep_markovian_honours_config_numerics(tmp_path):
+    # gamma_M comes from the config's quadrature, not from QuadratureConfig()
+    cfg = parse_config(MINIMAL + "omega_max = 20\nrel_tol = 1e-6\n")
+    out = run_dsep(cfg, [1.2], tmp_path)[0]
+    t_sep = float(out.read_text().splitlines()[1].split(",")[4])
+    spec, env = cfg.spectral_density(), cfg.environment()
+    gamma_m = gamma_markov(spec, env, cfg.quadrature())
+    assert gamma_m != gamma_markov(spec, env, QuadratureConfig())
+    expected = dsep_sweep([1.2], spec, env, TrajectoryMode.MARKOVIAN, t_max=cfg.t_max,
+                          n_samples=cfg.n_samples, gamma_m=gamma_m)[0]
+    assert t_sep == expected.t_sep
 
 
 def test_spectrum_all_rejected_outside_sweep(tmp_path):

@@ -19,6 +19,7 @@ from gaussian_paths import (
     markovian_coefficients,
     write_coefficients_csv,
 )
+from gaussian_paths.coefficients import _kernels_on, _omega_rule
 
 from conftest import make_env, make_spec
 
@@ -78,6 +79,57 @@ def test_delta_plateau_fluctuation_dissipation(quad, gamma_m_ohmic):
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
     d = delta_at(spec, env, 8.0, quad)
     assert d == pytest.approx(gamma_m_ohmic * (2.0 * env.n_T + 1.0), rel=0.02)
+
+
+# ------------------------------------------------------ chirp-z kernels
+
+def dense_kernels(nodes, wc, ws, s):
+    """Direct O(N_s * N_omega) cos/sin sums over every node."""
+    ph = np.outer(s, nodes.ravel())
+    return np.cos(ph) @ wc.ravel(), np.sin(ph) @ ws.ravel()
+
+
+@pytest.mark.parametrize("kind", [SpectralKind.OHMIC, SpectralKind.WHITE_NOISE])
+@pytest.mark.parametrize("need_cos, need_sin", [(True, True), (True, False), (False, True)])
+def test_chirp_kernels_match_dense_sums(kind, need_cos, need_sin):
+    spec, env = make_spec(kind), make_env()
+    rq = QuadratureConfig(omega_max=20.0).resolve(spec, env)
+    s = np.arange(1201) * rq.s_step
+    nodes, wc, ws, n_ir, width = _omega_rule(spec, env, rq, float(s[-1]), 0)
+    assert nodes.shape == wc.shape == ws.shape == (len(nodes), rq.gl_order)
+    # white noise: geometric infrared panels ahead of the uniform ones
+    assert (n_ir > 0) == (kind is SpectralKind.WHITE_NOISE)
+    np.testing.assert_allclose(np.diff(nodes[n_ir:], axis=0), width, rtol=1e-9)
+    Kc, Ks = _kernels_on(nodes, wc, ws, n_ir, width, s, need_cos=need_cos, need_sin=need_sin)
+    ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
+    for needed, got, ref in ((need_cos, Kc, ref_c), (need_sin, Ks, ref_s)):
+        if needed:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert np.all(got == 0.0)
+
+
+def test_chirp_kernels_reject_non_uniform_grid():
+    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+    rq = QuadratureConfig().resolve(spec, env)
+    s = np.arange(101) * rq.s_step
+    rule = _omega_rule(spec, env, rq, float(s[-1]), 0)
+    thinned = s[np.r_[np.arange(0, 101, 8), 100]]  # every 8th point plus the last
+    with pytest.raises(ValueError, match="uniform"):
+        _kernels_on(*rule, thinned)
+    with pytest.raises(ValueError, match="uniform"):
+        _kernels_on(*rule, s[1:])
+
+
+def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
+    # gamma(t) = alpha^2 (pi/2) wc^2 [w0 - e^{-wc t}(wc sin w0 t + w0 cos w0 t)] / (wc^2 + w0^2);
+    # the residual is the 1/omega tail cut at omega_max, not the kernel evaluation
+    spec, env, grid = resonant_grids[SpectralKind.OHMIC]
+    t, wc, w0 = grid.times, spec.omega_c, env.omega0
+    closed = (env.alpha**2 * 0.5 * math.pi * wc**2
+              * (w0 - np.exp(-wc * t) * (wc * np.sin(w0 * t) + w0 * np.cos(w0 * t)))
+              / (wc**2 + w0**2))
+    assert np.max(np.abs(grid.gamma - closed)) <= 3.9e-6
 
 
 # ------------------------------------------------------- point operations
@@ -232,6 +284,8 @@ def test_quadrature_config_validation():
         QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.02).resolve(spec, env)
     with pytest.raises(ConfigError):
         QuadratureConfig(rel_tol=0.0)
+    with pytest.raises(ConfigError):
+        QuadratureConfig(max_refine=-1)
     q = QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.01).resolve(spec, env)
     assert q.t_step == 0.01
 

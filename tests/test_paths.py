@@ -210,6 +210,15 @@ def test_dsep_sweep_marks_missing_thresholds():
         dsep_sweep([], spec, env, TrajectoryMode.MARKOVIAN, t_max=1.0, gamma_m=1.0)
 
 
+def test_dsep_sweep_requires_grid_or_rate():
+    # no silent fallback to default numerics: the caller supplies the bath data
+    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+    with pytest.raises(ValueError, match="gamma_m"):
+        dsep_sweep([0.7], spec, env, TrajectoryMode.MARKOVIAN, t_max=1.0)
+    with pytest.raises(ValueError, match="grid"):
+        dsep_sweep([0.7], spec, env, TrajectoryMode.NONMARKOVIAN, t_max=1.0)
+
+
 def test_dsep_sweep_continues_past_inconclusive_rows(resonant_grids):
     spec, env, grid = resonant_grids[SpectralKind.OHMIC]
     # r0 = 2.5 cannot cross within 3 time units; the sweep marks it and moves on
