@@ -46,6 +46,7 @@ from .gaussian_core import (
     SymmetricCM,
     UnphysicalStateError,
     cm_from_mu_lambda,
+    discord,
     entropic_h,
     from_sts,
     gaussian_discord,

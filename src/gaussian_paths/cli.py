@@ -29,7 +29,7 @@ from .dynamics import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from .gaussian_core import PHYS_TOL, STSParams, from_sts, path_point
+from .gaussian_core import PHYS_TOL, STSParams, discord, from_sts, path_point
 from .paths import (
     compare_paths,
     dsep_sweep,
@@ -68,6 +68,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for key in sorted(_FLOAT_KEYS):
+            if getattr(self, key) is not None and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.spectrum not in _SPECTRA and self.spectrum != "all":
             raise ConfigError(f"spectrum must be one of {sorted(_SPECTRA)} or 'all', "
                               f"got {self.spectrum!r}")
@@ -253,11 +256,8 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
                              direction=">="))
     if cfg.mode == TrajectoryMode.HIGH_TEMPERATURE.value:
         # frozen correlations: D(t) must equal D(lambda + c0, c0)
-        from .gaussian_core import _discord_arrays
-
-        d_traj = _discord_arrays(traj.a, traj.c)
-        d_frozen = _discord_arrays(traj.lam + traj.initial.c,
-                                   np.full_like(traj.a, traj.initial.c))
+        d_traj = discord(traj.a, traj.c)
+        d_frozen = discord(traj.lam + traj.initial.c, np.full_like(traj.a, traj.initial.c))
         checks.append(_check("hight-frozen-correlation-identity",
                              float(np.max(np.abs(d_traj - d_frozen))), 1e-10))
 

@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .coefficients import CoefficientGrid
-from .gaussian_core import PHYS_TOL, PathPoint, SymmetricCM
+from .gaussian_core import PHYS_TOL, PathPoint, SymmetricCM, discord
 
 __all__ = [
     "TrajectoryMode",
@@ -193,11 +193,16 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                       n_T=float(n_T), gamma_m=gamma_m, label=label)
 
 
+def _crossing_window(times: np.ndarray, y: np.ndarray, i: int) -> PchipInterpolator:
+    """PCHIP through the six samples around [i-1, i]; on that interval it equals
+    the PCHIP through every sample, whose slopes there use only neighbours."""
+    lo, hi = max(0, i - 3), min(len(times), i + 3)
+    return PchipInterpolator(times[lo:hi], y[lo:hi])
+
+
 def _refine_crossing(traj: Trajectory, i: int) -> float:
     """Monotone-cubic interpolation of lambda around samples [i-1, i], then root find."""
-    lo = max(0, i - 3)
-    hi = min(len(traj.times), i + 3)
-    interp = PchipInterpolator(traj.times[lo:hi], traj.lam[lo:hi])
+    interp = _crossing_window(traj.times, traj.lam, i)
     f = lambda t: float(interp(t)) - SEPARABILITY_THRESHOLD
     t0, t1 = float(traj.times[i - 1]), float(traj.times[i])
     if f(t1) == 0.0:
@@ -334,11 +339,9 @@ def constant_of_motion(point: PathPoint, lambda0: float, mu0: float,
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample."""
-    from .gaussian_core import _discord_arrays
-
     mu = 1.0 / (4.0 * (traj.a**2 - traj.c**2))
     lam = traj.lam
-    disc = _discord_arrays(traj.a, traj.c)
+    disc = discord(traj.a, traj.c)
     stream.write("t,a,c,mu,lambda,discord,big_gamma,delta_gamma\n")
     for row in zip(traj.times, traj.a, traj.c, mu, lam, disc,
                    traj.big_gamma, traj.delta_gamma):

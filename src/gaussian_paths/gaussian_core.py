@@ -33,6 +33,7 @@ __all__ = [
     "log_negativity",
     "entropic_h",
     "gaussian_discord",
+    "discord",
     "path_point",
     "cm_from_mu_lambda",
 ]
@@ -59,6 +60,8 @@ class SymmetricCM:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.c)):
+            raise UnphysicalStateError(f"a and c must be finite, got ({self.a}, {self.c})")
         if not (self.a > 0):
             raise UnphysicalStateError(f"a must be > 0, got {self.a}")
         if self.a < 0.5 - PHYS_TOL:
@@ -93,10 +96,10 @@ class STSParams:
     nu_T: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.nu_T < 0:
-            raise ValueError(f"nu_T must be >= 0, got {self.nu_T}")
+        if not (0 <= self.r < math.inf):
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        if not (0 <= self.nu_T < math.inf):
+            raise ValueError(f"nu_T must be finite and >= 0, got {self.nu_T}")
 
 
 @dataclass(frozen=True)
@@ -160,30 +163,51 @@ def log_negativity(cm: SymmetricCM) -> float:
     return max(0.0, -math.log(2.0 * lam))
 
 
+def _h(x: float) -> float:
+    """Scalar entropic_h on math.log, with the array branch's clamp and errors."""
+    if not (x >= 0.5 - H_BOUNDARY_EPS):
+        raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {x}")
+    x = max(x, 0.5)
+    xm = x - 0.5
+    return math.log(x + 0.5) + (xm * math.log1p(1.0 / xm) if xm > 1e-300 else 0.0)
+
+
 def entropic_h(x: ArrayLike) -> ArrayLike:
     """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2), for x >= 1/2.
 
-    h(1/2) = 0 by continuity; values in [1/2 - 1e-9, 1/2) are clamped to
-    1/2 so that roundoff at the purity boundary cannot raise spuriously.
+    Evaluated as ln(x + 1/2) + (x - 1/2) ln(1 + 1/(x - 1/2)), which does not
+    cancel at large x.  h(1/2) = 0; [1/2 - 1e-9, 1/2) clamps to 1/2 so that
+    roundoff at the purity boundary cannot raise; lower values and NaN raise.
+    A scalar (0-d) x takes the math.log branch (_h) and returns a float.
     """
+    if np.ndim(x) == 0:
+        return _h(float(x))
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.5 - H_BOUNDARY_EPS):
-        bad = float(np.min(arr))
+    low = ~(arr >= 0.5 - H_BOUNDARY_EPS)
+    if np.any(low):
+        bad = float(arr[low][0])
         raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {bad}")
     xc = np.maximum(arr, 0.5)
     xm = xc - 0.5
     safe = xm > 1e-300
-    term = np.where(safe, xm * np.log(np.where(safe, xm, 1.0)), 0.0)
-    out = (xc + 0.5) * np.log(xc + 0.5) - term
-    return float(out) if np.ndim(x) == 0 else out
+    term = np.where(safe, xm * np.log1p(1.0 / np.where(safe, xm, 1.0)), 0.0)
+    return np.log(xc + 0.5) + term
 
 
 def gaussian_discord(cm: SymmetricCM) -> float:
-    """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log."""
-    return float(_discord_arrays(np.asarray(cm.a), np.asarray(cm.c)))
+    """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log.
+
+    Scalar branch of discord(a, c): Python floats through _h, a float out.
+    """
+    a, c = float(cm.a), float(cm.c)
+    # at c = 0 all three arguments coincide; keep the cancellation exact
+    nu = math.sqrt(max(a * a - c * c, 0.0)) if c != 0.0 else a
+    return _h(a) - 2.0 * _h(nu) + _h(a - 2.0 * c * c / (1.0 + 2.0 * a))
 
 
-def _discord_arrays(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def discord(a: ArrayLike, c: ArrayLike) -> np.ndarray:
+    """Gaussian discord D(a, c) elementwise over arrays of symmetric states."""
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     nu = np.sqrt(np.maximum(a * a - c * c, 0.0))
     # at c = 0 all three arguments coincide; force the cancellation exact
     nu = np.where(c == 0.0, a, nu)

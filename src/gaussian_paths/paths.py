@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .coefficients import CoefficientGrid
 from .dynamics import (
@@ -23,13 +22,14 @@ from .dynamics import (
     MapUnphysicalError,
     Trajectory,
     TrajectoryMode,
+    _crossing_window,
     separability_time,
     simulate_trajectory,
 )
 from .gaussian_core import (
     STSParams,
     SymmetricCM,
-    _discord_arrays,
+    discord,
     from_sts,
     gaussian_discord,
     to_sts,
@@ -123,7 +123,7 @@ def extract_path(traj: Trajectory) -> DynamicalPath:
     """Map every trajectory sample through (mu, lambda, D); t is kept as metadata."""
     mu = 1.0 / (4.0 * (traj.a**2 - traj.c**2))
     lam = traj.lam
-    disc = np.maximum(_discord_arrays(traj.a, traj.c), 0.0)
+    disc = np.maximum(discord(traj.a, traj.c), 0.0)
     keep = np.ones(len(lam), dtype=bool)
     keep[1:] = (np.diff(mu) != 0) | (np.diff(lam) != 0) | (np.diff(disc) != 0)
     return DynamicalPath(mu=mu[keep], lam=lam[keep], discord=disc[keep],
@@ -184,7 +184,7 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
     mu_ref = 1.0 / (4.0 * lam_m * v_ref)
     a_ref = 0.5 * (lam_m + v_ref)
     c_ref = 0.5 * (v_ref - lam_m)
-    d_ref = _discord_arrays(a_ref, c_ref)
+    d_ref = discord(a_ref, c_ref)
     # matches landing exactly on reference nodes take the stored node values,
     # so a path compared against itself reports zero deviation
     pos = np.minimum(np.searchsorted(lam_r, lam_m), len(lam_r) - 1)
@@ -229,8 +229,10 @@ def dsep_from_trajectory(traj: Trajectory) -> float | None:
         return None
     if t_sep == 0.0:
         return gaussian_discord(traj.initial)
-    # at the crossing lambda = 1/2 exactly, so only c needs interpolating
-    c_sep = float(PchipInterpolator(traj.times, traj.c)(t_sep))
+    # at the crossing lambda = 1/2 exactly, so only c needs interpolating,
+    # on the window around the sample interval that holds t_sep
+    i = min(max(int(np.searchsorted(traj.times, t_sep)), 1), len(traj.times) - 1)
+    c_sep = float(_crossing_window(traj.times, traj.c, i)(t_sep))
     return gaussian_discord(SymmetricCM(a=0.5 + c_sep, c=c_sep))
 
 

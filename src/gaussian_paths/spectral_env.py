@@ -81,13 +81,14 @@ class Environment:
     n_T: float
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        # chained comparisons are False for NaN, so NaN and inf fail here too
+        if not (0 < self.omega0 < math.inf):
+            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
         # alpha = 0 is admitted as the decoupled limit (all coefficients vanish)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.n_T < 0:
-            raise ValueError(f"n_T must be >= 0, got {self.n_T}")
+        if not (0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (0 <= self.n_T < math.inf):
+            raise ValueError(f"n_T must be finite and >= 0, got {self.n_T}")
 
     @property
     def beta(self) -> float:

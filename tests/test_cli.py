@@ -54,6 +54,14 @@ def test_parse_config_rejects_bad_values():
         parse_config(MINIMAL + "how now brown cow\n")
 
 
+@pytest.mark.parametrize("line", ["n_T = 10", "r0 = 1.2", "alpha = 0.1", "t_max = 100"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_config_rejects_non_finite_values(line, value):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(MINIMAL.replace(line, f"{key} = {value}"))
+
+
 def test_run_simulate_flat_at_zero_coupling(tmp_path):
     cfg = parse_config(MINIMAL.replace("alpha = 0.1", "alpha = 0")
                               .replace("mode = markovian", "mode = nonmarkovian")

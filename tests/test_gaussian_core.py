@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussian_paths import (
     PathPoint,
@@ -10,6 +11,7 @@ from gaussian_paths import (
     SymmetricCM,
     UnphysicalStateError,
     cm_from_mu_lambda,
+    discord,
     entropic_h,
     from_sts,
     gaussian_discord,
@@ -71,6 +73,9 @@ def test_physicality_constructor():
         SymmetricCM(a=0.4, c=0.0)  # a below the vacuum diagonal
     with pytest.raises(UnphysicalStateError):
         SymmetricCM(a=-1.0, c=0.0)
+    for a, c in ((1.0, math.nan), (math.nan, 0.0), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(UnphysicalStateError):
+            SymmetricCM(a=a, c=c)
     # entangled states below the separability line are perfectly physical
     cm = from_sts(TWB12)
     assert cm.a - cm.c < 0.5
@@ -81,6 +86,9 @@ def test_sts_params_validation():
         STSParams(r=-0.1, nu_T=0.0)
     with pytest.raises(ValueError):
         STSParams(r=0.1, nu_T=-0.5)
+    for r, nu_T in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            STSParams(r=r, nu_T=nu_T)
 
 
 def test_mean_photons():
@@ -134,17 +142,57 @@ def test_entropic_h():
     assert entropic_h(1.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
     x = 1e3
     assert entropic_h(x) == pytest.approx(math.log(x) + 1.0, rel=1e-6)
-    # clamp just below the boundary, raise further out
-    assert entropic_h(0.5 - 1e-12) == 0.0
-    with pytest.raises(UnphysicalStateError):
-        entropic_h(0.4999)
+    # clamp just below the boundary, raise further out (and on NaN), on the
+    # scalar and the array branch alike
+    for h in (entropic_h, lambda x: entropic_h(np.array([x]))[0]):
+        assert h(0.5 - 1e-12) == 0.0
+        assert h(0.5 - 5e-10) == 0.0
+        for bad in (0.5 - 2e-9, 0.4999, math.nan):
+            with pytest.raises(UnphysicalStateError):
+                h(bad)
     arr = entropic_h(np.array([0.5, 1.5]))
     assert arr[0] == 0.0 and arr[1] == pytest.approx(2 * math.log(2), rel=1e-14)
+    assert type(entropic_h(1.5)) is float and type(entropic_h(np.float64(1.5))) is float
+
+
+def test_entropic_h_large_argument_accuracy():
+    # h(x) = ln x + 1 - 1/(24 x^2) + O(x^-4); the direct form
+    # (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) cancels to ~1e-9 here
+    for x in (1e4, 1e6, 1e8):
+        expected = math.log(x) + 1.0 - 1.0 / (24.0 * x * x)
+        assert entropic_h(x) == pytest.approx(expected, rel=1e-15)
+        assert entropic_h(np.array([x]))[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_discord_zero_without_correlations():
     for a in (0.5, 1.0, 3.7, 250.0):
         assert gaussian_discord(SymmetricCM(a, 0.0)) == 0.0
+        assert discord(np.array([a]), np.array([0.0]))[0] == 0.0
+
+
+def test_discord_returns_python_float():
+    assert type(gaussian_discord(from_sts(TWB12))) is float
+    assert type(gaussian_discord(SymmetricCM(np.float64(1.5), np.float64(0.5)))) is float
+
+
+# physical states (a, c) = nu (cosh 2r, +-sinh 2r): r = 0 gives c = 0 exactly,
+# nu within 1e-6 of 1/2 sits next to the purity boundary
+_NU = st.one_of(st.just(0.5), st.floats(0.5, 0.5 + 1e-6), st.floats(0.5, 50.0))
+_R = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=_NU, r=_R, sign=st.sampled_from([1.0, -1.0]))
+def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
+    a, c = nu * math.cosh(2.0 * r), sign * nu * math.sinh(2.0 * r)
+    d = gaussian_discord(SymmetricCM(a, c))
+    ref = discord(np.array([a]), np.array([c]))[0]
+    # D = h(a) - 2 h(nu) + h(cond) cancels terms up to h(a) in size, and
+    # math.log and numpy's log differ by an ulp on a few inputs
+    assert d == pytest.approx(ref, rel=1e-13, abs=1e-15 * max(1.0, 4.0 * entropic_h(a)))
+    for x in (a, math.sqrt(max(a * a - c * c, 0.0)), a - 2.0 * c * c / (1.0 + 2.0 * a)):
+        assert entropic_h(x) == pytest.approx(entropic_h(np.array([x]))[0],
+                                              rel=1e-13, abs=1e-15)
 
 
 def test_discord_pure_state_identity():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from gaussian_paths import (
     DynamicalPath,
@@ -19,11 +20,12 @@ from gaussian_paths import (
     extract_path,
     from_sts,
     gaussian_discord,
+    separability_time,
     simulate_trajectory,
     write_path_csv,
     write_sweep_csv,
 )
-from gaussian_paths.gaussian_core import SymmetricCM, _discord_arrays
+from gaussian_paths.gaussian_core import SymmetricCM, discord
 
 from conftest import make_env, make_spec
 
@@ -157,6 +159,36 @@ def test_dsep_from_trajectory_matches_markovian_closed_form():
     assert dsep_from_trajectory(traj) == pytest.approx(expected, abs=1e-8)
 
 
+def _full_grid_dsep(traj):
+    t_sep = separability_time(traj)
+    c_sep = float(PchipInterpolator(traj.times, traj.c)(t_sep))
+    return gaussian_discord(SymmetricCM(0.5 + c_sep, c_sep)), t_sep
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_dsep_from_trajectory_window_equals_full_grid_pchip(where):
+    # Markovian trajectories sampled so the closed-form crossing lies half-way
+    # through the first, a middle or the last sample interval
+    n, n_T = 41, 1.0
+    t_sep = math.log((n_T + 0.5 - (TWB12.a - TWB12.c)) / n_T)
+    t_max = {"first": 2.0 * (n - 1) * t_sep, "middle": t_sep / 0.5125,
+             "last": t_sep / (1.0 - 0.5 / (n - 1))}[where]
+    traj = simulate_trajectory(TWB12, mode=TrajectoryMode.MARKOVIAN, t_max=t_max,
+                               n_samples=n, gamma_m=1.0, n_T=n_T)
+    expected, t_found = _full_grid_dsep(traj)
+    i = int(np.searchsorted(traj.times, t_found))
+    assert i == {"first": 1, "middle": 21, "last": n - 1}[where]
+    assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_dsep_from_trajectory_window_on_grid_crossing(resonant_grids):
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    traj = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=25.0,
+                               n_samples=2001, grid=grid, n_T=env.n_T)
+    expected, _ = _full_grid_dsep(traj)
+    assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_dsep_already_separable_initial_state():
     cm0 = SymmetricCM(1.5, 0.4)
     traj = simulate_trajectory(cm0, mode=TrajectoryMode.MARKOVIAN, t_max=1.0,
@@ -235,8 +267,8 @@ def test_high_t_frozen_correlations(resonant_grids):
     traj = simulate_trajectory(TWB12, mode=TrajectoryMode.HIGH_TEMPERATURE, t_max=6.0,
                                n_samples=1201, grid=grid, n_T=env.n_T)
     assert np.all(traj.c == TWB12.c)
-    d_traj = _discord_arrays(traj.a, traj.c)
-    d_frozen = _discord_arrays(traj.lam + TWB12.c, np.full_like(traj.a, TWB12.c))
+    d_traj = discord(traj.a, traj.c)
+    d_frozen = discord(traj.lam + TWB12.c, np.full_like(traj.a, TWB12.c))
     assert np.max(np.abs(d_traj - d_frozen)) <= 1e-10
     # lambda(t) = lambda0 + (1/2) int_0^t Delta
     half_integral = grid.delta_integral(traj.times) / 2.0

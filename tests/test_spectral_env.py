@@ -133,5 +133,9 @@ def test_environment_consistency_and_validation():
         Environment(omega0=1.0, alpha=-0.1, n_T=1.0)
     with pytest.raises(ValueError):
         Environment(omega0=1.0, alpha=0.1, n_T=-1.0)
+    for bad in ({"n_T": math.inf}, {"n_T": math.nan}, {"alpha": math.nan},
+                {"omega0": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            Environment(**{"omega0": 1.0, "alpha": 0.1, "n_T": 1.0, **bad})
     with pytest.raises(ValueError):
         Environment.from_beta(1.0, 0.1, 0.0)
