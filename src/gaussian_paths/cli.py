@@ -29,7 +29,7 @@ from .dynamics import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from .gaussian_core import PHYS_TOL, STSParams, discord, from_sts, path_point
+from .gaussian_core import PHYS_TOL, STSParams, UnphysicalStateError, discord, from_sts
 from .paths import (
     compare_paths,
     dsep_sweep,
@@ -269,19 +269,24 @@ def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     else:
         damp = float(np.max(np.abs(traj.c / c0 - np.exp(-traj.big_gamma))))
     checks.append(_check("damping-law-relative-deviation", damp, 1e-10))
-    nu2 = traj.a**2 - traj.c**2
+    nu2 = (traj.a - traj.c) * (traj.a + traj.c)
     violations = int(np.sum(nu2 < 0.25 - PHYS_TOL))
     checks.append(_check("physicality-violations", float(violations), 0.0, direction="=="))
+    # the guards path_point applies to each sample
+    if np.any(traj.c < 0):
+        raise UnphysicalStateError("min_symplectic requires the c >= 0 sign convention")
+    if not np.all(nu2 > 0):
+        raise UnphysicalStateError(f"a^2 - c^2 = {np.min(nu2)} <= 0: purity undefined")
+    d_min = float(np.min(discord(traj.a, traj.c)))
+    if d_min < -1e-12:
+        raise UnphysicalStateError(f"negative discord {d_min} beyond roundoff tolerance")
     lam0 = traj.initial.a - traj.initial.c
     mu0 = 1.0 / (4.0 * traj.initial.nu_squared)
-    lam_t = traj.n_T + 0.5
-    values = [constant_of_motion(path_point(cm, t), lam0, mu0, lam_t)
-              for t, cm in traj.points]
-    if any(v.degenerate for v in values):
+    com = constant_of_motion(traj, lam0, mu0, traj.n_T + 0.5)
+    if com.degenerate:
         checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))
         return
-    c_arr = np.array([v.value for v in values])
-    drift = float(np.max(np.abs(c_arr - c_arr[0]))) / abs(c_arr[0])
+    drift = float(np.max(np.abs(com.value - com.value[0]))) / abs(com.value[0])
     checks.append(_check("constant-of-motion-relative-drift", drift, drift_tol))
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .coefficients import CoefficientGrid
 from .gaussian_core import PHYS_TOL, PathPoint, SymmetricCM, discord
@@ -137,9 +135,14 @@ class Trajectory:
         return self.a - self.c
 
     @property
+    def mu(self) -> np.ndarray:
+        """Purity 1/(4 (a - c)(a + c)) per sample."""
+        return 1.0 / (4.0 * ((self.a - self.c) * (self.a + self.c)))
+
+    @property
     def points(self) -> list[tuple[float, SymmetricCM]]:
-        return [(float(t), SymmetricCM(a=float(a), c=float(c)))
-                for t, a, c in zip(self.times, self.a, self.c)]
+        return [(t, SymmetricCM(a, c))
+                for t, a, c in zip(self.times.tolist(), self.a.tolist(), self.c.tolist())]
 
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
@@ -193,21 +196,80 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                       n_T=float(n_T), gamma_m=gamma_m, label=label)
 
 
-def _crossing_window(times: np.ndarray, y: np.ndarray, i: int) -> PchipInterpolator:
-    """PCHIP through the six samples around [i-1, i]; on that interval it equals
-    the PCHIP through every sample, whose slopes there use only neighbours."""
-    lo, hi = max(0, i - 3), min(len(times), i + 3)
-    return PchipInterpolator(times[lo:hi], y[lo:hi])
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
 
 
-def _refine_crossing(traj: Trajectory, i: int) -> float:
-    """Monotone-cubic interpolation of lambda around samples [i-1, i], then root find."""
-    interp = _crossing_window(traj.times, traj.lam, i)
-    f = lambda t: float(interp(t)) - SEPARABILITY_THRESHOLD
-    t0, t1 = float(traj.times[i - 1]), float(traj.times[i])
-    if f(t1) == 0.0:
-        return t1
-    return float(brentq(f, t0, t1, xtol=1e-30, rtol=1e-10))
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """PchipInterpolator's one-sided three-point slope at an end sample, from the
+    end interval (width h0, secant m0) and its neighbour (h1, m1)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    return 3.0 * m0 if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+
+def _pchip_inner_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """PchipInterpolator's weighted harmonic mean of the secants m0, m1 on both
+    sides of an interior sample (interval widths h0, h1)."""
+    if _sign(m0) != _sign(m1) or m0 == 0.0 or m1 == 0.0:
+        return 0.0
+    w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+    return 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+
+
+def _pchip_piece(times: np.ndarray, y: np.ndarray, i: int):
+    """The PCHIP through every sample of y, as a function on [times[i-1], times[i]].
+
+    Its slopes there need samples i-2 .. i+1 only.  Slopes follow scipy's
+    PchipInterpolator, coefficients CubicHermiteSpline and the evaluation
+    order PPoly, so its values equal the full-grid interpolant's bit for bit.
+    """
+    n, lo = len(times), max(i - 2, 0)
+    x, v = times[lo:i + 2].tolist(), y[lo:i + 2].tolist()
+    h = [x1 - x0 for x0, x1 in zip(x, x[1:])]
+    m = [(v1 - v0) / hk for v0, v1, hk in zip(v, v[1:], h)]
+    k = i - 1 - lo  # [i-1, i] is interval k of the window
+    if n == 2:
+        d0 = d1 = m[0]
+    else:
+        d0 = (_pchip_end_slope(h[0], h[1], m[0], m[1]) if i == 1
+              else _pchip_inner_slope(h[k - 1], h[k], m[k - 1], m[k]))
+        d1 = (_pchip_end_slope(h[k], h[k - 1], m[k], m[k - 1]) if i == n - 1
+              else _pchip_inner_slope(h[k], h[k + 1], m[k], m[k + 1]))
+    t0, y0, dx, slope = x[k], v[k], h[k], m[k]
+    c3 = (d0 + d1 - 2.0 * slope) / dx
+    c2, c3 = (slope - d0) / dx - c3, c3 / dx
+
+    def piece(t: float) -> float:
+        s = t - t0
+        return y0 + d0 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    return piece
+
+
+def _pchip_at(times: np.ndarray, y: np.ndarray, t: float) -> float:
+    """The full-grid PCHIP of y at t, on the sample interval PPoly would use."""
+    i = min(max(int(np.searchsorted(times, t, side="right")), 1), len(times) - 1)
+    return _pchip_piece(times, y, i)(t)
+
+
+def _refine_crossing(times: np.ndarray, lam: np.ndarray, i: int) -> float:
+    """First time in [t_{i-1}, t_i] where the PCHIP of lambda reaches 1/2.
+
+    Bisects the monotone cubic until no float lies strictly between the
+    bracket ends; lam[i-1] < 1/2 <= lam[i].
+    """
+    lo, hi = float(times[i - 1]), float(times[i])
+    if lam[i] == SEPARABILITY_THRESHOLD:
+        return hi
+    piece = _pchip_piece(times, lam, i)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if piece(mid) < SEPARABILITY_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def separability_time(traj: Trajectory) -> float | None:
@@ -232,7 +294,7 @@ def separability_time(traj: Trajectory) -> float | None:
         return t_sep
     crossed = np.nonzero(lam >= SEPARABILITY_THRESHOLD)[0]
     if len(crossed):
-        return _refine_crossing(traj, int(crossed[0]))
+        return _refine_crossing(traj.times, lam, int(crossed[0]))
     if traj.n_T + 0.5 > SEPARABILITY_THRESHOLD:
         raise InconclusiveThresholdError(
             f"lambda < 1/2 up to t_max = {traj.times[-1]} but the stationary value "
@@ -245,9 +307,7 @@ def state_at(traj: Trajectory, t: float) -> SymmetricCM:
     """State at an off-sample time, monotone-cubic interpolated in (a, c)."""
     if t < traj.times[0] or t > traj.times[-1] * (1 + 1e-12):
         raise ValueError(f"t = {t} outside trajectory window")
-    a = float(PchipInterpolator(traj.times, traj.a)(t))
-    c = float(PchipInterpolator(traj.times, traj.c)(t))
-    return SymmetricCM(a=a, c=c)
+    return SymmetricCM(a=_pchip_at(traj.times, traj.a, t), c=_pchip_at(traj.times, traj.c, t))
 
 
 @dataclass(frozen=True)
@@ -315,11 +375,11 @@ def reachable_secular(cm0: SymmetricCM, cm1: SymmetricCM) -> SecularReachability
 
 @dataclass(frozen=True)
 class MotionConstant:
-    value: float
+    value: float | np.ndarray
     degenerate: bool = False
 
 
-def constant_of_motion(point: PathPoint, lambda0: float, mu0: float,
+def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float,
                        lambda_T: float) -> MotionConstant:
     """C = lambda + k/(4 lambda mu) with k = (lambda_T - lambda0)/(v0 - lambda_T).
 
@@ -327,6 +387,8 @@ def constant_of_motion(point: PathPoint, lambda0: float, mu0: float,
     same factor e^{-Gamma(t)} toward lambda_T = n_T + 1/2, so this k makes
     C time-independent along the relaxation; when v0 = lambda_T the
     coefficient is undetermined and lambda itself is returned, flagged.
+    ``point`` is anything with ``lam`` and ``mu`` attributes: one PathPoint
+    gives a float, a Trajectory or DynamicalPath an array over its samples.
     """
     if lambda0 <= 0 or mu0 <= 0:
         raise ValueError("lambda0 and mu0 must be > 0")
@@ -334,12 +396,12 @@ def constant_of_motion(point: PathPoint, lambda0: float, mu0: float,
     if abs(v0 - lambda_T) <= 1e-12 * max(1.0, abs(v0), abs(lambda_T)):
         return MotionConstant(value=point.lam, degenerate=True)
     k = (lambda_T - lambda0) / (v0 - lambda_T)
-    return MotionConstant(value=point.lam + k / (4.0 * point.lam * point.mu))
+    return MotionConstant(point.lam + k / (4.0 * point.lam * point.mu))
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample."""
-    mu = 1.0 / (4.0 * (traj.a**2 - traj.c**2))
+    mu = traj.mu
     lam = traj.lam
     disc = discord(traj.a, traj.c)
     stream.write("t,a,c,mu,lambda,discord,big_gamma,delta_gamma\n")

@@ -60,15 +60,17 @@ class SymmetricCM:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
-            raise UnphysicalStateError(f"a and c must be finite, got ({self.a}, {self.c})")
-        if not (self.a > 0):
-            raise UnphysicalStateError(f"a must be > 0, got {self.a}")
-        if self.a < 0.5 - PHYS_TOL:
-            raise UnphysicalStateError(f"a must be >= 1/2, got {self.a}")
-        if self.nu_squared < 0.25 - self._nu2_slack():
+        a, c = self.a, self.c
+        if not (math.isfinite(a) and math.isfinite(c)):
+            raise UnphysicalStateError(f"a and c must be finite, got ({a}, {c})")
+        if not (a > 0):
+            raise UnphysicalStateError(f"a must be > 0, got {a}")
+        if a < 0.5 - PHYS_TOL:
+            raise UnphysicalStateError(f"a must be >= 1/2, got {a}")
+        nu2 = (a - c) * (a + c)
+        if nu2 < 0.25 - self._nu2_slack():
             raise UnphysicalStateError(
-                f"uncertainty relation violated: a^2 - c^2 = {self.nu_squared} < 1/4"
+                f"uncertainty relation violated: a^2 - c^2 = {nu2} < 1/4"
             )
 
     def _nu2_slack(self) -> float:
@@ -77,8 +79,11 @@ class SymmetricCM:
 
     @property
     def nu_squared(self) -> float:
-        """Squared symplectic eigenvalue of sigma (doubly degenerate)."""
-        return self.a * self.a - self.c * self.c
+        """Squared symplectic eigenvalue of sigma (doubly degenerate).
+
+        Formed as (a - c)(a + c), which does not cancel as a^2 - c^2 does at large a.
+        """
+        return (self.a - self.c) * (self.a + self.c)
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "c": self.c}
@@ -144,7 +149,10 @@ def mean_photons(p: STSParams) -> float:
 
 def purity(cm: SymmetricCM) -> float:
     """mu = 1/(4 sqrt(det sigma)) = 1/(4 (a^2 - c^2))."""
-    nu2 = cm.nu_squared
+    return _purity(cm.nu_squared)
+
+
+def _purity(nu2: float) -> float:
     if nu2 <= 0:
         raise UnphysicalStateError(f"a^2 - c^2 = {nu2} <= 0: purity undefined")
     return 1.0 / (4.0 * nu2)
@@ -165,11 +173,12 @@ def log_negativity(cm: SymmetricCM) -> float:
 
 def _h(x: float) -> float:
     """Scalar entropic_h on math.log, with the array branch's clamp and errors."""
-    if not (x >= 0.5 - H_BOUNDARY_EPS):
-        raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {x}")
-    x = max(x, 0.5)
-    xm = x - 0.5
-    return math.log(x + 0.5) + (xm * math.log1p(1.0 / xm) if xm > 1e-300 else 0.0)
+    if x > 0.5:
+        xm = x - 0.5
+        return math.log(x + 0.5) + xm * math.log1p(1.0 / xm)
+    if x >= 0.5 - H_BOUNDARY_EPS:
+        return 0.0  # h(1/2), also for the clamped [1/2 - eps, 1/2)
+    raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {x}")
 
 
 def entropic_h(x: ArrayLike) -> ArrayLike:
@@ -200,29 +209,41 @@ def gaussian_discord(cm: SymmetricCM) -> float:
     Scalar branch of discord(a, c): Python floats through _h, a float out.
     """
     a, c = float(cm.a), float(cm.c)
+    return _discord(a, c, (a - c) * (a + c))
+
+
+def _discord(a: float, c: float, nu2: float) -> float:
+    """Scalar D(a, c) given nu2 = (a - c)(a + c), with the conditional argument
+    a - 2c^2/(1 + 2a) written (a + 2 nu2)/(1 + 2a) so that neither cancels."""
     # at c = 0 all three arguments coincide; keep the cancellation exact
-    nu = math.sqrt(max(a * a - c * c, 0.0)) if c != 0.0 else a
-    return _h(a) - 2.0 * _h(nu) + _h(a - 2.0 * c * c / (1.0 + 2.0 * a))
+    nu = math.sqrt(max(nu2, 0.0)) if c != 0.0 else a
+    cond = (a + 2.0 * nu2) / (1.0 + 2.0 * a) if c != 0.0 else a
+    return _h(a) - 2.0 * _h(nu) + _h(cond)
 
 
 def discord(a: ArrayLike, c: ArrayLike) -> np.ndarray:
     """Gaussian discord D(a, c) elementwise over arrays of symmetric states."""
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
-    nu = np.sqrt(np.maximum(a * a - c * c, 0.0))
+    nu2 = (a - c) * (a + c)
     # at c = 0 all three arguments coincide; force the cancellation exact
-    nu = np.where(c == 0.0, a, nu)
-    cond = a - 2.0 * c * c / (1.0 + 2.0 * a)
+    zero = c == 0.0
+    nu = np.where(zero, a, np.sqrt(np.maximum(nu2, 0.0)))
+    cond = np.where(zero, a, (a + 2.0 * nu2) / (1.0 + 2.0 * a))
     return entropic_h(a) - 2.0 * entropic_h(nu) + entropic_h(cond)
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
     """Assemble the (mu, lambda, D) coordinates of a state at time t."""
-    d = gaussian_discord(cm)
+    a, c = float(cm.a), float(cm.c)
+    nu2 = (a - c) * (a + c)
+    mu = _purity(nu2)
+    lam = min_symplectic(cm)
+    d = _discord(a, c, nu2)
     if d < 0.0:
         if d < -1e-12:
             raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
         d = 0.0
-    return PathPoint(mu=purity(cm), lam=min_symplectic(cm), discord=d, t=t)
+    return PathPoint(mu, lam, d, t)
 
 
 def cm_from_mu_lambda(mu: float, lam: float) -> SymmetricCM:

@@ -22,7 +22,7 @@ from .dynamics import (
     MapUnphysicalError,
     Trajectory,
     TrajectoryMode,
-    _crossing_window,
+    _pchip_at,
     separability_time,
     simulate_trajectory,
 )
@@ -121,7 +121,7 @@ def _source_of(traj: Trajectory) -> PathSource:
 
 def extract_path(traj: Trajectory) -> DynamicalPath:
     """Map every trajectory sample through (mu, lambda, D); t is kept as metadata."""
-    mu = 1.0 / (4.0 * (traj.a**2 - traj.c**2))
+    mu = traj.mu
     lam = traj.lam
     disc = np.maximum(discord(traj.a, traj.c), 0.0)
     keep = np.ones(len(lam), dtype=bool)
@@ -229,10 +229,8 @@ def dsep_from_trajectory(traj: Trajectory) -> float | None:
         return None
     if t_sep == 0.0:
         return gaussian_discord(traj.initial)
-    # at the crossing lambda = 1/2 exactly, so only c needs interpolating,
-    # on the window around the sample interval that holds t_sep
-    i = min(max(int(np.searchsorted(traj.times, t_sep)), 1), len(traj.times) - 1)
-    c_sep = float(_crossing_window(traj.times, traj.c, i)(t_sep))
+    # at the crossing lambda = 1/2 exactly, so only c needs interpolating
+    c_sep = _pchip_at(traj.times, traj.c, t_sep)
     return gaussian_discord(SymmetricCM(a=0.5 + c_sep, c=c_sep))
 
 

@@ -1,10 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussian_paths import QuadratureConfig, TrajectoryMode, dsep_sweep, gamma_markov
+import gaussian_paths
+from gaussian_paths import (
+    QuadratureConfig,
+    SymmetricCM,
+    TrajectoryMode,
+    UnphysicalStateError,
+    dsep_sweep,
+    gamma_markov,
+    simulate_trajectory,
+)
 from gaussian_paths.cli import (
+    _common_checks,
     main,
     parse_config,
     run_coefficients,
@@ -183,3 +197,20 @@ def test_main_dsep_requires_r0_list(tmp_path, capsys):
                "--r0-list", "zebra"])
     assert rc == 2
     assert "r0-list" in capsys.readouterr().err
+
+
+def test_common_checks_keep_the_per_sample_guards():
+    # the c >= 0 convention that path_point's min_symplectic enforced per sample
+    traj = simulate_trajectory(SymmetricCM(1.5, -0.5), mode=TrajectoryMode.MARKOVIAN,
+                               t_max=1.0, n_samples=11, gamma_m=1.0, n_T=1.0)
+    with pytest.raises(UnphysicalStateError, match="c >= 0"):
+        _common_checks(traj, [], drift_tol=1e-8)
+
+
+def test_cli_import_leaves_out_scipy_interpolate_and_optimize():
+    src = str(Path(gaussian_paths.__file__).resolve().parents[1])
+    code = ("import sys, gaussian_paths.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

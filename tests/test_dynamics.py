@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from gaussian_paths import (
     DegenerateInputError,
@@ -26,7 +28,7 @@ from gaussian_paths import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from gaussian_paths.dynamics import Trajectory, state_at
+from gaussian_paths.dynamics import Trajectory, _pchip_at, state_at
 
 from conftest import make_env, make_spec
 from gaussian_paths import SpectralKind
@@ -156,6 +158,59 @@ def test_state_at_interpolates(resonant_grids):
     mid = state_at(traj, 5.01)
     i = np.searchsorted(traj.times, 5.01)
     assert min(traj.a[i - 1], traj.a[i]) - 1e-9 <= mid.a <= max(traj.a[i - 1], traj.a[i]) + 1e-9
+
+
+
+def _random_samples(rng, n, kind):
+    x = np.cumsum(rng.uniform(0.05, 2.0, n)) - 1.0
+    if kind == "monotone":
+        y = np.cumsum(rng.uniform(0.0, 1.0, n))
+    elif kind == "flat-steps":  # zero secants and sign changes next to them
+        y = rng.integers(-2, 3, n).astype(float)
+    else:
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["monotone", "flat-steps", "oscillating"])
+def test_pchip_piece_matches_scipy_pchip(kind):
+    # every interval of 2-12 samples, so windows at both ends of the data too
+    rng = np.random.default_rng(["monotone", "flat-steps", "oscillating"].index(kind))
+    for _ in range(400):
+        n = int(rng.integers(2, 13))
+        x, y = _random_samples(rng, n, kind)
+        full = PchipInterpolator(x, y)
+        for lo, hi in zip(x[:-1], x[1:]):
+            for t in (lo + rng.random(3) * (hi - lo)).tolist() + [float(lo), float(hi)]:
+                assert _pchip_at(x, y, t) == float(full(t))
+
+
+def test_state_at_equals_full_grid_pchip(resonant_grids):
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    traj = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=25.0,
+                               n_samples=2001, grid=grid, n_T=env.n_T)
+    a_full, c_full = PchipInterpolator(traj.times, traj.a), PchipInterpolator(traj.times, traj.c)
+    for t in (0.0, 0.004, 3.0, 5.01, 12.3456, 24.9937, 25.0):
+        cm = state_at(traj, t)
+        assert cm.a == pytest.approx(float(a_full(t)), rel=1e-15, abs=0.0)
+        assert cm.c == pytest.approx(float(c_full(t)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_grid_separability_time_is_the_pchip_root(resonant_grids, kind):
+    _, env, grid = resonant_grids[kind]
+    for r0 in (0.3, 1.2, 2.7):
+        for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE):
+            traj = simulate_trajectory(from_sts(STSParams(r=r0, nu_T=0.0)), mode=mode,
+                                       t_max=25.0, n_samples=2001, grid=grid, n_T=env.n_T)
+            t_sep = separability_time(traj)
+            i = int(np.nonzero(traj.lam >= 0.5)[0][0])
+            full = PchipInterpolator(traj.times, traj.lam)
+            root = brentq(lambda t: float(full(t)) - 0.5, traj.times[i - 1], traj.times[i],
+                          xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            assert abs(t_sep - root) <= 4.0 * np.spacing(root)
+            # and exactly the first float at which the interpolant reaches 1/2
+            assert float(full(t_sep)) >= 0.5 > float(full(np.nextafter(t_sep, 0.0)))
 
 
 # ------------------------------------------------------- separability time
@@ -288,6 +343,18 @@ def test_constant_of_motion_degenerate_flag():
     lam0, mu0, lam_t = com_inputs(cm0, 1.0)
     out = constant_of_motion(path_point(cm0, 0.0), lam0, mu0, lam_t)
     assert out.degenerate and out.value == 1.5
+
+
+def test_constant_of_motion_array_matches_point_loop(resonant_grids):
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    traj = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=25.0,
+                               n_samples=2001, grid=grid, n_T=env.n_T)
+    lam0, mu0, lam_t = com_inputs(TWB12, env.n_T)
+    loop = np.array([constant_of_motion(path_point(cm, t), lam0, mu0, lam_t).value
+                     for t, cm in traj.points])
+    out = constant_of_motion(traj, lam0, mu0, lam_t)
+    assert not out.degenerate
+    np.testing.assert_allclose(out.value, loop, rtol=1e-15, atol=0.0)
 
 
 def test_lambda_and_v_relax_identically(resonant_grids):

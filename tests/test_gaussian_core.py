@@ -195,6 +195,41 @@ def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
                                               rel=1e-13, abs=1e-15)
 
 
+def _discord_mp(a: float, c: float) -> float:
+    """D of the exact doubles (a, c) at 50 digits, with entropic_h's clamp at 1/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, c = mpmath.mpf(a), mpmath.mpf(c)
+        half = mpmath.mpf(1) / 2
+
+        def h(x):
+            x = max(x, half)
+            return (x + half) * mpmath.log(x + half) - (
+                (x - half) * mpmath.log(x - half) if x > half else 0)
+
+        nu = mpmath.sqrt(max(a * a - c * c, 0))
+        return float(h(a) - 2 * h(nu) + h(a - 2 * c * c / (1 + 2 * a)))
+
+
+def test_discord_accuracy_against_mpmath():
+    # a^2 - c^2 and a - 2c^2/(1 + 2a) formed by subtraction lose up to 7e-11 here
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    n = 2400
+    pure = rng.random(n) < 0.25
+    nu = np.where(pure, 0.5, rng.uniform(0.5, 10.5, n))
+    r = rng.uniform(0.0, 3.0, n)
+    a, c = nu * np.cosh(2.0 * r), nu * np.sinh(2.0 * r)
+    ref = np.array([_discord_mp(x, y) for x, y in zip(a.tolist(), c.tolist())])
+    scalar = np.array([gaussian_discord(SymmetricCM(x, y))
+                       for x, y in zip(a.tolist(), c.tolist())])
+    for err in (np.abs(scalar - ref), np.abs(discord(a, c) - ref)):
+        assert np.max(err[~pure]) <= 1e-14
+        # h'(x) diverges at x = 1/2, so the last-bit rounding of nu and of the
+        # conditional argument next to 1/2 costs up to ~1e-14 on pure states
+        assert np.max(err[pure]) <= 2e-14
+
+
 def test_discord_pure_state_identity():
     # on a^2 - c^2 = 1/4 the discord reduces to h(a)
     for r in np.linspace(0.0, 2.5, 26):
