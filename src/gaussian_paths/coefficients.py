@@ -11,9 +11,12 @@ cos(w s) at the largest s requested; the remaining s integral is a
 cumulative trapezoid.  On a uniform s grid the nodes of the uniform
 panels, o_k + j*W, make each Gauss-Legendre order's cosine/sine sum one
 Bluestein chirp-z transform (Bluestein 1970; Rabiner, Schafer & Rader
-1969), O((panels + N_s) log) rather than an O(nodes * N_s) trig matrix;
-only the white-noise infrared panels, a few dozen nodes, are summed
-directly.  From the sampled curves the accumulated damping
+1969) on ``numpy.fft``, O((panels + N_s) log) rather than an
+O(nodes * N_s) trig matrix.  The white-noise geometric infrared panels,
+about a hundred nodes, are summed from blocked phase tables: with
+n = q*b + r and b ~ sqrt(N_s), e^{i w n ds} = e^{i w q b ds} e^{i w r ds},
+so each sum is one small product of two (nodes x ~sqrt(N_s)) tables.
+From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
 further cumulative trapezoids on the same grid.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .spectral_env import Environment, SpectralDensity, SpectralKind, _coth, evaluate_j
 
@@ -248,18 +251,56 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: _ResolvedQuad, s_ma
     return nodes, wts * g * therm, wts * g, n_ir, width
 
 
-def _chirp_sums(a: np.ndarray, width: float, s: np.ndarray) -> np.ndarray:
-    """sum_j a[..., j] exp(i j width s_m), s_m = m ds: as j m = (j^2 + m^2 - (m - j)^2) / 2,
-    a convolution with a chirp, done by FFT (Bluestein chirp-z) in O((P + M) log)."""
-    m = len(s)
-    ds = s[-1] / max(m - 1, 1)
-    if s[0] != 0.0 or np.max(np.abs(s - ds * np.arange(m))) > 1e-12 * abs(s[-1]):
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, a length pocketfft transforms fast.
+
+    k divides 2310^64 = (2*3*5*7*11)^64 exactly when k has no prime
+    factor above 11 (every exponent of a k < 2^64 is below 64).
+    """
+    k = n
+    while pow(2310, 64, k):
+        k += 1
+    return k
+
+
+def _uniform_step(s: np.ndarray) -> float:
+    """ds of a grid s = m * ds starting at 0; ValueError otherwise."""
+    ds = s[-1] / max(len(s) - 1, 1)
+    if s[0] != 0.0 or np.max(np.abs(s - ds * np.arange(len(s)))) > 1e-12 * abs(s[-1]):
         raise ValueError("chirp-z kernels need a uniform grid s = m * ds starting at 0")
+    return ds
+
+
+def _chirp_sums(a: np.ndarray, width: float, ds: float, m: int) -> np.ndarray:
+    """sum_j a[..., j] exp(i j width n ds) for n < m: as j n = (j^2 + n^2 - (n - j)^2) / 2,
+    a convolution with a chirp, done by FFT (Bluestein chirp-z) in O((P + m) log)."""
     p = a.shape[-1]
-    n = next_fast_len(p + m - 1)
+    n = _fast_len(p + m - 1)
     c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
     v = np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj()
-    return c[:m] * ifft(fft(a * c[:p], n) * fft(v))[..., :m]
+    # one zero-padded buffer transformed in place: allocating a fresh (rows, n)
+    # array for each step costs about as much as a transform
+    buf = np.zeros(a.shape[:-1] + (n,), complex)
+    np.multiply(a, c[:p], out=buf[..., :p])
+    fft(buf, out=buf)
+    buf *= fft(v)
+    return c[:m] * ifft(buf, out=buf)[..., :m]
+
+
+def _phase_sums(w: np.ndarray, a: np.ndarray, ds: float, m: int) -> np.ndarray:
+    """sum_k a[..., k] exp(i w_k n ds) for n < m, for arbitrary nodes w.
+
+    With n = q*b + r, b = ceil(sqrt(m)), the phase splits as
+    exp(i w q b ds) * exp(i w r ds), so the sums are one product of two
+    (len(w), ~sqrt(m)) phase tables: O(len(w) * m) multiply-adds and
+    O(len(w) * sqrt(m)) exponentials instead of len(w) * m.
+    """
+    b = math.isqrt(m - 1) + 1
+    q = -(-m // b)
+    outer = np.exp(1j * np.outer(np.arange(q) * (b * ds), w))
+    inner = np.exp(1j * np.outer(w, np.arange(b) * ds))
+    sums = (a[..., None, :] * outer) @ inner
+    return sums.reshape(*a.shape[:-1], q * b)[..., :m]
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, width: float,
@@ -271,18 +312,18 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, wi
     exp(i o_k s) * sum_j wt_jk exp(i j width s): one batched chirp-z
     transform covers every order and both weight sets, in
     O(gl_order * (panels + len(s)) log).  The n_ir infrared panels are
-    summed directly.  Raises ValueError on a non-uniform s.
+    summed from blocked phase tables.  Raises ValueError on a non-uniform s.
     """
-    ir = nodes[:n_ir].ravel()
-    Kc = np.cos(np.outer(s, ir)) @ wc[:n_ir].ravel() if need_cos else np.zeros_like(s)
-    Ks = np.sin(np.outer(s, ir)) @ ws[:n_ir].ravel() if need_sin else np.zeros_like(s)
-    rows = [wt[n_ir:].T for wt, need in ((wc, need_cos), (ws, need_sin)) if need]
-    sums = _chirp_sums(np.concatenate(rows), width, s).reshape(len(rows), -1, len(s))
+    ds, m = _uniform_step(s), len(s)
+    wts = [wt for wt, need in ((wc, need_cos), (ws, need_sin)) if need]
+    rows = np.concatenate([wt[n_ir:].T for wt in wts])
+    sums = _chirp_sums(rows, width, ds, m).reshape(len(wts), -1, m)
     turned = (np.exp(1j * np.outer(nodes[n_ir], s)) * sums).sum(axis=1)
-    if need_cos:
-        Kc += turned[0].real
-    if need_sin:
-        Ks += turned[-1].imag
+    if n_ir:
+        turned += _phase_sums(nodes[:n_ir].ravel(),
+                              np.stack([wt[:n_ir].ravel() for wt in wts]), ds, m)
+    Kc = turned[0].real if need_cos else np.zeros_like(s)
+    Ks = turned[-1].imag if need_sin else np.zeros_like(s)
     return Kc, Ks
 
 

@@ -64,13 +64,18 @@ class DegenerateInputError(ValueError):
     """Input leaves the decision or coefficient undetermined."""
 
 
-def _check_physical(a: float, c: float, context: str) -> None:
-    nu2 = a * a - c * c
-    slack = PHYS_TOL + 8.0 * np.finfo(float).eps * a * a
-    if nu2 < 0.25 - slack or a <= 0:
-        raise MapUnphysicalError(
-            f"{context}: evolved state (a={a}, c={c}) has a^2 - c^2 = {nu2} < 1/4"
-        )
+def _check_physical(a, c, times=None) -> None:
+    """Raise MapUnphysicalError at the first sample of the map's output (scalars
+    or arrays) with a <= 0 or (a - c)(a + c) < 1/4 - (PHYS_TOL + 8 eps a^2); NaN fails."""
+    a, c = np.asarray(a), np.asarray(c)
+    nu2 = (a - c) * (a + c)
+    bad = np.flatnonzero(~((nu2 >= 0.25 - (PHYS_TOL + 8.0 * np.finfo(float).eps * a * a))
+                           & (a > 0)))
+    if len(bad):
+        i = bad[0]
+        at = "" if times is None else f" at t = {times[i]}"
+        raise MapUnphysicalError(f"unphysical sample{at} (a={a.flat[i]}, c={c.flat[i]}): "
+                                 f"a^2 - c^2 = {nu2.flat[i]} < 1/4")
 
 
 def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> SymmetricCM:
@@ -84,7 +89,7 @@ def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> Symmetr
     x = math.exp(-big_gamma)
     a = cm0.a * x + 0.5 * delta_gamma
     c = cm0.c * x
-    _check_physical(a, c, "evolve_cm")
+    _check_physical(a, c)
     return SymmetricCM(a=a, c=c)
 
 
@@ -182,13 +187,7 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
     decay = np.exp(-big_gamma)
     a = cm0.a * decay + 0.5 * delta_gamma
     c = cm0.c * decay
-    nu2 = a * a - c * c
-    slack = PHYS_TOL + 8.0 * np.finfo(float).eps * np.max(a) ** 2
-    bad = np.nonzero(nu2 < 0.25 - slack)[0]
-    if len(bad):
-        raise MapUnphysicalError(
-            f"unphysical sample at t = {times[bad[0]]}: a^2 - c^2 = {nu2[bad[0]]}"
-        )
+    _check_physical(a, c, times)
     # exact map structure: times[0] = 0 gives decay 1, delta_gamma 0
     a[0], c[0] = cm0.a, cm0.c
     return Trajectory(mode=mode, initial=cm0, times=times, a=a, c=c,

@@ -55,11 +55,13 @@ class SpectralDensity:
     ir_cutoff: float | None = None
 
     def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
-        if self.prefactor <= 0:
-            raise ValueError(f"prefactor must be > 0, got {self.prefactor}")
-        if self.ir_cutoff is not None and self.ir_cutoff <= 0:
+        # a plain string would fail every `is SpectralKind.X` test; unknown kinds raise
+        object.__setattr__(self, "kind", SpectralKind(self.kind))
+        if not (0 < self.omega_c < math.inf):
+            raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
+        if not (0 < self.prefactor < math.inf):
+            raise ValueError(f"prefactor must be finite and > 0, got {self.prefactor}")
+        if self.ir_cutoff is not None and not (self.ir_cutoff > 0):
             raise ValueError(f"ir_cutoff must be > 0, got {self.ir_cutoff}")
 
     def resolved_ir_cutoff(self, omega0: float) -> float:
@@ -99,7 +101,7 @@ class Environment:
 
     @classmethod
     def from_beta(cls, omega0: float, alpha: float, beta: float) -> "Environment":
-        if beta <= 0:
+        if not (beta > 0):
             raise ValueError(f"beta must be > 0, got {beta}")
         n_T = 0.0 if math.isinf(beta) else thermal_occupation(beta, omega0)
         return cls(omega0=omega0, alpha=alpha, n_T=n_T)
@@ -108,7 +110,7 @@ class Environment:
 def evaluate_j(spec: SpectralDensity, omega: ArrayLike) -> ArrayLike:
     """Spectral density at frequency omega (>= 0)."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
+    if not np.all(w >= 0):  # NaN fails too
         raise ValueError("evaluate_j requires omega >= 0")
     if spec.kind is SpectralKind.OHMIC:
         out = spec.prefactor * w * spec.omega_c**2 / (w**2 + spec.omega_c**2)
@@ -120,12 +122,14 @@ def evaluate_j(spec: SpectralDensity, omega: ArrayLike) -> ArrayLike:
 
 
 def _coth(y: np.ndarray) -> np.ndarray:
-    """coth(y) for y > 0, via coth(y) = 1 + 2/(e^{2y} - 1).
+    """coth(y) for y > 0, via coth(y) = 1 + 2/(e^{2y} - 1); ValueError for y <= 0 or NaN.
 
     expm1 keeps the small-y branch accurate (coth(y) ~ 1/y) and the
     identity coth(beta*omega/2) = 2*n(beta,omega) + 1 exact in floats.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(y > 0):
+        raise ValueError("coth(y) is evaluated for y > 0 only")
     out = np.ones_like(y)
     small = y < 350.0  # beyond this 2/(e^{2y}-1) underflows anyway
     out[small] = 1.0 + 2.0 / np.expm1(2.0 * y[small])
@@ -135,8 +139,8 @@ def _coth(y: np.ndarray) -> np.ndarray:
 def thermal_weight(env: Environment, omega: ArrayLike) -> ArrayLike:
     """coth(omega*beta/2) for omega > 0; identically 1 at zero temperature."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("thermal_weight is singular at omega = 0; requires omega > 0")
+    if not np.all(w > 0):  # NaN fails too
+        raise ValueError("thermal_weight requires omega > 0 (it is singular at 0)")
     beta = env.beta
     if math.isinf(beta):
         out = np.ones_like(w)
@@ -147,9 +151,10 @@ def thermal_weight(env: Environment, omega: ArrayLike) -> ArrayLike:
 
 def thermal_occupation(beta: float, omega: float) -> float:
     """Mean photon number (e^{beta*omega} - 1)^{-1}; zero for beta = inf."""
-    if omega <= 0:
+    # NaN fails these comparisons, so NaN raises as well
+    if not (omega > 0):
         raise ValueError(f"omega must be > 0, got {omega}")
-    if beta <= 0:
+    if not (beta > 0):
         raise ValueError(f"beta must be > 0, got {beta}")
     if math.isinf(beta):
         return 0.0

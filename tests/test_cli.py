@@ -207,6 +207,15 @@ def test_common_checks_keep_the_per_sample_guards():
         _common_checks(traj, [], drift_tol=1e-8)
 
 
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(gaussian_paths.__file__).resolve().parents[1])
+    code = ("import sys, gaussian_paths.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_out_scipy_interpolate_and_optimize():
     src = str(Path(gaussian_paths.__file__).resolve().parents[1])
     code = ("import sys, gaussian_paths.cli; "

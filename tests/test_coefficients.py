@@ -19,7 +19,8 @@ from gaussian_paths import (
     markovian_coefficients,
     write_coefficients_csv,
 )
-from gaussian_paths.coefficients import _kernels_on, _omega_rule
+from gaussian_paths import coefficients
+from gaussian_paths.coefficients import _fast_len, _kernels_on, _omega_rule, _phase_sums
 
 from conftest import make_env, make_spec
 
@@ -109,16 +110,44 @@ def test_chirp_kernels_match_dense_sums(kind, need_cos, need_sin):
             assert np.all(got == 0.0)
 
 
-def test_chirp_kernels_reject_non_uniform_grid():
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+def test_chirp_kernels_reject_non_uniform_grid(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the infrared sum ran before the grid check")
+
+    # the grid check comes first, so no sum is formed on a bad grid
+    monkeypatch.setattr(coefficients, "_phase_sums", unreachable)
+    for kind in (SpectralKind.OHMIC, SpectralKind.WHITE_NOISE):
+        spec, env = make_spec(kind), make_env()
+        rq = QuadratureConfig().resolve(spec, env)
+        s = np.arange(101) * rq.s_step
+        rule = _omega_rule(spec, env, rq, float(s[-1]), 0)
+        assert (rule[3] > 0) == (kind is SpectralKind.WHITE_NOISE)
+        thinned = s[np.r_[np.arange(0, 101, 8), 100]]  # every 8th point plus the last
+        with pytest.raises(ValueError, match="uniform"):
+            _kernels_on(*rule, thinned)
+        with pytest.raises(ValueError, match="uniform"):
+            _kernels_on(*rule, s[1:])
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    assert all(_fast_len(n) == next_fast_len(n) for n in range(1, 50_001))
+
+
+@pytest.mark.parametrize("m", [2, 3, 1009, 1025])
+def test_blocked_phase_sums_match_direct_sums(m):
+    # the white-noise infrared panels at the default numerics; 1009 is prime
+    spec, env = make_spec(SpectralKind.WHITE_NOISE), make_env()
     rq = QuadratureConfig().resolve(spec, env)
-    s = np.arange(101) * rq.s_step
-    rule = _omega_rule(spec, env, rq, float(s[-1]), 0)
-    thinned = s[np.r_[np.arange(0, 101, 8), 100]]  # every 8th point plus the last
-    with pytest.raises(ValueError, match="uniform"):
-        _kernels_on(*rule, thinned)
-    with pytest.raises(ValueError, match="uniform"):
-        _kernels_on(*rule, s[1:])
+    nodes, wc, ws, n_ir, _ = _omega_rule(spec, env, rq, 25.0, 0)
+    w = nodes[:n_ir].ravel()
+    s = np.arange(m) * rq.s_step
+    got = _phase_sums(w, np.stack([wc[:n_ir].ravel(), ws[:n_ir].ravel()]), rq.s_step, m)
+    assert got.shape == (2, m)
+    ref_c = np.cos(np.outer(s, w)) @ wc[:n_ir].ravel()
+    ref_s = np.sin(np.outer(s, w)) @ ws[:n_ir].ravel()
+    for val, ref in ((got[0].real, ref_c), (got[1].imag, ref_s)):
+        assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):

@@ -28,7 +28,8 @@ from gaussian_paths import (
     simulate_trajectory,
     write_trajectory_csv,
 )
-from gaussian_paths.dynamics import Trajectory, _pchip_at, state_at
+from gaussian_paths.coefficients import CoefficientGrid
+from gaussian_paths.dynamics import Trajectory, _check_physical, _pchip_at, state_at
 
 from conftest import make_env, make_spec
 from gaussian_paths import SpectralKind
@@ -71,6 +72,30 @@ def test_evolve_cm_rejects_unphysical_output():
         evolve_cm(TWB12, 1.0, 0.0)
     with pytest.raises(ValueError):
         evolve_cm(TWB12, -0.1, 0.0)
+
+
+def test_physicality_check_flags_the_first_bad_sample():
+    _check_physical(TWB12.a, TWB12.c)
+    _check_physical(np.array([0.5, 2.0]), np.array([0.0, 1.5]))
+    with pytest.raises(MapUnphysicalError, match="t = 2.0"):
+        _check_physical(np.array([0.5, 2.0, 1.0, 0.4]), np.array([0.0, 1.5, 0.9, 0.0]),
+                        np.array([0.0, 1.0, 2.0, 3.0]))
+    for a, c in ((-1.0, 0.0), (math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(MapUnphysicalError):
+            _check_physical(a, c)
+    # the slack scales with each sample's own a^2: 1e-9 + 8 eps a^2
+    big = 1e4
+    _check_physical(np.array([0.5, big]), np.array([0.0, math.sqrt(big * big - 0.25)]))
+
+
+def test_simulate_trajectory_rejects_unphysical_grid():
+    # pure damping without diffusion shrinks the uncertainty product
+    times = np.array([0.0, 1.0, 2.0])
+    grid = CoefficientGrid(times=times, delta=np.zeros(3), gamma=np.array([0.0, 1.0, 1.0]),
+                           big_gamma=np.array([0.0, 0.5, 1.5]), delta_gamma=np.zeros(3))
+    with pytest.raises(MapUnphysicalError, match="t = "):
+        simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=2.0,
+                            n_samples=5, grid=grid, n_T=0.0)
 
 
 def test_evolve_markovian_limits_and_consistency():

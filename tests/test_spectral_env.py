@@ -11,6 +11,8 @@ from gaussian_paths import (
     thermal_occupation,
     thermal_weight,
 )
+from gaussian_paths.coefficients import QuadratureConfig, _panel_edges
+from gaussian_paths.spectral_env import _coth
 
 
 def test_evaluate_j_closed_forms():
@@ -55,6 +57,46 @@ def test_spectral_density_validation():
         SpectralDensity(SpectralKind.OHMIC, omega_c=1.0, prefactor=0.0)
     with pytest.raises(ValueError):
         SpectralDensity(SpectralKind.OHMIC, omega_c=1.0, ir_cutoff=-1e-6)
+
+
+def test_spectral_kind_strings_are_coerced():
+    env = Environment(omega0=1.0, alpha=0.1, n_T=1.0)
+    for kind in SpectralKind:
+        spec = SpectralDensity(kind.value, omega_c=1.0)
+        assert spec.kind is kind
+        assert evaluate_j(spec, 2.0) == evaluate_j(SpectralDensity(kind, omega_c=1.0), 2.0)
+    assert evaluate_j(SpectralDensity("ohmic", omega_c=1.0), 2.0) == pytest.approx(0.4)
+    # the white-noise infrared panels are laid out for the string form as well
+    white = SpectralDensity("white", omega_c=1.0)
+    rq = QuadratureConfig().resolve(white, env)
+    assert _panel_edges(white, env, rq, 25.0, 0)[1] > 0
+    with pytest.raises(ValueError):
+        SpectralDensity("bogus", omega_c=1.0)
+
+
+def test_spectral_inputs_reject_nan_and_zero():
+    spec = SpectralDensity(SpectralKind.OHMIC, omega_c=1.0)
+    env = Environment(omega0=1.0, alpha=0.1, n_T=1.0)
+    for bad in ({"omega_c": math.nan}, {"omega_c": math.inf}, {"prefactor": math.nan},
+                {"ir_cutoff": math.nan}):
+        with pytest.raises(ValueError):
+            SpectralDensity(**{"kind": SpectralKind.OHMIC, "omega_c": 1.0, **bad})
+    for y in (math.nan, 0.0, -1.0, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            _coth(y)
+    with pytest.raises(ValueError):
+        thermal_weight(env, math.nan)
+    with pytest.raises(ValueError):
+        thermal_weight(env, np.array([0.5, math.nan]))
+    with pytest.raises(ValueError):
+        evaluate_j(spec, math.nan)
+    with pytest.raises(ValueError):
+        evaluate_j(spec, np.array([0.0, math.nan]))
+    for beta, omega in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            thermal_occupation(beta, omega)
+    with pytest.raises(ValueError):
+        Environment.from_beta(1.0, 0.1, math.nan)
 
 
 def test_ir_cutoff_resolution():
