@@ -264,7 +264,9 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
 
 def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     c0 = traj.initial.c
-    if traj.mode is TrajectoryMode.HIGH_TEMPERATURE:
+    if c0 == 0:  # an uncorrelated state has nothing to damp: c(t) must stay exactly 0
+        damp = float(np.max(np.abs(traj.c)))
+    elif traj.mode is TrajectoryMode.HIGH_TEMPERATURE:
         damp = float(np.max(np.abs(traj.c - c0))) / max(abs(c0), 1e-300)
     else:
         damp = float(np.max(np.abs(traj.c / c0 - np.exp(-traj.big_gamma))))
@@ -286,7 +288,8 @@ def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     if com.degenerate:
         checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))
         return
-    drift = float(np.max(np.abs(com.value - com.value[0]))) / abs(com.value[0])
+    # C = 2 c0 lambda_T / (v0 - lambda_T) vanishes at c0 = 0: its drift is then absolute
+    drift = float(np.max(np.abs(com.value - com.value[0]))) / (abs(com.value[0]) if c0 else 1.0)
     checks.append(_check("constant-of-motion-relative-drift", drift, drift_tol))
 
 

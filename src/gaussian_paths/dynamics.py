@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coefficients import CoefficientGrid
+from .coefficients import CoefficientGrid, _write_rows
 from .gaussian_core import PHYS_TOL, PathPoint, SymmetricCM, discord
 
 __all__ = [
@@ -399,11 +399,8 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample."""
-    mu = traj.mu
-    lam = traj.lam
-    disc = discord(traj.a, traj.c)
+    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample; values %.17g
+    (17 significant digits, round-trip exact), streamed in fixed row blocks."""
     stream.write("t,a,c,mu,lambda,discord,big_gamma,delta_gamma\n")
-    for row in zip(traj.times, traj.a, traj.c, mu, lam, disc,
-                   traj.big_gamma, traj.delta_gamma):
-        stream.write(",".join("%.17g" % v for v in row) + "\n")
+    _write_rows(stream, (traj.times, traj.a, traj.c, traj.mu, traj.lam,
+                         discord(traj.a, traj.c), traj.big_gamma, traj.delta_gamma))

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientGrid
+from .coefficients import CoefficientGrid, _write_rows
 from .dynamics import (
     InconclusiveThresholdError,
     MapUnphysicalError,
@@ -75,13 +75,6 @@ class DynamicalPath:
 
     def __len__(self) -> int:
         return len(self.lam)
-
-    @property
-    def points(self):
-        from .gaussian_core import PathPoint
-
-        return [PathPoint(mu=float(m), lam=float(l), discord=float(d), t=float(tt))
-                for m, l, d, tt in zip(self.mu, self.lam, self.discord, self.t)]
 
 
 @dataclass(frozen=True)
@@ -277,10 +270,10 @@ def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environme
 
 
 def write_path_csv(path: DynamicalPath, stream: IO[str]) -> None:
-    """CSV export: t,mu,lambda,discord per path point."""
+    """CSV export: t,mu,lambda,discord per path point; values %.17g (17 significant digits,
+    round-trip exact), streamed in fixed row blocks."""
     stream.write("t,mu,lambda,discord\n")
-    for row in zip(path.t, path.mu, path.lam, path.discord):
-        stream.write(",".join("%.17g" % v for v in row) + "\n")
+    _write_rows(stream, (path.t, path.mu, path.lam, path.discord))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:

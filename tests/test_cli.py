@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,35 @@ def test_run_coefficients_reproducible_bytes(tmp_path):
     assert a == b
     header = a.decode().splitlines()[0]
     assert header == "t,delta,gamma,big_gamma,delta_gamma"
+
+
+def test_main_coefficients_writes_identical_bytes(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MINIMAL.replace("t_max = 100", "t_max = 3"))
+    for out in ("a", "b"):
+        assert main(["coefficients", "--config", str(cfg_file),
+                     "--out", str(tmp_path / out)]) == 0
+    a = (tmp_path / "a" / "coefficients.csv").read_bytes()
+    assert a == (tmp_path / "b" / "coefficients.csv").read_bytes()
+    assert len(a.splitlines()) > 2
+
+
+@pytest.mark.parametrize("mode", ["markovian", "nonmarkovian", "hight"])
+def test_run_verify_uncorrelated_initial_state(tmp_path, mode):
+    # r0 = 0 gives c0 = 0 and a constant of motion C = 0: both checks turn absolute
+    cfg = parse_config(MINIMAL.replace("r0 = 1.2", "r0 = 0")
+                              .replace("mode = markovian", f"mode = {mode}")
+                              .replace("t_max = 100", "t_max = 6"))
+    cfg.n_samples = 301
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report_file, ok = run_verify(cfg, tmp_path)
+    report = json.loads(report_file.read_text())
+    assert ok, report
+    assert all(math.isfinite(c["value"]) for c in report["checks"])
+    by_name = {c["name"]: c["value"] for c in report["checks"]}
+    assert by_name["damping-law-relative-deviation"] == 0.0
+    assert by_name["constant-of-motion-relative-drift"] <= 1e-12
 
 
 def test_run_dsep_all_spectra(tmp_path):

@@ -315,8 +315,16 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ConfigError):
         QuadratureConfig(max_refine=-1)
+    for field in ("gl_order", "max_refine"):
+        with pytest.raises(ConfigError):
+            QuadratureConfig(**{field: math.nan})
     q = QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.01).resolve(spec, env)
     assert q.t_step == 0.01
+    # NaN slips past `x <= 0` checks and inf past the step checks: both name their field
+    for field in ("omega_max", "abs_tol", "rel_tol", "s_step", "t_step"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{field} must be finite and > 0"):
+                QuadratureConfig(**{field: bad}).resolve(spec, env)
 
 
 def test_quadrature_error_carries_achieved_estimate():
