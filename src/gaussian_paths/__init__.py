@@ -10,14 +10,10 @@ separability threshold, constants of motion and Markovian reachability.
 from .coefficients import (
     CoefficientGrid,
     ConfigError,
-    PlateauError,
     QuadratureConfig,
     QuadratureError,
     build_coefficient_grid,
-    delta_at,
-    gamma_at,
     gamma_markov,
-    gamma_markov_info,
     markovian_coefficients,
     write_coefficients_csv,
 )

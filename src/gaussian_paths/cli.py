@@ -86,6 +86,7 @@ class RunConfig:
             raise ConfigError("r0 and nu0 must be >= 0")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
+        self.quadrature()  # field checks even in Markovian mode, which needs no grid
 
     def spectral_density(self, kind: str | None = None) -> SpectralDensity:
         kind = kind or self.spectrum
@@ -153,7 +154,7 @@ def _trajectory_for(cfg: RunConfig, grid=None):
     mode = TrajectoryMode(cfg.mode)
     gamma_m = None
     if mode is TrajectoryMode.MARKOVIAN:
-        gamma_m = gamma_markov(cfg.spectral_density(), cfg.environment(), cfg.quadrature())
+        gamma_m = gamma_markov(cfg.spectral_density(), cfg.environment())
     elif grid is None:
         grid = _grid_for(cfg)
     return simulate_trajectory(cfg.initial_state(), mode=mode, t_max=cfg.t_max,
@@ -194,7 +195,7 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
     for kind in kinds:
         spec = cfg.spectral_density(kind)
         if mode is TrajectoryMode.MARKOVIAN:
-            grid, gamma_m = None, gamma_markov(spec, env, q)
+            grid, gamma_m = None, gamma_markov(spec, env)
         else:
             grid, gamma_m = build_coefficient_grid(spec, env, cfg.t_max, q), None
         rows.extend(dsep_sweep(r0_values, spec, env, mode, t_max=cfg.t_max,
@@ -207,7 +208,7 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
 
 
 def _verify_markovian(cfg: RunConfig, checks: list[dict]) -> None:
-    gamma_m = gamma_markov(cfg.spectral_density(), cfg.environment(), cfg.quadrature())
+    gamma_m = gamma_markov(cfg.spectral_density(), cfg.environment())
     cm0 = cfg.initial_state()
     tau_max = 5.0
     traj = simulate_trajectory(cm0, mode=TrajectoryMode.MARKOVIAN, t_max=tau_max / gamma_m,

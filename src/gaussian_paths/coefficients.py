@@ -20,11 +20,16 @@ From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
 further cumulative trapezoids on the same grid.
+
+The Markovian damping rate needs no grid: it is the t -> infinity
+(golden-rule) limit of gamma(t), gamma_M = alpha^2 (pi/2) j(omega0)
+(Maniscalco, Piilo, Intravaia, Petruccione & Messina, PRA 70, 032113,
+2004), taken in closed form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -36,13 +41,9 @@ __all__ = [
     "QuadratureConfig",
     "CoefficientGrid",
     "QuadratureError",
-    "PlateauError",
     "ConfigError",
-    "delta_at",
-    "gamma_at",
     "build_coefficient_grid",
     "gamma_markov",
-    "gamma_markov_info",
     "markovian_coefficients",
     "write_coefficients_csv",
 ]
@@ -61,10 +62,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
         self.achieved = achieved
-
-
-class PlateauError(RuntimeError):
-    """No Markovian plateau detected in the damping coefficient."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ class QuadratureConfig:
         if not (self.gl_order >= 2 and self.max_refine >= 0):
             raise ConfigError("gl_order must be >= 2 and max_refine >= 0")
 
-    def resolve(self, spec: SpectralDensity, env: Environment) -> "_ResolvedQuad":
+    def resolve(self, spec: SpectralDensity, env: Environment) -> "QuadratureConfig":
+        """A copy with omega_max, s_step and t_step filled in and checked."""
         scale = max(env.omega0, spec.omega_c)
         omega_max = self.omega_max if self.omega_max is not None else 50.0 * scale
         if omega_max < 10.0 * scale:
@@ -108,26 +106,7 @@ class QuadratureConfig:
         t_step = self.t_step if self.t_step is not None else s_step
         if t_step > s_step * (1 + 1e-12):
             raise ConfigError(f"grid too coarse: t_step = {t_step} exceeds s_step = {s_step}")
-        return _ResolvedQuad(
-            omega_max=omega_max,
-            s_step=s_step,
-            t_step=t_step,
-            abs_tol=self.abs_tol,
-            rel_tol=self.rel_tol,
-            gl_order=self.gl_order,
-            max_refine=self.max_refine,
-        )
-
-
-@dataclass(frozen=True)
-class _ResolvedQuad:
-    omega_max: float
-    s_step: float
-    t_step: float
-    abs_tol: float
-    rel_tol: float
-    gl_order: int
-    max_refine: int
+        return replace(self, omega_max=omega_max, s_step=s_step, t_step=t_step)
 
 
 @dataclass(frozen=True)
@@ -190,7 +169,7 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_edges(spec: SpectralDensity, env: Environment, rq: _ResolvedQuad,
+def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
                  s_max: float, halvings: int) -> tuple[np.ndarray, int]:
     """Composite panel edges on [ir_or_0, omega_max] and the count of leading geometric panels.
 
@@ -219,7 +198,7 @@ def _panel_edges(spec: SpectralDensity, env: Environment, rq: _ResolvedQuad,
     return np.concatenate([np.asarray(geo[:-1]), uniform]), max(len(geo) - 1, 0)
 
 
-def _omega_rule(spec: SpectralDensity, env: Environment, rq: _ResolvedQuad, s_max: float,
+def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s_max: float,
                 halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Gauss-Legendre nodes plus weighted integrand factors, shaped (panels, gl_order).
 
@@ -299,8 +278,7 @@ def _phase_sums(w: np.ndarray, a: np.ndarray, ds: float, m: int) -> np.ndarray:
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, width: float,
-                s: np.ndarray, need_cos: bool = True,
-                need_sin: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_c(s) = sum wc cos(w s), K_s(s) = sum ws sin(w s) on a uniform grid s.
 
     Row k of the uniform panels is o_k + j*width, so its sum is
@@ -310,21 +288,17 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, wi
     summed from blocked phase tables.  Raises ValueError on a non-uniform s.
     """
     ds, m = _uniform_step(s), len(s)
-    wts = [wt for wt, need in ((wc, need_cos), (ws, need_sin)) if need]
-    rows = np.concatenate([wt[n_ir:].T for wt in wts])
-    sums = _chirp_sums(rows, width, ds, m).reshape(len(wts), -1, m)
+    rows = np.concatenate([wc[n_ir:].T, ws[n_ir:].T])
+    sums = _chirp_sums(rows, width, ds, m).reshape(2, -1, m)
     turned = (np.exp(1j * np.outer(nodes[n_ir], s)) * sums).sum(axis=1)
     if n_ir:
         turned += _phase_sums(nodes[:n_ir].ravel(),
-                              np.stack([wt[:n_ir].ravel() for wt in wts]), ds, m)
-    Kc = turned[0].real if need_cos else np.zeros_like(s)
-    Ks = turned[-1].imag if need_sin else np.zeros_like(s)
-    return Kc, Ks
+                              np.stack([wc[:n_ir].ravel(), ws[:n_ir].ravel()]), ds, m)
+    return turned[0].real, turned[1].imag
 
 
 def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
-                        rq: _ResolvedQuad, need_delta: bool = True,
-                        need_gamma: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                        rq: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Delta(t), gamma(t) on the uniform grid s, with panel-halving convergence control.
 
     The halving probe compares the kernels on the full s grid, which
@@ -337,10 +311,9 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
 
     def kernels(halvings: int) -> tuple[np.ndarray, np.ndarray]:
         rule = _omega_rule(spec, env, rq, float(s[-1]), halvings)
-        return _kernels_on(*rule, s, need_cos=need_delta, need_sin=need_gamma)
+        return _kernels_on(*rule, s)
 
     def kernel_err(coarse: tuple[np.ndarray, ...], fine: tuple[np.ndarray, ...]) -> float:
-        # a kernel that was not asked for is identically 0 and contributes 0
         return max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), rq.abs_tol)
                    for a, b in zip(coarse, fine))
 
@@ -353,36 +326,9 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
         Kc, Ks = finer
     else:
         raise QuadratureError("frequency quadrature did not converge at max refinement", err)
-    d = a2 * _cumtrapz(np.cos(env.omega0 * s) * Kc, s) if need_delta else np.zeros_like(s)
-    g = a2 * _cumtrapz(np.sin(env.omega0 * s) * Ks, s) if need_gamma else np.zeros_like(s)
+    d = a2 * _cumtrapz(np.cos(env.omega0 * s) * Kc, s)
+    g = a2 * _cumtrapz(np.sin(env.omega0 * s) * Ks, s)
     return d, g
-
-
-def _s_grid(t: float, step: float) -> np.ndarray:
-    n = max(1, int(math.ceil(t / step - 1e-9)))
-    return np.linspace(0.0, t, n + 1)
-
-
-def delta_at(spec: SpectralDensity, env: Environment, t: float, q: QuadratureConfig) -> float:
-    """Diffusion coefficient Delta(t)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return 0.0
-    rq = q.resolve(spec, env)
-    d, _ = _coefficient_curves(spec, env, _s_grid(t, rq.s_step), rq, need_gamma=False)
-    return float(d[-1])
-
-
-def gamma_at(spec: SpectralDensity, env: Environment, t: float, q: QuadratureConfig) -> float:
-    """Damping coefficient gamma(t); independent of temperature."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return 0.0
-    rq = q.resolve(spec, env)
-    _, g = _coefficient_curves(spec, env, _s_grid(t, rq.s_step), rq, need_delta=False)
-    return float(g[-1])
 
 
 def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float,
@@ -401,44 +347,10 @@ def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float
                            big_gamma=big_gamma, delta_gamma=delta_gamma)
 
 
-@dataclass(frozen=True)
-class PlateauInfo:
-    value: float
-    rel_std: float
-    window: float
-
-
-def gamma_markov_info(spec: SpectralDensity, env: Environment, q: QuadratureConfig,
-                      window_factor: float = 50.0) -> PlateauInfo:
-    """Long-time plateau of gamma(t) with its flatness diagnostic.
-
-    The plateau is the mean of gamma over the final 20% of the window
-    t in [0, window_factor / min(omega0, omega_c)]; relative standard
-    deviation >= 1% means no Markovian plateau was reached.
-    """
-    rq = q.resolve(spec, env)
-    window = window_factor / min(env.omega0, spec.omega_c)
-    s = _s_grid(window, rq.s_step)
-    _, g = _coefficient_curves(spec, env, s, rq, need_delta=False)
-    tail = g[int(0.8 * len(g)):]
-    value = float(np.mean(tail))
-    denom = abs(value) if value != 0.0 else 1.0
-    rel_std = float(np.std(tail)) / denom
-    return PlateauInfo(value=value, rel_std=rel_std, window=window)
-
-
-def gamma_markov(spec: SpectralDensity, env: Environment, q: QuadratureConfig,
-                 window_factor: float = 50.0) -> float:
-    """Markovian damping rate gamma_M, the numerical plateau of gamma(t)."""
-    info = gamma_markov_info(spec, env, q, window_factor)
-    if env.alpha == 0.0:
-        return 0.0
-    if info.rel_std >= 0.01:
-        raise PlateauError(
-            f"gamma(t) has no plateau on window [0, {info.window:g}]: "
-            f"relative std {info.rel_std:.3e} >= 1%"
-        )
-    return info.value
+def gamma_markov(spec: SpectralDensity, env: Environment) -> float:
+    """Markovian damping rate gamma_M = alpha^2 (pi/2) j(omega0), the golden-rule
+    t -> infinity limit of gamma(t); 0 at zero coupling."""
+    return env.alpha**2 * 0.5 * math.pi * evaluate_j(spec, env.omega0)
 
 
 def markovian_coefficients(gamma_m: float, n_T: float, t: float) -> tuple[float, float]:

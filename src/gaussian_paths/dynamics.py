@@ -78,6 +78,15 @@ def _check_physical(a, c, times=None) -> None:
                                  f"a^2 - c^2 = {nu2.flat[i]} < 1/4")
 
 
+def _secular_map(cm0: SymmetricCM, decay, delta_gamma, times=None):
+    """(a, c) = (a0 e^{-Gamma} + Delta_Gamma/2, c0 e^{-Gamma}) for decay = e^{-Gamma},
+    floats or arrays alike, checked by _check_physical."""
+    a = cm0.a * decay + 0.5 * delta_gamma
+    c = cm0.c * decay
+    _check_physical(a, c, times)
+    return a, c
+
+
 def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> SymmetricCM:
     """Apply the secular map: a' = a0 e^{-Gamma} + Delta_Gamma/2, c' = c0 e^{-Gamma}.
 
@@ -86,10 +95,7 @@ def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> Symmetr
     """
     if big_gamma < 0:
         raise ValueError("big_gamma must be >= 0")
-    x = math.exp(-big_gamma)
-    a = cm0.a * x + 0.5 * delta_gamma
-    c = cm0.c * x
-    _check_physical(a, c)
+    a, c = _secular_map(cm0, math.exp(-big_gamma), delta_gamma)
     return SymmetricCM(a=a, c=c)
 
 
@@ -133,7 +139,7 @@ class Trajectory:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length differs from times")
         if self.a[0] != self.initial.a or self.c[0] != self.initial.c:
-            raise ValueError("points[0] must equal the initial state")
+            raise ValueError("a[0], c[0] must equal the initial state")
 
     @property
     def lam(self) -> np.ndarray:
@@ -184,10 +190,7 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
         else:
             big_gamma = np.zeros_like(times)
             delta_gamma = grid.delta_integral(times)
-    decay = np.exp(-big_gamma)
-    a = cm0.a * decay + 0.5 * delta_gamma
-    c = cm0.c * decay
-    _check_physical(a, c, times)
+    a, c = _secular_map(cm0, np.exp(-big_gamma), delta_gamma, times)
     # exact map structure: times[0] = 0 gives decay 1, delta_gamma 0
     a[0], c[0] = cm0.a, cm0.c
     return Trajectory(mode=mode, initial=cm0, times=times, a=a, c=c,

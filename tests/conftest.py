@@ -60,6 +60,6 @@ def offres_weak_grid(quad):
 
 
 @pytest.fixture(scope="session")
-def gamma_m_ohmic(quad) -> float:
-    """Markovian damping plateau for the resonant Ohmic bath at alpha = 0.1."""
-    return gamma_markov(make_spec(SpectralKind.OHMIC), make_env(), quad)
+def gamma_m_ohmic() -> float:
+    """Golden-rule Markovian damping rate of the resonant Ohmic bath at alpha = 0.1."""
+    return gamma_markov(make_spec(SpectralKind.OHMIC), make_env())

@@ -11,12 +11,9 @@ import pytest
 
 import gaussian_paths
 from gaussian_paths import (
-    QuadratureConfig,
     SymmetricCM,
     TrajectoryMode,
     UnphysicalStateError,
-    dsep_sweep,
-    gamma_markov,
     simulate_trajectory,
 )
 from gaussian_paths.cli import (
@@ -56,6 +53,9 @@ def test_parse_minimal_config_defaults():
 def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="n_samples"):
         parse_config(MINIMAL + "n_samples = 1\n")
+    # MINIMAL is a Markovian config, which builds no grid: the numerics are checked anyway
+    with pytest.raises(ConfigError, match="rel_tol"):
+        parse_config(MINIMAL + "rel_tol = -1\n")
     with pytest.raises(ConfigError, match="omega_c"):
         parse_config(MINIMAL.replace("omega_c = 1", "omega_c = -2"))
     with pytest.raises(ConfigError, match="wibble"):
@@ -145,19 +145,6 @@ def test_run_dsep_all_spectra(tmp_path):
     assert spectra == ["ohmic", "ohmic", "superohmic", "superohmic", "white", "white"]
 
 
-def test_run_dsep_markovian_honours_config_numerics(tmp_path):
-    # gamma_M comes from the config's quadrature, not from QuadratureConfig()
-    cfg = parse_config(MINIMAL + "omega_max = 20\nrel_tol = 1e-6\n")
-    out = run_dsep(cfg, [1.2], tmp_path)[0]
-    t_sep = float(out.read_text().splitlines()[1].split(",")[4])
-    spec, env = cfg.spectral_density(), cfg.environment()
-    gamma_m = gamma_markov(spec, env, cfg.quadrature())
-    assert gamma_m != gamma_markov(spec, env, QuadratureConfig())
-    expected = dsep_sweep([1.2], spec, env, TrajectoryMode.MARKOVIAN, t_max=cfg.t_max,
-                          n_samples=cfg.n_samples, gamma_m=gamma_m)[0]
-    assert t_sep == expected.t_sep
-
-
 def test_spectrum_all_rejected_outside_sweep(tmp_path):
     cfg = parse_config(MINIMAL.replace("spectrum = ohmic", "spectrum = all"))
     with pytest.raises(ConfigError):
@@ -219,6 +206,22 @@ def test_main_entrypoint_and_exit_codes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "bogus_key" in err and "ConfigError" in err
+
+
+def test_main_white_noise_markovian_commands(tmp_path, capsys):
+    # gamma_M is the closed-form golden rule, so Markovian runs work for white noise too
+    cfg_file = tmp_path / "white.cfg"
+    cfg_file.write_text(MINIMAL.replace("spectrum = ohmic", "spectrum = white"))
+    for cmd, extra in (("simulate", []), ("verify", []),
+                       ("dsep-sweep", ["--r0-list", "0.5,1.2"])):
+        assert main([cmd, "--config", str(cfg_file), "--out", str(tmp_path / cmd)] + extra) == 0
+    out = capsys.readouterr().out
+    assert "verify: PASS" in out
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["passed"]
+    for name in ("trajectory.csv", "path.csv"):
+        assert len((tmp_path / "simulate" / name).read_text().splitlines()) > 2
+    rows = (tmp_path / "dsep-sweep" / "dsep_sweep.csv").read_text().splitlines()
+    assert len(rows) == 3 and all(",white,markovian," in row for row in rows[1:])
 
 
 def test_main_dsep_requires_r0_list(tmp_path, capsys):

@@ -6,16 +6,12 @@ import pytest
 
 from gaussian_paths import (
     ConfigError,
-    PlateauError,
     QuadratureConfig,
     QuadratureError,
     SpectralDensity,
     SpectralKind,
     build_coefficient_grid,
-    delta_at,
-    gamma_at,
     gamma_markov,
-    gamma_markov_info,
     markovian_coefficients,
     write_coefficients_csv,
 )
@@ -27,11 +23,15 @@ from conftest import make_env, make_spec
 
 # ---------------------------------------------------------------- oracle
 
-def brute_force_curves(spec, env, t, n_omega=20001, n_s=4001, omega_max=50.0):
-    """Independent plain double-trapezoid evaluation of Delta(t), gamma(t).
+def brute_force_curves(spec, env, times, n_omega=20001, omega_max=50.0):
+    """Independent evaluation of Delta(t), gamma(t) at the given times.
 
-    Uniform grids in omega and s, no panels, no tapering; the omega = 0
-    node of the Delta integrand is its analytic limit (2/beta) * j(w)/w.
+    A plain trapezoid on a uniform omega grid, no panels, no tapering; the
+    omega = 0 node of the Delta integrand is its analytic limit
+    (2/beta) * j(w)/w.  The s integral is exact: with k = w -/+ omega0,
+    int_0^t cos(k s) ds = t sinc(k t / pi), so
+    int_0^t cos(w s) cos(omega0 s) ds = (t/2) [sinc((w - w0) t/pi) + sinc((w + w0) t/pi)]
+    and the sine product takes the difference.
     """
     w = np.linspace(0.0, omega_max, n_omega)
     beta = env.beta
@@ -49,36 +49,28 @@ def brute_force_curves(spec, env, t, n_omega=20001, n_s=4001, omega_max=50.0):
         gc[0] = 2.0 / beta * j_over_w_at0
     else:
         gc[0] = 0.0
-    s = np.linspace(0.0, t, n_s)
-    f_delta = np.empty_like(s)
-    f_gamma = np.empty_like(s)
-    chunk = 512
-    for i in range(0, len(s), chunk):
-        ph = np.outer(s[i:i + chunk], w)
-        f_delta[i:i + chunk] = np.trapezoid(gc * np.cos(ph), w, axis=1)
-        f_gamma[i:i + chunk] = np.trapezoid(j * np.sin(ph), w, axis=1)
-    f_delta *= np.cos(env.omega0 * s)
-    f_gamma *= np.sin(env.omega0 * s)
+    t = np.asarray(times, float)[:, None]
+    minus = t * np.sinc((w - env.omega0) * t / math.pi)
+    plus = t * np.sinc((w + env.omega0) * t / math.pi)
     a2 = env.alpha**2
-    delta = a2 * np.concatenate([[0.0], np.cumsum(0.5 * (f_delta[1:] + f_delta[:-1]) * np.diff(s))])
-    gamma = a2 * np.concatenate([[0.0], np.cumsum(0.5 * (f_gamma[1:] + f_gamma[:-1]) * np.diff(s))])
-    return s, delta, gamma
+    delta = a2 * np.trapezoid(gc * 0.5 * (minus + plus), w, axis=1)
+    gamma = a2 * np.trapezoid(j * 0.5 * (minus - plus), w, axis=1)
+    return delta, gamma
 
 
-def test_brute_force_oracle_agreement(quad):
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    t = 8.0
-    _, d_oracle, g_oracle = brute_force_curves(spec, env, t)
-    d = delta_at(spec, env, t, quad)
-    g = gamma_at(spec, env, t, quad)
-    assert d == pytest.approx(d_oracle[-1], rel=1e-4)
-    assert g == pytest.approx(g_oracle[-1], rel=1e-4)
+def test_brute_force_oracle_agreement(resonant_grids):
+    spec, env, grid = resonant_grids[SpectralKind.OHMIC]
+    idx = np.r_[np.searchsorted(grid.times, [0.5, 2.0, 5.0, 8.0]), len(grid.times) - 1]
+    d_oracle, g_oracle = brute_force_curves(spec, env, grid.times[idx])
+    assert grid.times[idx[-1]] == grid.t_max
+    assert grid.delta[idx] == pytest.approx(d_oracle, rel=1e-4)
+    assert grid.gamma[idx] == pytest.approx(g_oracle, rel=1e-4)
 
 
-def test_delta_plateau_fluctuation_dissipation(quad, gamma_m_ohmic):
+def test_delta_plateau_fluctuation_dissipation(resonant_grids, gamma_m_ohmic):
     # long-time Delta plateau approaches gamma_M * (2 n_T + 1)
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    d = delta_at(spec, env, 8.0, quad)
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    d = np.interp(8.0, grid.times, grid.delta)
     assert d == pytest.approx(gamma_m_ohmic * (2.0 * env.n_T + 1.0), rel=0.02)
 
 
@@ -91,8 +83,7 @@ def dense_kernels(nodes, wc, ws, s):
 
 
 @pytest.mark.parametrize("kind", [SpectralKind.OHMIC, SpectralKind.WHITE_NOISE])
-@pytest.mark.parametrize("need_cos, need_sin", [(True, True), (True, False), (False, True)])
-def test_chirp_kernels_match_dense_sums(kind, need_cos, need_sin):
+def test_chirp_kernels_match_dense_sums(kind):
     spec, env = make_spec(kind), make_env()
     rq = QuadratureConfig(omega_max=20.0).resolve(spec, env)
     s = np.arange(1201) * rq.s_step
@@ -101,13 +92,10 @@ def test_chirp_kernels_match_dense_sums(kind, need_cos, need_sin):
     # white noise: geometric infrared panels ahead of the uniform ones
     assert (n_ir > 0) == (kind is SpectralKind.WHITE_NOISE)
     np.testing.assert_allclose(np.diff(nodes[n_ir:], axis=0), width, rtol=1e-9)
-    Kc, Ks = _kernels_on(nodes, wc, ws, n_ir, width, s, need_cos=need_cos, need_sin=need_sin)
+    Kc, Ks = _kernels_on(nodes, wc, ws, n_ir, width, s)
     ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
-    for needed, got, ref in ((need_cos, Kc, ref_c), (need_sin, Ks, ref_s)):
-        if needed:
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        else:
-            assert np.all(got == 0.0)
+    for got, ref in ((Kc, ref_c), (Ks, ref_s)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_chirp_kernels_reject_non_uniform_grid(monkeypatch):
@@ -161,31 +149,30 @@ def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
     assert np.max(np.abs(grid.gamma - closed)) <= 3.9e-6
 
 
-# ------------------------------------------------------- point operations
+# ------------------------------------------------------ coefficient curves
 
-def test_coefficients_vanish_at_t_zero(quad):
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    assert delta_at(spec, env, 0.0, quad) == 0.0
-    assert gamma_at(spec, env, 0.0, quad) == 0.0
-    with pytest.raises(ValueError):
-        delta_at(spec, env, -1.0, quad)
+def test_coefficients_vanish_at_t_zero(resonant_grids, quad):
+    spec, env, grid = resonant_grids[SpectralKind.OHMIC]
+    assert grid.delta[0] == 0.0
+    assert grid.gamma[0] == 0.0
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            build_coefficient_grid(spec, env, t_max, quad)
 
 
 def test_gamma_is_temperature_independent(quad):
     spec = make_spec(SpectralKind.OHMIC)
-    cold = gamma_at(spec, make_env(n_T=0.0), 3.0, quad)
-    hot = gamma_at(spec, make_env(n_T=25.0), 3.0, quad)
-    assert cold == hot
+    cold = build_coefficient_grid(spec, make_env(n_T=0.0), 3.0, quad).gamma
+    hot = build_coefficient_grid(spec, make_env(n_T=25.0), 3.0, quad).gamma
+    assert np.array_equal(cold, hot)
 
 
 def test_alpha_squared_scaling(quad):
     spec = make_spec(SpectralKind.OHMIC)
-    d1 = delta_at(spec, make_env(alpha=0.05), 3.0, quad)
-    d2 = delta_at(spec, make_env(alpha=0.10), 3.0, quad)
-    g1 = gamma_at(spec, make_env(alpha=0.05), 3.0, quad)
-    g2 = gamma_at(spec, make_env(alpha=0.10), 3.0, quad)
-    assert d2 == pytest.approx(4.0 * d1, rel=1e-13)
-    assert g2 == pytest.approx(4.0 * g1, rel=1e-13)
+    g1 = build_coefficient_grid(spec, make_env(alpha=0.05), 3.0, quad)
+    g2 = build_coefficient_grid(spec, make_env(alpha=0.10), 3.0, quad)
+    assert g2.delta == pytest.approx(4.0 * g1.delta, rel=1e-13)
+    assert g2.gamma == pytest.approx(4.0 * g1.gamma, rel=1e-13)
 
 
 def test_off_resonance_delta_changes_sign(quad):
@@ -250,39 +237,25 @@ def test_grid_interpolators_and_coverage(resonant_grids):
 
 # -------------------------------------------------------------- gamma_M
 
-def test_gamma_markov_resonant_plateau(quad, gamma_m_ohmic):
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    assert gamma_m_ohmic > 0
-    info = gamma_markov_info(spec, env, quad)
-    assert info.rel_std < 0.01
-    # order-of-magnitude cross-check against (pi/2) alpha^2 j(omega0)
-    closed = 0.5 * math.pi * env.alpha**2 * 0.5
-    assert gamma_m_ohmic == pytest.approx(closed, rel=0.02)
-    # stable against window choice (half window vs the default)
-    halved = gamma_markov(spec, env, quad, window_factor=25.0)
-    assert halved == pytest.approx(gamma_m_ohmic, rel=0.01)
+def test_gamma_markov_golden_rule(resonant_grids):
+    # gamma_M = alpha^2 (pi/2) j(omega0): j(omega0) = 1/2 (Ohmic, super-Ohmic), 1 (white)
+    weights = {SpectralKind.OHMIC: 0.5, SpectralKind.SUPER_OHMIC: 0.5,
+               SpectralKind.WHITE_NOISE: 1.0}
+    for kind, (spec, env, grid) in resonant_grids.items():
+        gamma_m = gamma_markov(spec, env)
+        assert gamma_m == pytest.approx(env.alpha**2 * 0.5 * math.pi * weights[kind], rel=1e-15)
+        # the t -> infinity limit of gamma(t): the late mean of the resonant grid
+        late = float(np.mean(grid.gamma[grid.times >= 20.0]))
+        assert late == pytest.approx(gamma_m, rel=1e-2), kind
 
 
-def test_gamma_plateau_tracks_spectral_weight_at_resonance(quad):
-    # gamma_M ~ (pi/2) alpha^2 j(omega0): the white-noise bath carries twice
-    # the resonant weight of the Ohmic one, hence twice the damping plateau
-    env = make_env()
-    info = gamma_markov_info(make_spec(SpectralKind.WHITE_NOISE), env, quad)
-    assert info.value == pytest.approx(0.5 * math.pi * env.alpha**2 * 1.0, rel=0.02)
-
-
-def test_gamma_markov_alpha_scaling(quad):
+def test_gamma_markov_alpha_scaling():
     spec = make_spec(SpectralKind.OHMIC)
-    g1 = gamma_markov(spec, make_env(alpha=0.05), quad, window_factor=20.0)
-    g2 = gamma_markov(spec, make_env(alpha=0.10), quad, window_factor=20.0)
+    g1 = gamma_markov(spec, make_env(alpha=0.05))
+    g2 = gamma_markov(spec, make_env(alpha=0.10))
     assert g2 == pytest.approx(4.0 * g1, rel=1e-12)
-
-
-def test_gamma_markov_no_plateau_raises(quad):
-    # far too short a window: gamma(t) is still rising through its transient
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    with pytest.raises(PlateauError):
-        gamma_markov(spec, env, quad, window_factor=1.0)
+    # zero coupling: no damping (simulate_trajectory then refuses the Markovian mode)
+    assert gamma_markov(spec, make_env(alpha=0.0)) == 0.0
 
 
 # ------------------------------------------------- markovian closed form
@@ -339,13 +312,12 @@ def test_white_noise_ir_cutoff_is_respected(quad):
     env = make_env()
     fine = SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=1.0, ir_cutoff=1e-6)
     coarse = SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=1.0, ir_cutoff=1e-2)
-    d_fine = delta_at(fine, env, 2.0, quad)
-    d_coarse = delta_at(coarse, env, 2.0, quad)
+    g_fine = build_coefficient_grid(fine, env, 2.0, quad)
+    g_coarse = build_coefficient_grid(coarse, env, 2.0, quad)
     # the infrared log shows up in the early-time diffusion
-    assert d_fine != pytest.approx(d_coarse, rel=1e-3)
+    assert g_fine.delta[-1] != pytest.approx(g_coarse.delta[-1], rel=1e-3)
     # while the damping coefficient is insensitive (no infrared log there)
-    assert gamma_at(fine, env, 2.0, quad) == pytest.approx(
-        gamma_at(coarse, env, 2.0, quad), rel=1e-3)
+    assert g_fine.gamma[-1] == pytest.approx(g_coarse.gamma[-1], rel=1e-3)
 
 
 # ------------------------------------------------------------------- CSV
