@@ -14,7 +14,6 @@ from .coefficients import (
     QuadratureError,
     build_coefficient_grid,
     gamma_markov,
-    markovian_coefficients,
     write_coefficients_csv,
 )
 from .dynamics import (
@@ -28,7 +27,6 @@ from .dynamics import (
     TrajectoryMode,
     constant_of_motion,
     evolve_cm,
-    evolve_high_t,
     evolve_markovian,
     reachable_markovian,
     reachable_secular,

@@ -60,10 +60,8 @@ class RunConfig:
     j_prefactor: float = 1.0
     ir_cutoff: float | None = None
     n_samples: int = 2001
-    t_step: float | None = None
     s_step: float | None = None
     omega_max: float | None = None
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-4
     out_dir: str = "out"
 
@@ -99,16 +97,15 @@ class RunConfig:
         return Environment(omega0=self.omega0, alpha=self.alpha, n_T=self.n_T)
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(omega_max=self.omega_max, abs_tol=self.abs_tol,
-                                rel_tol=self.rel_tol, s_step=self.s_step,
-                                t_step=self.t_step)
+        return QuadratureConfig(omega_max=self.omega_max, rel_tol=self.rel_tol,
+                                s_step=self.s_step)
 
     def initial_state(self):
         return from_sts(STSParams(r=self.r0, nu_T=self.nu0))
 
 
 _FLOAT_KEYS = {"omega0", "omega_c", "alpha", "n_T", "r0", "nu0", "t_max", "j_prefactor",
-               "ir_cutoff", "t_step", "s_step", "omega_max", "abs_tol", "rel_tol"}
+               "ir_cutoff", "s_step", "omega_max", "rel_tol"}
 _INT_KEYS = {"n_samples"}
 _STR_KEYS = {"spectrum", "mode", "out_dir"}
 _REQUIRED = {"spectrum", "omega0", "omega_c", "alpha", "n_T", "r0", "t_max", "mode"}
@@ -117,6 +114,7 @@ _REQUIRED = {"spectrum", "omega0", "omega_c", "alpha", "n_T", "r0", "t_max", "mo
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key = value document into a validated RunConfig."""
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,6 +123,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in line_of:
+            raise ConfigError(f"key {key!r} given twice: lines {line_of[key]} and {lineno}")
+        line_of[key] = lineno
         if key in _FLOAT_KEYS:
             try:
                 values[key] = float(val)

@@ -35,7 +35,7 @@ from typing import IO, Sequence
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .spectral_env import Environment, SpectralDensity, SpectralKind, _coth, evaluate_j
+from .spectral_env import Environment, SpectralDensity, SpectralKind, evaluate_j, thermal_weight
 
 __all__ = [
     "QuadratureConfig",
@@ -44,9 +44,12 @@ __all__ = [
     "ConfigError",
     "build_coefficient_grid",
     "gamma_markov",
-    "markovian_coefficients",
     "write_coefficients_csv",
 ]
+
+GL_ORDER = 8  # Gauss-Legendre nodes per frequency panel
+MAX_REFINE = 2  # panel halvings tried before QuadratureError
+ABS_TOL = 1e-12  # floor of the kernel magnitude the halving error is relative to
 
 
 class ConfigError(ValueError):
@@ -69,28 +72,21 @@ class QuadratureConfig:
     """Numerical knobs for the coefficient integrals.
 
     ``None`` fields are resolved from the spectrum/environment scales:
-    omega_max = 50 * max(omega0, omega_c), s_step = 2*pi / (20 * omega_max)
-    and t_step = s_step.  The output grid step t_step must not exceed
-    s_step (the step whose oscillation resolution is validated).
+    omega_max = 50 * max(omega0, omega_c) and s_step = 2*pi / (20 * omega_max),
+    the coarsest step allowed.  The grid is sampled at s_step.
     """
 
     omega_max: float | None = None
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-4
     s_step: float | None = None
-    t_step: float | None = None
-    gl_order: int = 8
-    max_refine: int = 2
 
     def __post_init__(self):
-        for name in ("omega_max", "abs_tol", "rel_tol", "s_step", "t_step"):
+        for name in ("omega_max", "rel_tol", "s_step"):
             if (value := getattr(self, name)) is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if not (self.gl_order >= 2 and self.max_refine >= 0):
-            raise ConfigError("gl_order must be >= 2 and max_refine >= 0")
 
     def resolve(self, spec: SpectralDensity, env: Environment) -> "QuadratureConfig":
-        """A copy with omega_max, s_step and t_step filled in and checked."""
+        """A copy with omega_max and s_step filled in and checked."""
         scale = max(env.omega0, spec.omega_c)
         omega_max = self.omega_max if self.omega_max is not None else 50.0 * scale
         if omega_max < 10.0 * scale:
@@ -103,10 +99,7 @@ class QuadratureConfig:
             raise ConfigError(
                 f"s_step = {s_step} too coarse for oscillation resolution; must be <= {s_cap}"
             )
-        t_step = self.t_step if self.t_step is not None else s_step
-        if t_step > s_step * (1 + 1e-12):
-            raise ConfigError(f"grid too coarse: t_step = {t_step} exceeds s_step = {s_step}")
-        return replace(self, omega_max=omega_max, s_step=s_step, t_step=t_step)
+        return replace(self, omega_max=omega_max, s_step=s_step)
 
 
 @dataclass(frozen=True)
@@ -200,7 +193,7 @@ def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
 
 def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s_max: float,
                 halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Gauss-Legendre nodes plus weighted integrand factors, shaped (panels, gl_order).
+    """Gauss-Legendre nodes plus weighted integrand factors, shaped (panels, GL_ORDER).
 
     Returns (nodes, wc, ws, n_ir, width) with wc = w * j(w) * coth(w beta/2) * taper
     and ws = w * j(w) * taper, so the kernels are plain cosine/sine sums; the
@@ -208,7 +201,7 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
     common width, so nodes[n_ir + j, k] = nodes[n_ir, k] + j * width.
     """
     edges, n_ir = _panel_edges(spec, env, rq, s_max, halvings)
-    x, w = np.polynomial.legendre.leggauss(rq.gl_order)
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
@@ -219,8 +212,7 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
     if spec.kind in (SpectralKind.SUPER_OHMIC, SpectralKind.WHITE_NOISE):
         start = rq.omega_max / 10.0
         g = g * np.clip((rq.omega_max - nodes) / (rq.omega_max - start), 0.0, 1.0)
-    beta = env.beta
-    therm = np.ones_like(nodes) if math.isinf(beta) else _coth(0.5 * beta * nodes)
+    therm = thermal_weight(env, nodes)
     width = (edges[-1] - edges[n_ir]) / (len(edges) - 1 - n_ir)
     return nodes, wts * g * therm, wts * g, n_ir, width
 
@@ -284,7 +276,7 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, wi
     Row k of the uniform panels is o_k + j*width, so its sum is
     exp(i o_k s) * sum_j wt_jk exp(i j width s): one batched chirp-z
     transform covers every order and both weight sets, in
-    O(gl_order * (panels + len(s)) log).  The n_ir infrared panels are
+    O(GL_ORDER * (panels + len(s)) log).  The n_ir infrared panels are
     summed from blocked phase tables.  Raises ValueError on a non-uniform s.
     """
     ds, m = _uniform_step(s), len(s)
@@ -314,11 +306,11 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
         return _kernels_on(*rule, s)
 
     def kernel_err(coarse: tuple[np.ndarray, ...], fine: tuple[np.ndarray, ...]) -> float:
-        return max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), rq.abs_tol)
+        return max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), ABS_TOL)
                    for a, b in zip(coarse, fine))
 
     Kc, Ks = kernels(0)
-    for level in range(1, rq.max_refine + 2):
+    for level in range(1, MAX_REFINE + 2):
         finer = kernels(level)
         err = kernel_err((Kc, Ks), finer)
         if err <= rq.rel_tol:
@@ -334,11 +326,11 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
 def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float,
                            q: QuadratureConfig) -> CoefficientGrid:
     """Sample Delta, gamma, Gamma, Delta_Gamma on a uniform grid covering [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be > 0")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     rq = q.resolve(spec, env)
-    n = max(1, int(math.ceil(t_max / rq.t_step - 1e-9)))
-    times = np.arange(n + 1) * rq.t_step
+    n = max(1, int(math.ceil(t_max / rq.s_step - 1e-9)))
+    times = np.arange(n + 1) * rq.s_step
     delta, gamma = _coefficient_curves(spec, env, times, rq)
     big_gamma = _cumtrapz(gamma, times)
     delta_gamma = np.exp(-big_gamma) * _cumtrapz(np.exp(big_gamma) * delta, times)
@@ -351,16 +343,6 @@ def gamma_markov(spec: SpectralDensity, env: Environment) -> float:
     """Markovian damping rate gamma_M = alpha^2 (pi/2) j(omega0), the golden-rule
     t -> infinity limit of gamma(t); 0 at zero coupling."""
     return env.alpha**2 * 0.5 * math.pi * evaluate_j(spec, env.omega0)
-
-
-def markovian_coefficients(gamma_m: float, n_T: float, t: float) -> tuple[float, float]:
-    """Markovian limits Gamma(t) = gamma_M t, Delta_Gamma(t) = (1-e^{-gamma_M t})(2 n_T + 1)."""
-    if gamma_m <= 0:
-        raise ValueError("gamma_m must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    big_gamma = gamma_m * t
-    return big_gamma, -math.expm1(-big_gamma) * (2.0 * n_T + 1.0)
 
 
 _BLOCK_ROWS = 4096

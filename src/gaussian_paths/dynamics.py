@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateInputError",
     "evolve_cm",
     "evolve_markovian",
-    "evolve_high_t",
     "simulate_trajectory",
     "separability_time",
     "ReachabilityDecision",
@@ -101,19 +100,18 @@ def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> Symmetr
 
 def evolve_markovian(cm0: SymmetricCM, gamma_m: float, n_T: float, t: float) -> SymmetricCM:
     """Closed-form Markovian relaxation toward the thermal state (n_T + 1/2) I."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= gamma_m < math.inf:
+        raise ValueError(f"gamma_m must be finite and >= 0, got {gamma_m}")
+    if not 0 <= n_T < math.inf:
+        raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return cm0
     x = math.exp(-gamma_m * t)
     lam_t = n_T + 0.5
     # relaxation form keeps the stationary state an exact fixed point
     return SymmetricCM(a=lam_t + (cm0.a - lam_t) * x, c=cm0.c * x)
-
-
-def evolve_high_t(cm0: SymmetricCM, delta_integral: float) -> SymmetricCM:
-    """High-temperature short-time map: a' = a0 + (1/2) int_0^t Delta, c frozen."""
-    return evolve_cm(cm0, 0.0, delta_integral)
 
 
 @dataclass(frozen=True)
@@ -168,15 +166,17 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be > 0")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if n_T is None:
         raise ValueError("n_T is required (environment summary of the trajectory)")
+    if not 0 <= n_T < math.inf:
+        raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
     times = np.linspace(0.0, t_max, n_samples)
     mode = TrajectoryMode(mode)
     if mode is TrajectoryMode.MARKOVIAN:
-        if gamma_m is None or gamma_m <= 0:
-            raise ValueError("markovian mode requires gamma_m > 0")
+        if gamma_m is None or not 0 < gamma_m < math.inf:
+            raise ValueError(f"markovian mode requires a finite gamma_m > 0, got {gamma_m}")
         big_gamma = gamma_m * times
         delta_gamma = -np.expm1(-big_gamma) * (2.0 * n_T + 1.0)
     else:
@@ -305,13 +305,6 @@ def separability_time(traj: Trajectory) -> float | None:
     return None
 
 
-def state_at(traj: Trajectory, t: float) -> SymmetricCM:
-    """State at an off-sample time, monotone-cubic interpolated in (a, c)."""
-    if t < traj.times[0] or t > traj.times[-1] * (1 + 1e-12):
-        raise ValueError(f"t = {t} outside trajectory window")
-    return SymmetricCM(a=_pchip_at(traj.times, traj.a, t), c=_pchip_at(traj.times, traj.c, t))
-
-
 @dataclass(frozen=True)
 class ReachabilityDecision:
     """Whether a Markovian channel connects two symmetric states."""
@@ -320,11 +313,6 @@ class ReachabilityDecision:
     gamma_m_t: float | None = None
     n_T: float | None = None
     violated: str | None = None
-
-    def to_json_dict(self) -> dict:
-        if self.reachable:
-            return {"reachable": True, "gamma_m_t": self.gamma_m_t, "n_T": self.n_T}
-        return {"reachable": False, "violated": self.violated}
 
 
 def reachable_markovian(cm0: SymmetricCM, cm1: SymmetricCM) -> ReachabilityDecision:

@@ -68,14 +68,11 @@ class SymmetricCM:
         if a < 0.5 - PHYS_TOL:
             raise UnphysicalStateError(f"a must be >= 1/2, got {a}")
         nu2 = (a - c) * (a + c)
-        if nu2 < 0.25 - self._nu2_slack():
+        # roundoff in a*a - c*c grows with a^2; keep the check meaningful at large a
+        if nu2 < 0.25 - (PHYS_TOL + 8.0 * _EPS * a * a):
             raise UnphysicalStateError(
                 f"uncertainty relation violated: a^2 - c^2 = {nu2} < 1/4"
             )
-
-    def _nu2_slack(self) -> float:
-        # roundoff in a*a - c*c grows with a^2; keep the check meaningful at large a
-        return PHYS_TOL + 8.0 * _EPS * self.a * self.a
 
     @property
     def nu_squared(self) -> float:
@@ -84,13 +81,6 @@ class SymmetricCM:
         Formed as (a - c)(a + c), which does not cancel as a^2 - c^2 does at large a.
         """
         return (self.a - self.c) * (self.a + self.c)
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "c": self.c}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SymmetricCM":
-        return cls(a=float(d["a"]), c=float(d["c"]))
 
 
 @dataclass(frozen=True)
@@ -116,14 +106,6 @@ class PathPoint:
     discord: float
     t: float
 
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "mu": self.mu, "lambda": self.lam, "discord": self.discord}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PathPoint":
-        return cls(mu=float(d["mu"]), lam=float(d["lambda"]),
-                   discord=float(d["discord"]), t=float(d["t"]))
-
 
 def from_sts(p: STSParams) -> SymmetricCM:
     """a = (nu_T + 1/2) cosh(2r),  c = (nu_T + 1/2) sinh(2r)."""
@@ -132,13 +114,11 @@ def from_sts(p: STSParams) -> SymmetricCM:
 
 
 def to_sts(cm: SymmetricCM) -> STSParams:
-    """Invert from_sts: nu_T + 1/2 = sqrt(a^2 - c^2), tanh(2r) = c/a."""
+    """Invert from_sts: nu_T + 1/2 = sqrt(a^2 - c^2), tanh(2r) = c/a.  SymmetricCM
+    guarantees physicality, so only the c >= 0 convention is checked."""
     if cm.c < 0:
         raise UnphysicalStateError("to_sts requires the c >= 0 sign convention")
-    nu2 = cm.nu_squared
-    if nu2 < 0.25 - cm._nu2_slack():
-        raise UnphysicalStateError("to_sts requires a physical covariance matrix")
-    nu = math.sqrt(max(nu2, 0.25))
+    nu = math.sqrt(max(cm.nu_squared, 0.25))
     return STSParams(r=0.5 * math.atanh(min(cm.c / cm.a, 1.0)), nu_T=nu - 0.5)
 
 

@@ -94,17 +94,6 @@ class UniversalityReport:
     def passed(self) -> bool:
         return self.deviation_defined and self.max_deviation <= self.tol
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "matched_fraction": self.matched_fraction,
-            "max_discord_deviation": self.max_discord_deviation,
-            "max_purity_deviation": self.max_purity_deviation,
-            "tol": self.tol,
-            "deviation_defined": self.deviation_defined,
-            "passed": self.passed,
-        }
-
 
 def _source_of(traj: Trajectory) -> PathSource:
     sts = to_sts(traj.initial)
@@ -217,7 +206,11 @@ def d_star() -> float:
 
 def dsep_from_trajectory(traj: Trajectory) -> float | None:
     """Discord at the first separability crossing of a trajectory; None if never."""
-    t_sep = separability_time(traj)
+    return _dsep_at(traj, separability_time(traj))
+
+
+def _dsep_at(traj: Trajectory, t_sep: float | None) -> float | None:
+    """Discord of traj at its separability time t_sep; None when t_sep is."""
     if t_sep is None:
         return None
     if t_sep == 0.0:
@@ -260,7 +253,7 @@ def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environme
                                        grid=grid, gamma_m=gamma_m, n_T=env.n_T,
                                        label=spec.kind.value)
             t_sep = separability_time(traj)
-            d_sep = dsep_from_trajectory(traj)
+            d_sep = _dsep_at(traj, t_sep)
             note = "" if t_sep is not None else "no-threshold"
         except (InconclusiveThresholdError, MapUnphysicalError) as exc:
             t_sep, d_sep, note = None, None, f"{type(exc).__name__}: {exc}"

@@ -183,9 +183,8 @@ def test_criterion_8_identity_and_oracle_suite(resonant_grids):
         # coefficient grids converge under step halving within rel_tol
         spec, env = make_spec(SpectralKind.OHMIC), make_env()
         base = 2.0 * math.pi / 1000.0
-        g1 = build_coefficient_grid(spec, env, 4.0, QuadratureConfig(s_step=base, t_step=base))
-        g2 = build_coefficient_grid(spec, env, 4.0,
-                                    QuadratureConfig(s_step=base / 2, t_step=base / 2))
+        g1 = build_coefficient_grid(spec, env, 4.0, QuadratureConfig(s_step=base))
+        g2 = build_coefficient_grid(spec, env, 4.0, QuadratureConfig(s_step=base / 2))
         for name in ("delta", "gamma", "big_gamma", "delta_gamma"):
             a = getattr(g1, name)
             b = getattr(g2, name)[::2]

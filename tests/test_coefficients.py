@@ -10,9 +10,11 @@ from gaussian_paths import (
     QuadratureError,
     SpectralDensity,
     SpectralKind,
+    SymmetricCM,
+    TrajectoryMode,
     build_coefficient_grid,
     gamma_markov,
-    markovian_coefficients,
+    simulate_trajectory,
     write_coefficients_csv,
 )
 from gaussian_paths import coefficients
@@ -88,7 +90,7 @@ def test_chirp_kernels_match_dense_sums(kind):
     rq = QuadratureConfig(omega_max=20.0).resolve(spec, env)
     s = np.arange(1201) * rq.s_step
     nodes, wc, ws, n_ir, width = _omega_rule(spec, env, rq, float(s[-1]), 0)
-    assert nodes.shape == wc.shape == ws.shape == (len(nodes), rq.gl_order)
+    assert nodes.shape == wc.shape == ws.shape == (len(nodes), coefficients.GL_ORDER)
     # white noise: geometric infrared panels ahead of the uniform ones
     assert (n_ir > 0) == (kind is SpectralKind.WHITE_NOISE)
     np.testing.assert_allclose(np.diff(nodes[n_ir:], axis=0), width, rtol=1e-9)
@@ -191,8 +193,8 @@ def test_zero_coupling_grid_is_identically_zero(quad):
 
 
 def test_grid_structuring_long_window():
-    # t_max = 100/omega0 at t_step = 0.01/omega0 (omega_max chosen to admit that step)
-    q = QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.01)
+    # t_max = 100/omega0 at s_step = 0.01/omega0 (omega_max chosen to admit that step)
+    q = QuadratureConfig(omega_max=10.0, s_step=0.01)
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(alpha=0.0), 100.0, q)
     assert len(grid.times) == 10001
     assert grid.times[0] == 0.0 and grid.t_max >= 100.0
@@ -203,7 +205,7 @@ def test_grid_structuring_long_window():
 def test_delta_gamma_approaches_markovian_closed_form(resonant_grids, gamma_m_ohmic):
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
     i = np.searchsorted(grid.times, 20.0)
-    _, dg_markov = markovian_coefficients(gamma_m_ohmic, env.n_T, float(grid.times[i]))
+    dg_markov = markovian(gamma_m_ohmic, env.n_T, float(grid.times[i]))[1][-1]
     assert grid.delta_gamma[i] == pytest.approx(dg_markov, rel=0.05)
     # and the diffusion factor keeps growing toward 2 n_T + 1
     tail = grid.delta_gamma[len(grid.times) // 2:]
@@ -213,8 +215,8 @@ def test_delta_gamma_approaches_markovian_closed_form(resonant_grids, gamma_m_oh
 def test_grid_convergence_under_step_halving():
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
     base = 2.0 * math.pi / 1000.0
-    q1 = QuadratureConfig(s_step=base, t_step=base)
-    q2 = QuadratureConfig(s_step=base / 2, t_step=base / 2)
+    q1 = QuadratureConfig(s_step=base)
+    q2 = QuadratureConfig(s_step=base / 2)
     g1 = build_coefficient_grid(spec, env, 5.0, q1)
     g2 = build_coefficient_grid(spec, env, 5.0, q2)
     assert np.allclose(g1.times, g2.times[::2], rtol=0, atol=1e-12)
@@ -260,18 +262,26 @@ def test_gamma_markov_alpha_scaling():
 
 # ------------------------------------------------- markovian closed form
 
+def markovian(gamma_m, n_T, t_max):
+    """Gamma and Delta_Gamma of the Markovian map sampled at t = 0 and t_max."""
+    traj = simulate_trajectory(SymmetricCM(1.0, 0.5), mode=TrajectoryMode.MARKOVIAN,
+                               t_max=t_max, n_samples=2, gamma_m=gamma_m, n_T=n_T)
+    return traj.big_gamma, traj.delta_gamma
+
+
 def test_markovian_coefficients_closed_forms():
-    assert markovian_coefficients(1.0, 10.0, 0.0) == (0.0, 0.0)
-    bg, dg = markovian_coefficients(1.0, 0.0, math.log(2.0))
-    assert bg == pytest.approx(math.log(2.0), rel=1e-15)
-    assert dg == pytest.approx(0.5, rel=1e-15)
+    bg, dg = markovian(1.0, 10.0, 1.0)
+    assert (bg[0], dg[0]) == (0.0, 0.0)
+    bg, dg = markovian(1.0, 0.0, math.log(2.0))
+    assert bg[-1] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert dg[-1] == pytest.approx(0.5, rel=1e-15)
     # asymptote: by gamma_M t = 50 the diffusion factor has saturated at 2 n_T + 1
-    _, dg_inf = markovian_coefficients(1.0, 10.0, 50.0)
-    assert dg_inf == pytest.approx(21.0, rel=1e-12)
+    _, dg_inf = markovian(1.0, 10.0, 50.0)
+    assert dg_inf[-1] == pytest.approx(21.0, rel=1e-12)
     with pytest.raises(ValueError):
-        markovian_coefficients(0.0, 1.0, 1.0)
+        markovian(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        markovian_coefficients(1.0, 1.0, -1.0)
+        markovian(1.0, 1.0, -1.0)
 
 
 # ----------------------------------------------------- config validation
@@ -283,18 +293,11 @@ def test_quadrature_config_validation():
     with pytest.raises(ConfigError):
         QuadratureConfig(s_step=1.0).resolve(spec, env)
     with pytest.raises(ConfigError):
-        QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.02).resolve(spec, env)
-    with pytest.raises(ConfigError):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ConfigError):
-        QuadratureConfig(max_refine=-1)
-    for field in ("gl_order", "max_refine"):
-        with pytest.raises(ConfigError):
-            QuadratureConfig(**{field: math.nan})
-    q = QuadratureConfig(omega_max=10.0, s_step=0.01, t_step=0.01).resolve(spec, env)
-    assert q.t_step == 0.01
+    q = QuadratureConfig(omega_max=10.0, s_step=0.01).resolve(spec, env)
+    assert q.s_step == 0.01
     # NaN slips past `x <= 0` checks and inf past the step checks: both name their field
-    for field in ("omega_max", "abs_tol", "rel_tol", "s_step", "t_step"):
+    for field in ("omega_max", "rel_tol", "s_step"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"{field} must be finite and > 0"):
                 QuadratureConfig(**{field: bad}).resolve(spec, env)
@@ -302,7 +305,7 @@ def test_quadrature_config_validation():
 
 def test_quadrature_error_carries_achieved_estimate():
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    q = QuadratureConfig(rel_tol=1e-300, max_refine=1)
+    q = QuadratureConfig(rel_tol=1e-300)
     with pytest.raises(QuadratureError) as err:
         build_coefficient_grid(spec, env, 2.0, q)
     assert err.value.achieved > 0

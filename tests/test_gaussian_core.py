@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussian_paths import (
-    PathPoint,
     STSParams,
     SymmetricCM,
     UnphysicalStateError,
@@ -293,12 +291,3 @@ def test_path_point_constraint_surface():
         assert pp.mu <= 1.0 / (4.0 * pp.lam**2) + 1e-12
         rebuilt = cm_from_mu_lambda(pp.mu, pp.lam)
         assert gaussian_discord(rebuilt) == pytest.approx(pp.discord, abs=1e-8)
-
-
-def test_json_serialization():
-    cm = SymmetricCM(1.25, 0.5)
-    assert SymmetricCM.from_json_dict(json.loads(json.dumps(cm.to_json_dict()))) == cm
-    pp = PathPoint(mu=0.3, lam=0.7, discord=0.1, t=2.0)
-    d = pp.to_json_dict()
-    assert set(d) == {"t", "mu", "lambda", "discord"}
-    assert PathPoint.from_json_dict(d) == pp

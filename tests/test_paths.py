@@ -80,7 +80,7 @@ def test_compare_markovian_speeds_pure_reparametrization():
     rep = compare_paths(slow, fast, tol=1e-10)
     assert rep.matched_fraction >= 0.999
     assert rep.max_deviation <= 1e-10
-    assert rep.to_json_dict()["passed"] is True
+    assert rep.passed is True
 
 
 def test_compare_rejects_mismatched_sources():
