@@ -43,7 +43,6 @@ from .gaussian_core import (
     discord,
     entropic_h,
     from_sts,
-    gaussian_discord,
     log_negativity,
     mean_photons,
     min_symplectic,

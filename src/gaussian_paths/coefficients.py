@@ -133,9 +133,6 @@ class CoefficientGrid:
     def t_max(self) -> float:
         return float(self.times[-1])
 
-    def covers(self, t: float) -> bool:
-        return 0.0 <= t <= self.t_max * (1 + 1e-12)
-
     def _interp(self, t, values: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, float))
         if np.any(t < 0) or np.any(t > self.t_max * (1 + 1e-12)):

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .coefficients import CoefficientGrid, _write_rows
-from .gaussian_core import PHYS_TOL, PathPoint, SymmetricCM, discord
+from .gaussian_core import PathPoint, SymmetricCM, _physical, discord
 
 __all__ = [
     "TrajectoryMode",
@@ -65,16 +65,15 @@ class DegenerateInputError(ValueError):
 
 def _check_physical(a, c, times=None) -> None:
     """Raise MapUnphysicalError at the first sample of the map's output (scalars
-    or arrays) with a <= 0 or (a - c)(a + c) < 1/4 - (PHYS_TOL + 8 eps a^2); NaN fails."""
+    or arrays) that fails the physicality test _physical; NaN fails."""
     a, c = np.asarray(a), np.asarray(c)
-    nu2 = (a - c) * (a + c)
-    bad = np.flatnonzero(~((nu2 >= 0.25 - (PHYS_TOL + 8.0 * np.finfo(float).eps * a * a))
-                           & (a > 0)))
+    bad = np.flatnonzero(~_physical(a, c))
     if len(bad):
         i = bad[0]
+        ai, ci = a.flat[i], c.flat[i]
         at = "" if times is None else f" at t = {times[i]}"
-        raise MapUnphysicalError(f"unphysical sample{at} (a={a.flat[i]}, c={c.flat[i]}): "
-                                 f"a^2 - c^2 = {nu2.flat[i]} < 1/4")
+        raise MapUnphysicalError(f"unphysical sample{at} (a={ai}, c={ci}): "
+                                 f"a^2 - c^2 = {(ai - ci) * (ai + ci)} < 1/4")
 
 
 def _secular_map(cm0: SymmetricCM, decay, delta_gamma, times=None):
@@ -90,10 +89,12 @@ def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> Symmetr
     """Apply the secular map: a' = a0 e^{-Gamma} + Delta_Gamma/2, c' = c0 e^{-Gamma}.
 
     A transiently negative delta_gamma is accepted as long as the output
-    stays physical within tolerance.
+    stays physical within tolerance.  big_gamma = inf is the fully damped limit.
     """
-    if big_gamma < 0:
-        raise ValueError("big_gamma must be >= 0")
+    if not 0 <= big_gamma <= math.inf:
+        raise ValueError(f"big_gamma must be >= 0, got {big_gamma}")
+    if not -math.inf < delta_gamma < math.inf:
+        raise ValueError(f"delta_gamma must be finite, got {delta_gamma}")
     a, c = _secular_map(cm0, math.exp(-big_gamma), delta_gamma)
     return SymmetricCM(a=a, c=c)
 
@@ -162,7 +163,7 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
 
     Markovian mode uses the closed form and needs (gamma_m, n_T); the grid
     modes interpolate Gamma / Delta_Gamma (or the diffusion integral) from
-    a CoefficientGrid covering [0, t_max].
+    a CoefficientGrid, which raises ValueError unless it covers [0, t_max].
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -182,8 +183,6 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
     else:
         if grid is None:
             raise ValueError(f"{mode.value} mode requires a coefficient grid")
-        if not grid.covers(t_max):
-            raise ValueError(f"grid covers [0, {grid.t_max}], need [0, {t_max}]")
         if mode is TrajectoryMode.NONMARKOVIAN:
             big_gamma = grid.interp_big_gamma(times)
             delta_gamma = grid.interp_delta_gamma(times)
@@ -315,25 +314,33 @@ class ReachabilityDecision:
     violated: str | None = None
 
 
+def _secular_inverse(cm0: SymmetricCM, cm1: SymmetricCM, caller: str):
+    """(x, Delta_Gamma) = (c1/c0, 2(a1 - a0 x)) of the secular map taking cm0 to cm1,
+    x = e^{-Gamma}; (None, None) when the correlations would have to grow (x <= 0 or x > 1)."""
+    if cm0.c <= 0:
+        raise DegenerateInputError(f"{caller} requires c0 > 0")
+    x = cm1.c / cm0.c
+    if x <= 0 or x > 1 + 1e-12:
+        return None, None
+    return x, 2.0 * (cm1.a - cm0.a * x)
+
+
 def reachable_markovian(cm0: SymmetricCM, cm1: SymmetricCM) -> ReachabilityDecision:
     """Decide whether cm1 = Markovian-evolve(cm0; gamma_M t, n_T) has a solution.
 
-    The correlation decay fixes e^{-gamma_M t} = c1/c0 (needs 0 < c1 <= c0);
-    the diagonal then determines n_T + 1/2 = (a1 - a0 x)/(1 - x), which must
-    be a temperature, i.e. n_T >= 0.  States failing either constraint are
-    in the excluded region of cm0.
+    The secular inverse gives x = e^{-gamma_M t} = c1/c0 (needs 0 < c1 <= c0)
+    and Delta_Gamma; the Markovian map has Delta_Gamma = (1 - x)(2 n_T + 1),
+    and n_T must be a temperature, i.e. n_T >= 0.  States failing either
+    constraint are in the excluded region of cm0.
     """
-    if cm0.c <= 0:
-        raise DegenerateInputError("reachable_markovian requires c0 > 0")
-    x = cm1.c / cm0.c
-    if x <= 0 or x > 1 + 1e-12:
+    x, dg = _secular_inverse(cm0, cm1, "reachable_markovian")
+    if x is None:
         return ReachabilityDecision(reachable=False, violated="c-growth")
     if x >= 1 - 1e-15:
         if abs(cm1.a - cm0.a) <= 1e-12 * max(1.0, cm0.a):
             return ReachabilityDecision(reachable=True, gamma_m_t=0.0, n_T=None)
         return ReachabilityDecision(reachable=False, violated="c-growth")
-    nu = (cm1.a - cm0.a * x) / (1.0 - x)
-    n_T = nu - 0.5
+    n_T = dg / (2.0 * (1.0 - x)) - 0.5
     if n_T < -1e-12:
         return ReachabilityDecision(reachable=False, violated="negative-temperature")
     return ReachabilityDecision(reachable=True, gamma_m_t=-math.log(x), n_T=max(n_T, 0.0))
@@ -350,13 +357,10 @@ class SecularReachability:
 
 
 def reachable_secular(cm0: SymmetricCM, cm1: SymmetricCM) -> SecularReachability:
-    """Same algebra as reachable_markovian without the n_T >= 0 sign constraint."""
-    if cm0.c <= 0:
-        raise DegenerateInputError("reachable_secular requires c0 > 0")
-    x = cm1.c / cm0.c
-    if x <= 0 or x > 1 + 1e-12:
+    """The secular inverse alone: free Gamma >= 0 and Delta_Gamma >= 0, no temperature."""
+    x, dg = _secular_inverse(cm0, cm1, "reachable_secular")
+    if x is None:
         return SecularReachability(reachable=False, violated="c-growth")
-    dg = 2.0 * (cm1.a - cm0.a * x)
     if dg < -1e-12:
         return SecularReachability(reachable=False, violated="negative-diffusion")
     return SecularReachability(reachable=True, big_gamma=-math.log(min(x, 1.0)),
@@ -380,8 +384,12 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
     ``point`` is anything with ``lam`` and ``mu`` attributes: one PathPoint
     gives a float, a Trajectory or DynamicalPath an array over its samples.
     """
-    if lambda0 <= 0 or mu0 <= 0:
-        raise ValueError("lambda0 and mu0 must be > 0")
+    if not 0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
+    if not -math.inf < lambda_T < math.inf:
+        raise ValueError(f"lambda_T must be finite, got {lambda_T}")
     v0 = 1.0 / (4.0 * mu0 * lambda0)
     if abs(v0 - lambda_T) <= 1e-12 * max(1.0, abs(v0), abs(lambda_T)):
         return MotionConstant(value=point.lam, degenerate=True)

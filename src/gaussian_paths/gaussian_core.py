@@ -32,7 +32,6 @@ __all__ = [
     "min_symplectic",
     "log_negativity",
     "entropic_h",
-    "gaussian_discord",
     "discord",
     "path_point",
     "cm_from_mu_lambda",
@@ -52,6 +51,12 @@ class UnphysicalStateError(ValueError):
     """State parameters violate the two-mode uncertainty relation."""
 
 
+def _physical(a, c):
+    """a > 0 and (a - c)(a + c) >= 1/4 - (PHYS_TOL + 8 eps a^2), on floats or elementwise
+    on arrays; NaN is unphysical.  The slack covers roundoff in a^2 - c^2 at large a."""
+    return (a > 0) & ((a - c) * (a + c) >= 0.25 - (PHYS_TOL + 8.0 * _EPS * a * a))
+
+
 @dataclass(frozen=True)
 class SymmetricCM:
     """The (a, c) pair of a symmetric two-mode covariance matrix."""
@@ -63,16 +68,9 @@ class SymmetricCM:
         a, c = self.a, self.c
         if not (math.isfinite(a) and math.isfinite(c)):
             raise UnphysicalStateError(f"a and c must be finite, got ({a}, {c})")
-        if not (a > 0):
-            raise UnphysicalStateError(f"a must be > 0, got {a}")
-        if a < 0.5 - PHYS_TOL:
-            raise UnphysicalStateError(f"a must be >= 1/2, got {a}")
-        nu2 = (a - c) * (a + c)
-        # roundoff in a*a - c*c grows with a^2; keep the check meaningful at large a
-        if nu2 < 0.25 - (PHYS_TOL + 8.0 * _EPS * a * a):
-            raise UnphysicalStateError(
-                f"uncertainty relation violated: a^2 - c^2 = {nu2} < 1/4"
-            )
+        if not _physical(a, c):
+            raise UnphysicalStateError(f"uncertainty relation violated: a = {a}, "
+                                       f"a^2 - c^2 = {(a - c) * (a + c)} < 1/4")
 
     @property
     def nu_squared(self) -> float:
@@ -129,13 +127,7 @@ def mean_photons(p: STSParams) -> float:
 
 def purity(cm: SymmetricCM) -> float:
     """mu = 1/(4 sqrt(det sigma)) = 1/(4 (a^2 - c^2))."""
-    return _purity(cm.nu_squared)
-
-
-def _purity(nu2: float) -> float:
-    if nu2 <= 0:
-        raise UnphysicalStateError(f"a^2 - c^2 = {nu2} <= 0: purity undefined")
-    return 1.0 / (4.0 * nu2)
+    return 1.0 / (4.0 * cm.nu_squared)
 
 
 def min_symplectic(cm: SymmetricCM) -> float:
@@ -183,15 +175,6 @@ def entropic_h(x: ArrayLike) -> ArrayLike:
     return np.log(xc + 0.5) + term
 
 
-def gaussian_discord(cm: SymmetricCM) -> float:
-    """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log.
-
-    Scalar branch of discord(a, c): Python floats through _h, a float out.
-    """
-    a, c = float(cm.a), float(cm.c)
-    return _discord(a, c, (a - c) * (a + c))
-
-
 def _discord(a: float, c: float, nu2: float) -> float:
     """Scalar D(a, c) given nu2 = (a - c)(a + c), with the conditional argument
     a - 2c^2/(1 + 2a) written (a + 2 nu2)/(1 + 2a) so that neither cancels."""
@@ -201,8 +184,15 @@ def _discord(a: float, c: float, nu2: float) -> float:
     return _h(a) - 2.0 * _h(nu) + _h(cond)
 
 
-def discord(a: ArrayLike, c: ArrayLike) -> np.ndarray:
-    """Gaussian discord D(a, c) elementwise over arrays of symmetric states."""
+def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
+    """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log,
+    elementwise over arrays of symmetric states.
+
+    Scalar (0-d) a and c take the math.log branch (_discord) and return a float.
+    """
+    if np.ndim(a) == 0 and np.ndim(c) == 0:
+        a, c = float(a), float(c)
+        return _discord(a, c, (a - c) * (a + c))
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     nu2 = (a - c) * (a + c)
     # at c = 0 all three arguments coincide; force the cancellation exact
@@ -216,7 +206,7 @@ def path_point(cm: SymmetricCM, t: float) -> PathPoint:
     """Assemble the (mu, lambda, D) coordinates of a state at time t."""
     a, c = float(cm.a), float(cm.c)
     nu2 = (a - c) * (a + c)
-    mu = _purity(nu2)
+    mu = 1.0 / (4.0 * nu2)
     lam = min_symplectic(cm)
     d = _discord(a, c, nu2)
     if d < 0.0:

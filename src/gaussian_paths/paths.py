@@ -26,14 +26,7 @@ from .dynamics import (
     separability_time,
     simulate_trajectory,
 )
-from .gaussian_core import (
-    STSParams,
-    SymmetricCM,
-    discord,
-    from_sts,
-    gaussian_discord,
-    to_sts,
-)
+from .gaussian_core import STSParams, discord, from_sts, to_sts
 from .spectral_env import Environment, SpectralDensity
 
 __all__ = [
@@ -193,10 +186,10 @@ def dsep_universal(r0: float) -> float:
     a = (1 + sinh 2r0)/2, c = sinh(2r0)/2, a universal function of the
     initial squeezing alone.
     """
-    if r0 < 0:
-        raise ValueError("r0 must be >= 0")
+    if not 0 <= r0 < math.inf:
+        raise ValueError(f"r0 must be finite and >= 0, got {r0}")
     c = 0.5 * math.sinh(2.0 * r0)
-    return gaussian_discord(SymmetricCM(a=0.5 + c, c=c))
+    return discord(0.5 + c, c)
 
 
 def d_star() -> float:
@@ -214,10 +207,10 @@ def _dsep_at(traj: Trajectory, t_sep: float | None) -> float | None:
     if t_sep is None:
         return None
     if t_sep == 0.0:
-        return gaussian_discord(traj.initial)
+        return discord(traj.initial.a, traj.initial.c)
     # at the crossing lambda = 1/2 exactly, so only c needs interpolating
     c_sep = _pchip_at(traj.times, traj.c, t_sep)
-    return gaussian_discord(SymmetricCM(a=0.5 + c_sep, c=c_sep))
+    return discord(0.5 + c_sep, c_sep)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from gaussian_paths import (
     build_coefficient_grid,
     compare_paths,
     constant_of_motion,
+    discord,
     dsep_from_trajectory,
     dsep_sweep,
     dsep_universal,
@@ -26,8 +27,6 @@ from gaussian_paths import (
     evolve_markovian,
     extract_path,
     from_sts,
-    gaussian_discord,
-    path_point,
     purity,
     reachable_markovian,
     separability_time,
@@ -121,8 +120,7 @@ def _com_drift(traj):
     lam0 = traj.initial.a - traj.initial.c
     mu0 = purity(traj.initial)
     lam_t = traj.n_T + 0.5
-    vals = np.array([constant_of_motion(path_point(cm, t), lam0, mu0, lam_t).value
-                     for t, cm in traj.points])
+    vals = constant_of_motion(traj, lam0, mu0, lam_t).value
     return float(np.max(np.abs(vals - vals[0]))) / abs(vals[0])
 
 
@@ -145,10 +143,10 @@ def test_criterion_6_zero_temperature_persistence():
         traj = simulate_trajectory(TWB12, mode=TrajectoryMode.MARKOVIAN, t_max=40.0,
                                    n_samples=2001, gamma_m=1.0, n_T=0.0)
         assert separability_time(traj) is None
-        end = path_point(traj.points[-1][1], 40.0)
-        assert abs(end.mu - 1.0) <= 1e-6
-        assert abs(end.lam - 0.5) <= 1e-6
-        assert abs(end.discord) <= 1e-6
+        assert traj.times[-1] == 40.0
+        assert abs(traj.mu[-1] - 1.0) <= 1e-6
+        assert abs(traj.lam[-1] - 0.5) <= 1e-6
+        assert abs(discord(traj.a[-1], traj.c[-1])) <= 1e-6
 
 
 def test_criterion_7_excluded_region_and_roundtrip():
@@ -175,11 +173,11 @@ def test_criterion_8_identity_and_oracle_suite(resonant_grids):
     with criterion(8, "identity and oracle suite"):
         # zero discord without correlations, exactly
         for a in (0.5, 1.0, 2.5, 40.0):
-            assert gaussian_discord(SymmetricCM(a, 0.0)) == 0.0
+            assert discord(a, 0.0) == 0.0
         # pure-state identity D = h(a) on the a^2 - c^2 = 1/4 manifold
         for r in np.linspace(0.0, 2.5, 26):
             cm = from_sts(STSParams(float(r), 0.0))
-            assert gaussian_discord(cm) == pytest.approx(entropic_h(cm.a), abs=1e-10)
+            assert discord(cm.a, cm.c) == pytest.approx(entropic_h(cm.a), abs=1e-10)
         # coefficient grids converge under step halving within rel_tol
         spec, env = make_spec(SpectralKind.OHMIC), make_env()
         base = 2.0 * math.pi / 1000.0

@@ -229,7 +229,13 @@ def test_grid_convergence_under_step_halving():
 
 def test_grid_interpolators_and_coverage(resonant_grids):
     _, _, grid = resonant_grids[SpectralKind.OHMIC]
-    assert grid.covers(25.0) and not grid.covers(26.0)
+    # the grid answers on [0, t_max] and names its range one step outside it
+    t_max, step = grid.t_max, float(grid.times[1] - grid.times[0])
+    assert grid.interp_big_gamma(t_max)[0] == grid.big_gamma[-1]
+    grid.interp_big_gamma(25.0)  # the window it was built for
+    for t in (t_max + step, -step):
+        with pytest.raises(ValueError, match=r"grid covers \[0, "):
+            grid.interp_big_gamma(t)
     t = np.array([0.0, 1.234, 24.9])
     assert grid.interp_big_gamma(t)[0] == 0.0
     assert grid.delta_integral(t)[0] == 0.0

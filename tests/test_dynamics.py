@@ -15,6 +15,7 @@ from gaussian_paths import (
     TrajectoryMode,
     build_coefficient_grid,
     constant_of_motion,
+    dsep_universal,
     evolve_cm,
     evolve_markovian,
     from_sts,
@@ -70,6 +71,8 @@ def test_evolve_cm_rejects_unphysical_output():
         evolve_cm(TWB12, 1.0, 0.0)
     with pytest.raises(ValueError):
         evolve_cm(TWB12, -0.1, 0.0)
+    # Gamma = inf is the fully damped limit: the correlations are gone
+    assert evolve_cm(TWB12, math.inf, 1.0) == SymmetricCM(0.5, 0.0)
 
 
 def test_physicality_check_flags_the_first_bad_sample():
@@ -164,7 +167,7 @@ def test_trajectory_physicality_and_damping_law(resonant_grids):
 
 def test_trajectory_validation_errors(resonant_grids):
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"grid covers \[0, "):
         simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=30.0,
                             n_samples=100, grid=grid, n_T=env.n_T)  # grid too short
     with pytest.raises(ValueError):
@@ -186,6 +189,23 @@ def test_bad_time_rate_or_temperature_is_a_named_value_error(name, bad):
     if name != "t_max":
         with pytest.raises(ValueError, match=name):
             evolve_markovian(TWB12, args["gamma_m"], args["n_T"], 1.0)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (evolve_cm, (TWB12, math.nan, 0.0), "big_gamma"),
+    (evolve_cm, (TWB12, 0.0, math.nan), "delta_gamma"),
+    (evolve_cm, (TWB12, 1.0, math.inf), "delta_gamma"),
+    (constant_of_motion, (path_point(TWB12, 0.0), math.nan, 1.0, 10.5), "lambda0"),
+    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, math.nan, 10.5), "mu0"),
+    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, math.nan), "lambda_T"),
+    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, math.inf), "lambda_T"),
+    (dsep_universal, (math.nan,), "r0"),
+    (dsep_universal, (math.inf,), "r0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_finite_argument_is_a_named_value_error(fn, args, name):
+    # NaN passes `x < 0` checks; inf lambda_T read as a degenerate constant
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        fn(*args)
 
 
 def _random_samples(rng, n, kind):

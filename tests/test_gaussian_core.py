@@ -12,7 +12,6 @@ from gaussian_paths import (
     discord,
     entropic_h,
     from_sts,
-    gaussian_discord,
     log_negativity,
     mean_photons,
     min_symplectic,
@@ -164,13 +163,15 @@ def test_entropic_h_large_argument_accuracy():
 
 def test_discord_zero_without_correlations():
     for a in (0.5, 1.0, 3.7, 250.0):
-        assert gaussian_discord(SymmetricCM(a, 0.0)) == 0.0
+        assert discord(a, 0.0) == 0.0
         assert discord(np.array([a]), np.array([0.0]))[0] == 0.0
 
 
 def test_discord_returns_python_float():
-    assert type(gaussian_discord(from_sts(TWB12))) is float
-    assert type(gaussian_discord(SymmetricCM(np.float64(1.5), np.float64(0.5)))) is float
+    cm = from_sts(TWB12)
+    assert type(discord(cm.a, cm.c)) is float
+    assert type(discord(np.float64(1.5), np.float64(0.5))) is float
+    assert type(discord(np.array(1.5), np.array(0.5))) is float
 
 
 # physical states (a, c) = nu (cosh 2r, +-sinh 2r): r = 0 gives c = 0 exactly,
@@ -183,7 +184,7 @@ _R = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @given(nu=_NU, r=_R, sign=st.sampled_from([1.0, -1.0]))
 def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
     a, c = nu * math.cosh(2.0 * r), sign * nu * math.sinh(2.0 * r)
-    d = gaussian_discord(SymmetricCM(a, c))
+    d = discord(a, c)
     ref = discord(np.array([a]), np.array([c]))[0]
     # D = h(a) - 2 h(nu) + h(cond) cancels terms up to h(a) in size, and
     # math.log and numpy's log differ by an ulp on a few inputs
@@ -219,7 +220,7 @@ def test_discord_accuracy_against_mpmath():
     r = rng.uniform(0.0, 3.0, n)
     a, c = nu * np.cosh(2.0 * r), nu * np.sinh(2.0 * r)
     ref = np.array([_discord_mp(x, y) for x, y in zip(a.tolist(), c.tolist())])
-    scalar = np.array([gaussian_discord(SymmetricCM(x, y))
+    scalar = np.array([discord(x, y)
                        for x, y in zip(a.tolist(), c.tolist())])
     for err in (np.abs(scalar - ref), np.abs(discord(a, c) - ref)):
         assert np.max(err[~pure]) <= 1e-14
@@ -232,7 +233,7 @@ def test_discord_pure_state_identity():
     # on a^2 - c^2 = 1/4 the discord reduces to h(a)
     for r in np.linspace(0.0, 2.5, 26):
         cm = from_sts(STSParams(float(r), 0.0))
-        assert gaussian_discord(cm) == pytest.approx(entropic_h(cm.a), abs=1e-10)
+        assert discord(cm.a, cm.c) == pytest.approx(entropic_h(cm.a), abs=1e-10)
 
 
 def test_discord_nonnegative_and_positive_with_correlations():
@@ -241,19 +242,19 @@ def test_discord_nonnegative_and_positive_with_correlations():
         nu = rng.uniform(0.5, 4.0)
         r = rng.uniform(0.0, 2.0)
         cm = from_sts(STSParams(float(r), float(nu - 0.5)))
-        assert gaussian_discord(cm) >= -1e-12
+        assert discord(cm.a, cm.c) >= -1e-12
     # strictly positive once correlations are numerically resolvable
     for c in np.logspace(-6, 0, 13):
         cm = SymmetricCM(a=math.sqrt(0.25 + 4.0 * c * c) + 0.4, c=float(c))
-        assert gaussian_discord(cm) > 0.0
+        assert discord(cm.a, cm.c) > 0.0
     # tiny correlations stay within the roundoff tolerance band
-    assert gaussian_discord(SymmetricCM(1.0, 1e-8)) >= -1e-12
+    assert discord(1.0, 1e-8) >= -1e-12
 
 
 def test_discord_saturation_value():
     # large-squeezing threshold states approach 2 ln 2 - 1
     c = 0.5 * math.sinh(2 * 8.0)
-    d = gaussian_discord(SymmetricCM(0.5 + c, c))
+    d = discord(0.5 + c, c)
     assert d == pytest.approx(2 * math.log(2) - 1, abs=1e-4)
 
 
@@ -266,7 +267,7 @@ def test_reparametrization_roundtrip():
         back = cm_from_mu_lambda(purity(cm), min_symplectic(cm))
         assert back.a == pytest.approx(cm.a, rel=1e-10)
         assert back.c == pytest.approx(cm.c, rel=1e-10, abs=1e-12)
-        assert gaussian_discord(back) == pytest.approx(gaussian_discord(cm), abs=1e-10)
+        assert discord(back.a, back.c) == pytest.approx(discord(cm.a, cm.c), abs=1e-10)
 
 
 # ------------------------------------------------------------ path points
@@ -290,4 +291,4 @@ def test_path_point_constraint_surface():
         pp = path_point(cm, 0.0)
         assert pp.mu <= 1.0 / (4.0 * pp.lam**2) + 1e-12
         rebuilt = cm_from_mu_lambda(pp.mu, pp.lam)
-        assert gaussian_discord(rebuilt) == pytest.approx(pp.discord, abs=1e-8)
+        assert discord(rebuilt.a, rebuilt.c) == pytest.approx(pp.discord, abs=1e-8)

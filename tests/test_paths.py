@@ -19,7 +19,6 @@ from gaussian_paths import (
     entropic_h,
     extract_path,
     from_sts,
-    gaussian_discord,
     separability_time,
     simulate_trajectory,
     write_path_csv,
@@ -123,7 +122,7 @@ def test_dsep_universal_values():
     assert dsep_universal(0.0) == 0.0
     assert 0.3843 <= dsep_universal(4.0) <= 0.3883
     assert dsep_universal(1.2) == pytest.approx(
-        gaussian_discord(SymmetricCM(0.5 * (1 + math.sinh(2.4)), 0.5 * math.sinh(2.4))),
+        discord(0.5 * (1 + math.sinh(2.4)), 0.5 * math.sinh(2.4)),
         rel=1e-14)
     with pytest.raises(ValueError):
         dsep_universal(-0.5)
@@ -155,14 +154,14 @@ def test_dsep_from_trajectory_matches_markovian_closed_form():
     lam_t = n_T + 0.5
     t_sep = math.log((lam_t - lam0) / (lam_t - 0.5))
     c_sep = TWB12.c * math.exp(-t_sep)
-    expected = gaussian_discord(SymmetricCM(0.5 + c_sep, c_sep))
+    expected = discord(0.5 + c_sep, c_sep)
     assert dsep_from_trajectory(traj) == pytest.approx(expected, abs=1e-8)
 
 
 def _full_grid_dsep(traj):
     t_sep = separability_time(traj)
     c_sep = float(PchipInterpolator(traj.times, traj.c)(t_sep))
-    return gaussian_discord(SymmetricCM(0.5 + c_sep, c_sep)), t_sep
+    return discord(0.5 + c_sep, c_sep), t_sep
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -193,7 +192,7 @@ def test_dsep_already_separable_initial_state():
     cm0 = SymmetricCM(1.5, 0.4)
     traj = simulate_trajectory(cm0, mode=TrajectoryMode.MARKOVIAN, t_max=1.0,
                                n_samples=11, gamma_m=1.0, n_T=1.0)
-    assert dsep_from_trajectory(traj) == pytest.approx(gaussian_discord(cm0), rel=1e-12)
+    assert dsep_from_trajectory(traj) == pytest.approx(discord(cm0.a, cm0.c), rel=1e-12)
 
 
 # ----------------------------------------------------------------- sweeps
