@@ -267,7 +267,7 @@ def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     checks.append(_check("damping-law-relative-deviation", damp, 1e-10))
     violations = int(np.sum(~_physical(traj.a, traj.c)))
     checks.append(_check("physicality-violations", float(violations), 0.0, direction="=="))
-    # the c >= 0 convention that path_point's min_symplectic applies to each sample
+    # the c >= 0 convention that path_point and min_symplectic apply to each sample
     if np.any(traj.c < 0):
         raise UnphysicalStateError("min_symplectic requires the c >= 0 sign convention")
     d_min = float(np.min(discord(traj.a, traj.c)))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat, starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,8 +153,13 @@ class Trajectory:
 
     @property
     def points(self) -> list[tuple[float, SymmetricCM]]:
-        return [(t, SymmetricCM(a, c))
-                for t, a, c in zip(self.times.tolist(), self.a.tolist(), self.c.tolist())]
+        """(t, SymmetricCM) per sample, checked at once by the constructor's rule; if one
+        fails, all go through the constructor, which raises at the first bad sample."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            ok = np.all(np.isfinite(self.a) & np.isfinite(self.c) & _physical(self.a, self.c))
+        pairs = zip(self.a.tolist(), self.c.tolist())
+        cms = map(tuple.__new__, repeat(SymmetricCM), pairs) if ok else starmap(SymmetricCM, pairs)
+        return list(zip(self.times.tolist(), cms))
 
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
@@ -367,8 +374,7 @@ def reachable_secular(cm0: SymmetricCM, cm1: SymmetricCM) -> SecularReachability
                                delta_gamma=max(dg, 0.0))
 
 
-@dataclass(frozen=True)
-class MotionConstant:
+class MotionConstant(NamedTuple):
     value: float | np.ndarray
     degenerate: bool = False
 

@@ -11,12 +11,15 @@ Physicality (the uncertainty relation) is sqrt(a^2 - c^2) >= 1/2: the
 symplectic eigenvalues of sigma itself are both sqrt(a^2 - c^2).  Note
 a - |c| >= 1/2 is the separability threshold, not the uncertainty bound;
 entangled states sit below it.
+
+SymmetricCM and PathPoint are NamedTuples, cheaper than dataclasses to build once per
+sample; SymmetricCM checks its pair on every path (new, _make, _replace, copy, pickle).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -57,20 +60,22 @@ def _physical(a, c):
     return (a > 0) & ((a - c) * (a + c) >= 0.25 - (PHYS_TOL + 8.0 * _EPS * a * a))
 
 
-@dataclass(frozen=True)
-class SymmetricCM:
+class SymmetricCM(NamedTuple("_SymmetricCMFields", [("a", float), ("c", float)])):
     """The (a, c) pair of a symmetric two-mode covariance matrix."""
 
-    a: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, c = self.a, self.c
+    def __new__(cls, a: float, c: float):
         if not (math.isfinite(a) and math.isfinite(c)):
             raise UnphysicalStateError(f"a and c must be finite, got ({a}, {c})")
         if not _physical(a, c):
             raise UnphysicalStateError(f"uncertainty relation violated: a = {a}, "
                                        f"a^2 - c^2 = {(a - c) * (a + c)} < 1/4")
+        return tuple.__new__(cls, (a, c))
+
+    @classmethod
+    def _make(cls, iterable) -> SymmetricCM:  # _replace builds through _make
+        return cls(*iterable)
 
     @property
     def nu_squared(self) -> float:
@@ -95,8 +100,7 @@ class STSParams:
             raise ValueError(f"nu_T must be finite and >= 0, got {self.nu_T}")
 
 
-@dataclass(frozen=True)
-class PathPoint:
+class PathPoint(NamedTuple):
     """One sample of a dynamical path: purity, PT symplectic eigenvalue, discord."""
 
     mu: float
@@ -203,22 +207,23 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
-    """Assemble the (mu, lambda, D) coordinates of a state at time t."""
+    """Assemble the (mu, lambda = a - c, D) coordinates of a state (c >= 0) at time t."""
     a, c = float(cm.a), float(cm.c)
+    if c < 0:
+        raise UnphysicalStateError("path_point requires the c >= 0 sign convention")
     nu2 = (a - c) * (a + c)
-    mu = 1.0 / (4.0 * nu2)
-    lam = min_symplectic(cm)
     d = _discord(a, c, nu2)
     if d < 0.0:
         if d < -1e-12:
             raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
         d = 0.0
-    return PathPoint(mu, lam, d, t)
+    return PathPoint(1.0 / (4.0 * nu2), a - c, d, t)
 
 
 def cm_from_mu_lambda(mu: float, lam: float) -> SymmetricCM:
     """Invert (mu, lambda) -> (a, c) via a = (lam + v)/2, c = (v - lam)/2, v = 1/(4 mu lam)."""
-    if mu <= 0 or lam <= 0:
-        raise ValueError("mu and lambda must be > 0")
+    for name, x in (("mu", mu), ("lam", lam)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {x}")
     v = 1.0 / (4.0 * mu * lam)
     return SymmetricCM(a=0.5 * (lam + v), c=0.5 * (v - lam))

@@ -238,7 +238,7 @@ def test_main_dsep_requires_r0_list(tmp_path, capsys):
 
 
 def test_common_checks_keep_the_per_sample_guards():
-    # the c >= 0 convention that path_point's min_symplectic enforced per sample
+    # the c >= 0 convention that path_point and min_symplectic enforce per sample
     traj = simulate_trajectory(SymmetricCM(1.5, -0.5), mode=TrajectoryMode.MARKOVIAN,
                                t_max=1.0, n_samples=11, gamma_m=1.0, n_T=1.0)
     with pytest.raises(UnphysicalStateError, match="c >= 0"):

@@ -151,6 +151,33 @@ def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
     assert np.max(np.abs(grid.gamma - closed)) <= 3.9e-6
 
 
+@pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])
+def test_default_grid_matches_closed_form_gamma(resonant_grids, kind):
+    # white: gamma = alpha^2 p wc Si(w0 t); super-Ohmic subtracts the Lorentzian part,
+    # alpha^2 p wc int_0^t sin(w0 s) F(wc s) ds, F(x) = [e^{-x} Ei(x) + e^{x} E1(x)]/2.
+    # The residual is the constant UV tail cut at omega_max (3.45e-4 at t ~ 0.057,
+    # <= 1.04e-5 beyond t = 2); taking that tail in closed form should tighten both bounds.
+    special = pytest.importorskip("scipy.special")
+    quad = pytest.importorskip("scipy.integrate").quad
+    spec, env, grid = resonant_grids[kind]
+    wc, w0, scale = spec.omega_c, env.omega0, env.alpha**2 * spec.prefactor * spec.omega_c
+    idx = np.unique(np.geomspace(1, len(grid.times) - 1, 40).astype(int))
+    t = grid.times[idx]
+    closed = scale * special.sici(w0 * t)[0]
+    if kind is SpectralKind.SUPER_OHMIC:
+        def lorentz(s):
+            x = wc * s
+            return math.sin(w0 * s) * 0.5 * (math.exp(-x) * special.expi(x)
+                                             + math.exp(x) * special.exp1(x))
+        edges = np.concatenate([[0.0], t]).tolist()
+        closed -= scale * np.cumsum([quad(lorentz, lo, hi)[0]
+                                     for lo, hi in zip(edges, edges[1:])])
+    err = np.abs(grid.gamma[idx] - closed)
+    assert np.any((t >= 0.03) & (t <= 0.1)) and t[-1] == grid.times[-1]
+    assert np.max(err) <= 4e-4
+    assert np.max(err[t >= 2.0]) <= 1.5e-5
+
+
 # ------------------------------------------------------ coefficient curves
 
 def test_coefficients_vanish_at_t_zero(resonant_grids, quad):

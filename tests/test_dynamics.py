@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from gaussian_paths import (
     STSParams,
     SymmetricCM,
     TrajectoryMode,
+    UnphysicalStateError,
     build_coefficient_grid,
+    cm_from_mu_lambda,
     constant_of_motion,
     dsep_universal,
     evolve_cm,
@@ -201,6 +204,11 @@ def test_bad_time_rate_or_temperature_is_a_named_value_error(name, bad):
     (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, math.inf), "lambda_T"),
     (dsep_universal, (math.nan,), "r0"),
     (dsep_universal, (math.inf,), "r0"),
+    (cm_from_mu_lambda, (math.nan, 0.5), "mu"),
+    (cm_from_mu_lambda, (math.inf, 0.5), "mu"),
+    (cm_from_mu_lambda, (1.0, math.nan), "lam"),
+    (cm_from_mu_lambda, (1.0, math.inf), "lam"),
+    (cm_from_mu_lambda, (1.0, -math.inf), "lam"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_finite_argument_is_a_named_value_error(fn, args, name):
     # NaN passes `x < 0` checks; inf lambda_T read as a degenerate constant
@@ -388,7 +396,24 @@ def test_constant_of_motion_array_matches_point_loop(resonant_grids):
                      for t, cm in traj.points])
     out = constant_of_motion(traj, lam0, mu0, lam_t)
     assert not out.degenerate
-    np.testing.assert_allclose(out.value, loop, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(out.value, loop)
+
+
+@pytest.mark.parametrize("bad, message", [((math.nan, 0.0), "must be finite"),
+                                          ((0.1, 0.0), "uncertainty relation violated")])
+def test_points_raise_the_constructor_error_at_the_first_bad_sample(bad, message):
+    traj = markovian_traj(n=11)
+    a, c = traj.a.copy(), traj.c.copy()
+    (a[4], c[4]), (a[7], c[7]) = bad, (math.inf, 1.0)
+    hand_built = Trajectory(mode=traj.mode, initial=traj.initial, times=traj.times, a=a, c=c,
+                            big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma,
+                            n_T=traj.n_T, gamma_m=traj.gamma_m)
+    with pytest.raises(UnphysicalStateError) as caught:
+        SymmetricCM(*bad)
+    assert message in str(caught.value)
+    with pytest.raises(UnphysicalStateError, match=f"^{re.escape(str(caught.value))}$"):
+        hand_built.points
+    assert [cm for _, cm in traj.points] == list(map(SymmetricCM, traj.a, traj.c))
 
 
 def test_lambda_and_v_relax_identically(resonant_grids):

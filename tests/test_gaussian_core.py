@@ -1,10 +1,14 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussian_paths import (
+    MotionConstant,
+    PathPoint,
     STSParams,
     SymmetricCM,
     UnphysicalStateError,
@@ -76,6 +80,34 @@ def test_physicality_constructor():
     # entangled states below the separability line are perfectly physical
     cm = from_sts(TWB12)
     assert cm.a - cm.c < 0.5
+
+
+def test_every_construction_path_checks_the_state():
+    cm = SymmetricCM(a=1.0, c=0.5)
+    for a, c in ((1.0, math.nan), (0.1, 0.5), (1.0, 0.9)):
+        for build in (lambda: SymmetricCM(a, c), lambda: SymmetricCM(a=a, c=c),
+                      lambda: SymmetricCM._make((a, c)), lambda: cm._replace(a=a, c=c)):
+            with pytest.raises(UnphysicalStateError):
+                build()
+    # copy and pickle rebuild through the constructor: a record made by tuple.__new__,
+    # past every check, cannot be copied or unpickled
+    forged = tuple.__new__(SymmetricCM, (0.1, 0.5))
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        with pytest.raises(UnphysicalStateError):
+            rebuild(forged)
+        again = rebuild(cm)
+        assert type(again) is SymmetricCM and again == cm
+    assert cm._replace(c=0.0) == SymmetricCM(1.0, 0.0)
+    assert repr(cm) == "SymmetricCM(a=1.0, c=0.5)"
+
+
+def test_records_are_immutable():
+    records = (SymmetricCM(1.0, 0.5), PathPoint(1.0, 0.5, 0.1, 0.0), MotionConstant(1.0))
+    assert records[2].degenerate is False
+    for record in records:
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
 
 
 def test_sts_params_validation():
