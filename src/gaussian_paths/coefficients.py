@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -135,11 +136,9 @@ class CoefficientGrid:
 
     def _interp(self, t, values: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, float))
-        if np.any(t < 0) or np.any(t > self.t_max * (1 + 1e-12)):
-            raise ValueError(
-                f"grid covers [0, {self.t_max}] but was asked for t in "
-                f"[{float(np.min(t))}, {float(np.max(t))}]"
-            )
+        if (t < 0).any() or (t > self.t_max * (1 + 1e-12)).any():
+            raise ValueError(f"grid covers [0, {self.t_max}] but was asked for t in "
+                             f"[{float(np.min(t))}, {float(np.max(t))}]")
         return np.interp(t, self.times, values)
 
     def interp_big_gamma(self, t):
@@ -150,7 +149,11 @@ class CoefficientGrid:
 
     def delta_integral(self, t):
         """int_0^t Delta(s) ds, cumulative trapezoid of the sampled Delta."""
-        return self._interp(t, _cumtrapz(self.delta, self.times))
+        return self._interp(t, self._delta_cumulative)
+
+    @cached_property
+    def _delta_cumulative(self) -> np.ndarray:  # built once per grid, on first use
+        return _cumtrapz(self.delta, self.times)
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

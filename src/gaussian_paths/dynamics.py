@@ -117,9 +117,30 @@ def evolve_markovian(cm0: SymmetricCM, gamma_m: float, n_T: float, t: float) -> 
     return SymmetricCM(a=lam_t + (cm0.a - lam_t) * x, c=cm0.c * x)
 
 
+def _check_channel(mode: TrajectoryMode, grid, gamma_m) -> None:
+    """One channel per mode, gamma_m (Markovian) or a grid (grid modes); ValueError if not."""
+    if mode is TrajectoryMode.MARKOVIAN:
+        if grid is not None or not 0 < (gamma_m or 0) < math.inf:  # None and NaN fail
+            raise ValueError("markovian mode requires a finite gamma_m > 0 and no grid, "
+                             f"got gamma_m = {gamma_m}")
+    elif grid is None or gamma_m is not None:
+        raise ValueError(f"{mode.value} mode requires a coefficient grid and no gamma_m")
+
+
+def _channel(mode: TrajectoryMode, grid, gamma_m, n_T: float, t=None):
+    """Each mode's (Gamma(t), Delta_Gamma(t)): gamma_M t, (1 - e^{-Gamma})(2 n_T + 1) if Markovian,
+    else the node values (grid arrays; 0, int Delta if high-T) interpolated, or as is if t=None."""
+    if mode is TrajectoryMode.MARKOVIAN:
+        big_gamma = gamma_m * t
+        return big_gamma, -np.expm1(-big_gamma) * (2.0 * n_T + 1.0)
+    knots = ((grid.big_gamma, grid.delta_gamma) if mode is TrajectoryMode.NONMARKOVIAN
+             else (np.zeros_like(grid.times), grid._delta_cumulative))
+    return knots if t is None else tuple(grid._interp(t, v) for v in knots)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered symmetric states under one of the three evolution modes."""
+    """Time-ordered states under one of the three modes, and their channel: gamma_m or grid."""
 
     mode: TrajectoryMode
     initial: SymmetricCM
@@ -130,6 +151,7 @@ class Trajectory:
     delta_gamma: np.ndarray
     n_T: float
     gamma_m: float | None = None
+    grid: CoefficientGrid | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -141,6 +163,8 @@ class Trajectory:
                 raise ValueError(f"{name} length differs from times")
         if self.a[0] != self.initial.a or self.c[0] != self.initial.c:
             raise ValueError("a[0], c[0] must equal the initial state")
+        object.__setattr__(self, "mode", TrajectoryMode(self.mode))
+        _check_channel(self.mode, self.grid, self.gamma_m)
 
     @property
     def lam(self) -> np.ndarray:
@@ -168,9 +192,9 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                         label: str = "") -> Trajectory:
     """Sample the evolution of cm0 at n_samples uniform times on [0, t_max].
 
-    Markovian mode uses the closed form and needs (gamma_m, n_T); the grid
-    modes interpolate Gamma / Delta_Gamma (or the diffusion integral) from
-    a CoefficientGrid, which raises ValueError unless it covers [0, t_max].
+    Markovian mode uses the closed form and needs (gamma_m, n_T), not a grid; the
+    grid modes interpolate Gamma / Delta_Gamma (or the diffusion integral) from a
+    CoefficientGrid, not gamma_m, which raises ValueError unless it covers [0, t_max].
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -180,112 +204,51 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
         raise ValueError("n_T is required (environment summary of the trajectory)")
     if not 0 <= n_T < math.inf:
         raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
-    times = np.linspace(0.0, t_max, n_samples)
     mode = TrajectoryMode(mode)
-    if mode is TrajectoryMode.MARKOVIAN:
-        if gamma_m is None or not 0 < gamma_m < math.inf:
-            raise ValueError(f"markovian mode requires a finite gamma_m > 0, got {gamma_m}")
-        big_gamma = gamma_m * times
-        delta_gamma = -np.expm1(-big_gamma) * (2.0 * n_T + 1.0)
-    else:
-        if grid is None:
-            raise ValueError(f"{mode.value} mode requires a coefficient grid")
-        if mode is TrajectoryMode.NONMARKOVIAN:
-            big_gamma = grid.interp_big_gamma(times)
-            delta_gamma = grid.interp_delta_gamma(times)
-        else:
-            big_gamma = np.zeros_like(times)
-            delta_gamma = grid.delta_integral(times)
+    _check_channel(mode, grid, gamma_m)
+    times = np.linspace(0.0, t_max, n_samples)
+    big_gamma, delta_gamma = _channel(mode, grid, gamma_m, n_T, times)
     a, c = _secular_map(cm0, np.exp(-big_gamma), delta_gamma, times)
-    # exact map structure: times[0] = 0 gives decay 1, delta_gamma 0
-    a[0], c[0] = cm0.a, cm0.c
     return Trajectory(mode=mode, initial=cm0, times=times, a=a, c=c,
                       big_gamma=big_gamma, delta_gamma=delta_gamma,
-                      n_T=float(n_T), gamma_m=gamma_m, label=label)
+                      n_T=float(n_T), gamma_m=gamma_m, grid=grid, label=label)
 
 
-def _sign(x: float) -> int:
-    return (x > 0.0) - (x < 0.0)
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """PchipInterpolator's one-sided three-point slope at an end sample, from the
-    end interval (width h0, secant m0) and its neighbour (h1, m1)."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if _sign(d) != _sign(m0):
-        return 0.0
-    return 3.0 * m0 if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0) else d
-
-
-def _pchip_inner_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """PchipInterpolator's weighted harmonic mean of the secants m0, m1 on both
-    sides of an interior sample (interval widths h0, h1)."""
-    if _sign(m0) != _sign(m1) or m0 == 0.0 or m1 == 0.0:
-        return 0.0
-    w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
-    return 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
-
-
-def _pchip_piece(times: np.ndarray, y: np.ndarray, i: int):
-    """The PCHIP through every sample of y, as a function on [times[i-1], times[i]].
-
-    Its slopes there need samples i-2 .. i+1 only.  Slopes follow scipy's
-    PchipInterpolator, coefficients CubicHermiteSpline and the evaluation
-    order PPoly, so its values equal the full-grid interpolant's bit for bit.
-    """
-    n, lo = len(times), max(i - 2, 0)
-    x, v = times[lo:i + 2].tolist(), y[lo:i + 2].tolist()
-    h = [x1 - x0 for x0, x1 in zip(x, x[1:])]
-    m = [(v1 - v0) / hk for v0, v1, hk in zip(v, v[1:], h)]
-    k = i - 1 - lo  # [i-1, i] is interval k of the window
-    if n == 2:
-        d0 = d1 = m[0]
-    else:
-        d0 = (_pchip_end_slope(h[0], h[1], m[0], m[1]) if i == 1
-              else _pchip_inner_slope(h[k - 1], h[k], m[k - 1], m[k]))
-        d1 = (_pchip_end_slope(h[k], h[k - 1], m[k], m[k - 1]) if i == n - 1
-              else _pchip_inner_slope(h[k], h[k + 1], m[k], m[k + 1]))
-    t0, y0, dx, slope = x[k], v[k], h[k], m[k]
-    c3 = (d0 + d1 - 2.0 * slope) / dx
-    c2, c3 = (slope - d0) / dx - c3, c3 / dx
-
-    def piece(t: float) -> float:
-        s = t - t0
-        return y0 + d0 * s + c2 * (s * s) + c3 * (s * s * s)
-
-    return piece
-
-
-def _pchip_at(times: np.ndarray, y: np.ndarray, t: float) -> float:
-    """The full-grid PCHIP of y at t, on the sample interval PPoly would use."""
-    i = min(max(int(np.searchsorted(times, t, side="right")), 1), len(times) - 1)
-    return _pchip_piece(times, y, i)(t)
-
-
-def _refine_crossing(times: np.ndarray, lam: np.ndarray, i: int) -> float:
-    """First time in [t_{i-1}, t_i] where the PCHIP of lambda reaches 1/2.
-
-    Bisects the monotone cubic until no float lies strictly between the
-    bracket ends; lam[i-1] < 1/2 <= lam[i].
-    """
-    lo, hi = float(times[i - 1]), float(times[i])
-    if lam[i] == SEPARABILITY_THRESHOLD:
-        return hi
-    piece = _pchip_piece(times, lam, i)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if piece(mid) < SEPARABILITY_THRESHOLD:
+def _grid_crossing(traj: Trajectory, i: int) -> float:
+    """First float at which the grid channel's lambda reaches 1/2, sample i being the first
+    at or past it.  Linear Gamma and Delta_Gamma make lambda convex between nodes, so the
+    first node at or past 1/2 ends the interval to bisect."""
+    nodes, (a0, c0) = traj.grid.times, traj.initial
+    lo = int(np.searchsorted(nodes, traj.times[i - 1], side="right")) - 1
+    hi = min(int(np.searchsorted(nodes, traj.times[i])), len(nodes) - 1)
+    knots = _channel(traj.mode, traj.grid, traj.gamma_m, traj.n_T)
+    for lo in (lo, 0):  # from t = 0 if lambda rose past 1/2 and fell back between samples
+        big_gamma, delta_gamma = (v[lo:hi + 1] for v in knots)
+        x = np.exp(-big_gamma)
+        if not (above := (a0 * x + 0.5 * delta_gamma) - c0 * x >= SEPARABILITY_THRESHOLD)[0]:
+            break
+    k = int(np.argmax(above))
+    (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist()
+                                    for v in (nodes[lo:], big_gamma, delta_gamma))
+    # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
+    g_slope, d_slope = (g1 - g0) / (t1 - t0), (d1 - d0) / (t1 - t0)
+    lo, hi_t = t0, t1
+    while lo < (mid := 0.5 * (lo + hi_t)) < hi_t:
+        x = float(np.exp(-(g_slope * (mid - t0) + g0)))
+        if (a0 * x + 0.5 * (d_slope * (mid - t0) + d0)) - c0 * x < SEPARABILITY_THRESHOLD:
             lo = mid
         else:
-            hi = mid
-    return hi
+            hi_t = mid
+    return hi_t
 
 
 def separability_time(traj: Trajectory) -> float | None:
-    """First time lambda(t) reaches 1/2; None if it never will.
+    """First time lambda(t) reaches 1/2; None if it never will.  Markovian mode solves it
+    in closed form; the grid modes bisect lambda on the grid's own interpolant (Gamma and
+    Delta_Gamma linear between nodes) to the first float, so n_samples does not enter.
 
-    A grid-mode trajectory that has not crossed by t_max while the
-    asymptote n_T + 1/2 lies above threshold raises
-    InconclusiveThresholdError (too short), distinct from None.
+    A grid-mode trajectory that has not crossed by t_max while the asymptote n_T + 1/2 lies
+    above threshold raises InconclusiveThresholdError (too short), distinct from None.
     """
     lam = traj.lam
     if lam[0] >= SEPARABILITY_THRESHOLD:
@@ -302,7 +265,7 @@ def separability_time(traj: Trajectory) -> float | None:
         return t_sep
     crossed = np.nonzero(lam >= SEPARABILITY_THRESHOLD)[0]
     if len(crossed):
-        return _refine_crossing(traj.times, lam, int(crossed[0]))
+        return _grid_crossing(traj, int(crossed[0]))
     if traj.n_T + 0.5 > SEPARABILITY_THRESHOLD:
         raise InconclusiveThresholdError(
             f"lambda < 1/2 up to t_max = {traj.times[-1]} but the stationary value "

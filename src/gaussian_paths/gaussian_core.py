@@ -147,63 +147,67 @@ def log_negativity(cm: SymmetricCM) -> float:
     return max(0.0, -math.log(2.0 * lam))
 
 
-def _h(x: float) -> float:
-    """Scalar entropic_h on math.log, with the array branch's clamp and errors."""
-    if x > 0.5:
-        xm = x - 0.5
-        return math.log(x + 0.5) + xm * math.log1p(1.0 / xm)
-    if x >= 0.5 - H_BOUNDARY_EPS:
+def _h(xm: float) -> float:
+    """Scalar h(1/2 + xm) on math.log1p, with the array branch's clamp and errors."""
+    if xm > 0.0:
+        return math.log1p(xm) + xm * math.log1p(1.0 / xm)
+    if xm >= -H_BOUNDARY_EPS:
         return 0.0  # h(1/2), also for the clamped [1/2 - eps, 1/2)
-    raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {x}")
+    raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {0.5 + xm}")
+
+
+def _h_array(xm: np.ndarray) -> np.ndarray:
+    """h(1/2 + xm) elementwise, with _h's clamp and errors."""
+    low = ~(xm >= -H_BOUNDARY_EPS)
+    if np.any(low):
+        raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {0.5 + xm[low][0]}")
+    xm = np.maximum(xm, 0.0)
+    safe = xm > 1e-300
+    return np.log1p(xm) + np.where(safe, xm * np.log1p(1.0 / np.where(safe, xm, 1.0)), 0.0)
 
 
 def entropic_h(x: ArrayLike) -> ArrayLike:
     """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2), for x >= 1/2.
 
-    Evaluated as ln(x + 1/2) + (x - 1/2) ln(1 + 1/(x - 1/2)), which does not
-    cancel at large x.  h(1/2) = 0; [1/2 - 1e-9, 1/2) clamps to 1/2 so that
-    roundoff at the purity boundary cannot raise; lower values and NaN raise.
-    A scalar (0-d) x takes the math.log branch (_h) and returns a float.
+    Evaluated from the offset x_m = x - 1/2 as ln(1 + x_m) + x_m ln(1 + 1/x_m),
+    which does not cancel at large x.  h(1/2) = 0; [1/2 - 1e-9, 1/2) clamps to 1/2
+    so that roundoff at the purity boundary cannot raise; lower values and NaN raise.
+    A scalar (0-d) x takes the math.log1p branch (_h) and returns a float.
     """
     if np.ndim(x) == 0:
-        return _h(float(x))
-    arr = np.asarray(x, dtype=float)
-    low = ~(arr >= 0.5 - H_BOUNDARY_EPS)
-    if np.any(low):
-        bad = float(arr[low][0])
-        raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {bad}")
-    xc = np.maximum(arr, 0.5)
-    xm = xc - 0.5
-    safe = xm > 1e-300
-    term = np.where(safe, xm * np.log1p(1.0 / np.where(safe, xm, 1.0)), 0.0)
-    return np.log(xc + 0.5) + term
+        return _h(float(x) - 0.5)
+    return _h_array(np.asarray(x, dtype=float) - 0.5)
+
+
+def _offsets(a, nu2, nu):
+    """x - 1/2 of the discord's arguments a, nu and a - 2c^2/(1 + 2a), the last two as
+    (nu^2 - 1/4)/(nu + 1/2) and 2(nu^2 - 1/4)/(1 + 2a), no cancellation where h' diverges."""
+    return a - 0.5, (nu2 - 0.25) / (nu + 0.5), 2.0 * (nu2 - 0.25) / (1.0 + 2.0 * a)
 
 
 def _discord(a: float, c: float, nu2: float) -> float:
-    """Scalar D(a, c) given nu2 = (a - c)(a + c), with the conditional argument
-    a - 2c^2/(1 + 2a) written (a + 2 nu2)/(1 + 2a) so that neither cancels."""
-    # at c = 0 all three arguments coincide; keep the cancellation exact
-    nu = math.sqrt(max(nu2, 0.0)) if c != 0.0 else a
-    cond = (a + 2.0 * nu2) / (1.0 + 2.0 * a) if c != 0.0 else a
-    return _h(a) - 2.0 * _h(nu) + _h(cond)
+    """Scalar D(a, c) given nu2 = (a - c)(a + c), from _offsets."""
+    xa, xn, xc = _offsets(a, nu2, math.sqrt(max(nu2, 0.0)))
+    if c == 0.0:  # all three arguments coincide; keep the cancellation exact
+        xn = xc = xa
+    return _h(xa) - 2.0 * _h(xn) + _h(xc)
 
 
 def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log,
     elementwise over arrays of symmetric states.
 
-    Scalar (0-d) a and c take the math.log branch (_discord) and return a float.
+    Scalar (0-d) a and c take the math.log1p branch (_discord) and return a float.
     """
     if np.ndim(a) == 0 and np.ndim(c) == 0:
         a, c = float(a), float(c)
         return _discord(a, c, (a - c) * (a + c))
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     nu2 = (a - c) * (a + c)
+    xa, xn, xc = _offsets(a, nu2, np.sqrt(np.maximum(nu2, 0.0)))
     # at c = 0 all three arguments coincide; force the cancellation exact
-    zero = c == 0.0
-    nu = np.where(zero, a, np.sqrt(np.maximum(nu2, 0.0)))
-    cond = np.where(zero, a, (a + 2.0 * nu2) / (1.0 + 2.0 * a))
-    return entropic_h(a) - 2.0 * entropic_h(nu) + entropic_h(cond)
+    xn, xc = np.where(c == 0.0, xa, xn), np.where(c == 0.0, xa, xc)
+    return _h_array(xa) - 2.0 * _h_array(xn) + _h_array(xc)
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:

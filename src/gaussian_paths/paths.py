@@ -22,7 +22,7 @@ from .dynamics import (
     MapUnphysicalError,
     Trajectory,
     TrajectoryMode,
-    _pchip_at,
+    _channel,
     separability_time,
     simulate_trajectory,
 )
@@ -198,7 +198,9 @@ def d_star() -> float:
 
 
 def dsep_from_trajectory(traj: Trajectory) -> float | None:
-    """Discord at the first separability crossing of a trajectory; None if never."""
+    """Discord at the first separability crossing of a trajectory, D(1/2 + c*, c*) with
+    c* = c0 e^{-Gamma(t_sep)} on its channel (c0 in high-T mode); None if never.  An
+    initially separable state gives its own discord."""
     return _dsep_at(traj, separability_time(traj))
 
 
@@ -208,8 +210,9 @@ def _dsep_at(traj: Trajectory, t_sep: float | None) -> float | None:
         return None
     if t_sep == 0.0:
         return discord(traj.initial.a, traj.initial.c)
-    # at the crossing lambda = 1/2 exactly, so only c needs interpolating
-    c_sep = _pchip_at(traj.times, traj.c, t_sep)
+    # at the crossing lambda = 1/2 exactly, and c = c0 e^{-Gamma} on the channel
+    big_gamma, _ = _channel(traj.mode, traj.grid, traj.gamma_m, traj.n_T, t_sep)
+    c_sep = traj.initial.c * np.exp(-big_gamma).item()
     return discord(0.5 + c_sep, c_sep)
 
 

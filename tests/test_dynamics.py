@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from gaussian_paths import (
@@ -18,6 +17,7 @@ from gaussian_paths import (
     build_coefficient_grid,
     cm_from_mu_lambda,
     constant_of_motion,
+    dsep_from_trajectory,
     dsep_universal,
     evolve_cm,
     evolve_markovian,
@@ -31,7 +31,7 @@ from gaussian_paths import (
     write_trajectory_csv,
 )
 from gaussian_paths.coefficients import CoefficientGrid
-from gaussian_paths.dynamics import Trajectory, _check_physical, _pchip_at
+from gaussian_paths.dynamics import Trajectory, _check_physical
 
 from conftest import make_env, make_spec
 from gaussian_paths import SpectralKind
@@ -179,6 +179,15 @@ def test_trajectory_validation_errors(resonant_grids):
     with pytest.raises(ValueError):
         simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
                             n_samples=10, grid=None, n_T=1.0)
+    # exactly one channel per mode: a grid in Markovian mode or a rate in a grid mode
+    # is not ignored
+    with pytest.raises(ValueError, match="no grid"):
+        simulate_trajectory(TWB12, mode=TrajectoryMode.MARKOVIAN, t_max=1.0, n_samples=10,
+                            gamma_m=1.0, grid=grid, n_T=1.0)
+    for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE):
+        with pytest.raises(ValueError, match="no gamma_m"):
+            simulate_trajectory(TWB12, mode=mode, t_max=1.0, n_samples=10, grid=grid,
+                                gamma_m=1.0, n_T=1.0)
 
 
 @pytest.mark.parametrize("name, bad", [("t_max", math.nan), ("n_T", math.nan), ("n_T", -0.4),
@@ -216,60 +225,106 @@ def test_non_finite_argument_is_a_named_value_error(fn, args, name):
         fn(*args)
 
 
-def _random_samples(rng, n, kind):
-    x = np.cumsum(rng.uniform(0.05, 2.0, n)) - 1.0
-    if kind == "monotone":
-        y = np.cumsum(rng.uniform(0.0, 1.0, n))
-    elif kind == "flat-steps":  # zero secants and sign changes next to them
-        y = rng.integers(-2, 3, n).astype(float)
-    else:
-        y = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
-    return x, y
-
-
-@pytest.mark.parametrize("kind", ["monotone", "flat-steps", "oscillating"])
-def test_pchip_piece_matches_scipy_pchip(kind):
-    # every interval of 2-12 samples, so windows at both ends of the data too
-    rng = np.random.default_rng(["monotone", "flat-steps", "oscillating"].index(kind))
-    for _ in range(400):
-        n = int(rng.integers(2, 13))
-        x, y = _random_samples(rng, n, kind)
-        full = PchipInterpolator(x, y)
-        for lo, hi in zip(x[:-1], x[1:]):
-            for t in (lo + rng.random(3) * (hi - lo)).tolist() + [float(lo), float(hi)]:
-                assert _pchip_at(x, y, t) == float(full(t))
+def _interpolant_lam(grid, mode, cm0, t):
+    """lambda(t) of the grid channel at the times t, from np.interp on the grid arrays
+    and formed as the trajectory forms it."""
+    if mode is TrajectoryMode.NONMARKOVIAN:
+        big_gamma, delta_gamma = grid.big_gamma, grid.delta_gamma
+    else:  # high-T: Gamma = 0, Delta_Gamma = int_0^t Delta on the nodes
+        big_gamma = np.zeros_like(grid.times)
+        delta_gamma = np.concatenate([[0.0], np.cumsum(0.5 * (grid.delta[1:] + grid.delta[:-1])
+                                                       * np.diff(grid.times))])
+    x = np.exp(-np.interp(t, grid.times, big_gamma))
+    return (cm0.a * x + 0.5 * np.interp(t, grid.times, delta_gamma)) - cm0.c * x
 
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
 def test_grid_separability_time_is_the_pchip_root(resonant_grids, kind):
+    # the root of the grid's own interpolant: Gamma, Delta_Gamma linear between nodes
     _, env, grid = resonant_grids[kind]
     for r0 in (0.3, 1.2, 2.7):
+        cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
         for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE):
-            traj = simulate_trajectory(from_sts(STSParams(r=r0, nu_T=0.0)), mode=mode,
-                                       t_max=25.0, n_samples=2001, grid=grid, n_T=env.n_T)
+            traj = simulate_trajectory(cm0, mode=mode, t_max=25.0, n_samples=2001, grid=grid,
+                                       n_T=env.n_T)
             t_sep = separability_time(traj)
-            i = int(np.nonzero(traj.lam >= 0.5)[0][0])
-            full = PchipInterpolator(traj.times, traj.lam)
-            root = brentq(lambda t: float(full(t)) - 0.5, traj.times[i - 1], traj.times[i],
+            # exactly the first float at which the interpolant reaches 1/2
+            at, before = _interpolant_lam(grid, mode, cm0, [t_sep, np.nextafter(t_sep, 0.0)])
+            assert at >= 0.5 > before
+            k = int(np.searchsorted(grid.times, t_sep))
+            lo_hi = grid.times[k - 1:k + 1]
+            root = brentq(lambda t: float(_interpolant_lam(grid, mode, cm0, t)) - 0.5, *lo_hi,
                           xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-            assert abs(t_sep - root) <= 4.0 * np.spacing(root)
-            # and exactly the first float at which the interpolant reaches 1/2
-            assert float(full(t_sep)) >= 0.5 > float(full(np.nextafter(t_sep, 0.0)))
+            # lambda = (a0 x + Delta_Gamma/2) - c0 x rounds to a few ulps of a0, which
+            # blurs the root by that over the slope of lambda (~5 ulps of t at r0 = 2.7)
+            slope = np.diff(_interpolant_lam(grid, mode, cm0, lo_hi))[0] / np.diff(lo_hi)[0]
+            assert abs(t_sep - root) <= 4.0 * (np.spacing(root) + np.spacing(cm0.a) / slope)
+            assert np.all(_interpolant_lam(grid, mode, cm0, grid.times[:k]) < 0.5)
+
+
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_separability_time_and_dsep_independent_of_sampling(resonant_grids, kind):
+    _, env, grid = resonant_grids[kind]
+    for r0 in (0.3, 1.2, 2.7):
+        cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
+        for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE):
+            found = set()
+            for n in (1001, 2001, 4001):
+                traj = simulate_trajectory(cm0, mode=mode, t_max=25.0, n_samples=n, grid=grid,
+                                           n_T=env.n_T)
+                found.add((separability_time(traj), dsep_from_trajectory(traj)))
+            assert len(found) == 1
+
+
+def test_grid_crossing_is_the_channels_first():
+    # lambda = 0.3 + Delta_Gamma/2 passes 1/2 at node 5 only and falls back before t = 5.5.
+    # A sample on node 5 (t_max = 10), samples that miss the excursion (t_max = 11) and a
+    # t_max between nodes (5.3) all give the channel's first crossing, on [4, 5]
+    delta_gamma = np.zeros(12)
+    delta_gamma[5], delta_gamma[-2:] = 0.6, 1.0
+    grid = CoefficientGrid(times=np.arange(12.0), delta=np.zeros(12), gamma=np.zeros(12),
+                           big_gamma=np.zeros(12), delta_gamma=delta_gamma)
+    cm0 = SymmetricCM(0.6, 0.3)  # lambda0 = 0.3
+    found = set()
+    for t_max, n in ((10.0, 3), (11.0, 3), (5.3, 2)):
+        traj = simulate_trajectory(cm0, mode=TrajectoryMode.NONMARKOVIAN, t_max=t_max,
+                                   n_samples=n, grid=grid, n_T=1.0)
+        assert traj.lam[-1] >= 0.5
+        found.add(separability_time(traj))
+    assert len(found) == 1
+    # lambda = 0.3 + 0.3 (t - 4) on [4, 5]
+    assert found.pop() == pytest.approx(4.0 + 2.0 / 3.0, rel=1e-15)
 
 
 # ------------------------------------------------------- separability time
 
 def test_separability_markovian_closed_form():
     lam0 = TWB12.a - TWB12.c
-    expected = math.log((10.5 - lam0) / (10.5 - 0.5))
-    t_sep = separability_time(markovian_traj(gamma_m=1.0, n_T=10.0, t_max=1.0))
+    n_T = 10.0
+    expected = math.log((n_T + 0.5 - lam0) / (n_T + 0.5 - 0.5))
+    t_sep = separability_time(markovian_traj(gamma_m=1.0, n_T=n_T, t_max=1.0))
     assert t_sep == pytest.approx(expected, rel=1e-12)
-    # same samples pushed through the grid-mode interpolating root finder
-    mk = markovian_traj(gamma_m=1.0, n_T=10.0, t_max=1.0, n=4001)
-    as_grid = Trajectory(mode=TrajectoryMode.NONMARKOVIAN, initial=mk.initial,
-                         times=mk.times, a=mk.a, c=mk.c, big_gamma=mk.big_gamma,
-                         delta_gamma=mk.delta_gamma, n_T=mk.n_T)
-    assert separability_time(as_grid) == pytest.approx(expected, rel=1e-9)
+    # the grid-mode crossing on a grid that carries the Markovian Gamma and Delta_Gamma
+    times = np.linspace(0.0, 1.0, 4001)
+    big_gamma = times.copy()
+    grid = CoefficientGrid(times=times, delta=np.zeros_like(times), gamma=np.zeros_like(times),
+                           big_gamma=big_gamma,
+                           delta_gamma=-np.expm1(-big_gamma) * (2.0 * n_T + 1.0))
+    as_grid = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
+                                  n_samples=101, grid=grid, n_T=n_T)
+    # Gamma is linear, so only Delta_Gamma's chords err: they lie below the concave
+    # Delta_Gamma by <= h^2/8 (2 n_T + 1), lambda by half that, and up to the crossing
+    # lambda' = lambda_T - lambda >= n_T, so the crossing comes late by at most the ratio
+    h = times[1]
+    bound = h * h / 8.0 * (2.0 * n_T + 1.0) / (2.0 * n_T)
+    assert expected - 4.0 * np.spacing(expected) <= separability_time(as_grid) <= expected + bound
+    mk = markovian_traj(gamma_m=1.0, n_T=n_T, t_max=1.0, n=11)
+    with pytest.raises(ValueError, match="grid"):
+        Trajectory(mode=TrajectoryMode.NONMARKOVIAN, initial=mk.initial, times=mk.times, a=mk.a,
+                   c=mk.c, big_gamma=mk.big_gamma, delta_gamma=mk.delta_gamma, n_T=mk.n_T)
+    with pytest.raises(ValueError, match="gamma_m"):  # the mode may be given by its value
+        Trajectory(mode="markovian", initial=mk.initial, times=mk.times, a=mk.a,
+                   c=mk.c, big_gamma=mk.big_gamma, delta_gamma=mk.delta_gamma, n_T=mk.n_T)
 
 
 def test_separability_zero_temperature_never():

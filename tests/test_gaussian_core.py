@@ -256,9 +256,9 @@ def test_discord_accuracy_against_mpmath():
                        for x, y in zip(a.tolist(), c.tolist())])
     for err in (np.abs(scalar - ref), np.abs(discord(a, c) - ref)):
         assert np.max(err[~pure]) <= 1e-14
-        # h'(x) diverges at x = 1/2, so the last-bit rounding of nu and of the
-        # conditional argument next to 1/2 costs up to ~1e-14 on pure states
-        assert np.max(err[pure]) <= 2e-14
+        # h'(x) diverges at x = 1/2, so the last-bit rounding of nu^2 - 1/4 costs
+        # up to ~4e-15 on pure states
+        assert np.max(err[pure]) <= 1e-14
 
 
 def test_discord_pure_state_identity():

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from gaussian_paths import (
     DynamicalPath,
@@ -155,37 +154,44 @@ def test_dsep_from_trajectory_matches_markovian_closed_form():
     t_sep = math.log((lam_t - lam0) / (lam_t - 0.5))
     c_sep = TWB12.c * math.exp(-t_sep)
     expected = discord(0.5 + c_sep, c_sep)
-    assert dsep_from_trajectory(traj) == pytest.approx(expected, abs=1e-8)
+    assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-12)
 
 
-def _full_grid_dsep(traj):
-    t_sep = separability_time(traj)
-    c_sep = float(PchipInterpolator(traj.times, traj.c)(t_sep))
-    return discord(0.5 + c_sep, c_sep), t_sep
+def _channel_dsep(big_gamma):
+    """D(1/2 + c*, c*) at c* = c0 e^{-Gamma(t_sep)} of TWB12, given Gamma(t_sep)."""
+    c_sep = TWB12.c * math.exp(-big_gamma)
+    return discord(0.5 + c_sep, c_sep)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_dsep_from_trajectory_window_equals_full_grid_pchip(where):
     # Markovian trajectories sampled so the closed-form crossing lies half-way
-    # through the first, a middle or the last sample interval
+    # through the first, a middle or the last sample interval: D_sep is the
+    # channel's c0 e^{-gamma_M t_sep} wherever the samples fall
     n, n_T = 41, 1.0
     t_sep = math.log((n_T + 0.5 - (TWB12.a - TWB12.c)) / n_T)
     t_max = {"first": 2.0 * (n - 1) * t_sep, "middle": t_sep / 0.5125,
              "last": t_sep / (1.0 - 0.5 / (n - 1))}[where]
     traj = simulate_trajectory(TWB12, mode=TrajectoryMode.MARKOVIAN, t_max=t_max,
                                n_samples=n, gamma_m=1.0, n_T=n_T)
-    expected, t_found = _full_grid_dsep(traj)
+    t_found = separability_time(traj)
     i = int(np.searchsorted(traj.times, t_found))
     assert i == {"first": 1, "middle": 21, "last": n - 1}[where]
-    assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert dsep_from_trajectory(traj) == pytest.approx(_channel_dsep(t_found),
+                                                       rel=1e-15, abs=0.0)
 
 
 def test_dsep_from_trajectory_window_on_grid_crossing(resonant_grids):
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
     traj = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=25.0,
                                n_samples=2001, grid=grid, n_T=env.n_T)
-    expected, _ = _full_grid_dsep(traj)
+    t_sep = separability_time(traj)
+    expected = _channel_dsep(float(np.interp(t_sep, grid.times, grid.big_gamma)))
     assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    # high-T mode freezes c: D_sep is D(1/2 + c0, c0), the universal value, exactly
+    frozen = simulate_trajectory(TWB12, mode=TrajectoryMode.HIGH_TEMPERATURE, t_max=25.0,
+                                 n_samples=2001, grid=grid, n_T=env.n_T)
+    assert dsep_from_trajectory(frozen) == dsep_universal(1.2) == _channel_dsep(0.0)
 
 
 def test_dsep_already_separable_initial_state():
