@@ -12,10 +12,12 @@ cumulative trapezoid.  On a uniform s grid the nodes of the uniform
 panels, o_k + j*W, make each Gauss-Legendre order's cosine/sine sum one
 Bluestein chirp-z transform (Bluestein 1970; Rabiner, Schafer & Rader
 1969) on ``numpy.fft``, O((panels + N_s) log) rather than an
-O(nodes * N_s) trig matrix.  The white-noise geometric infrared panels,
-about a hundred nodes, are summed from blocked phase tables: with
-n = q*b + r and b ~ sqrt(N_s), e^{i w n ds} = e^{i w q b ds} e^{i w r ds},
-so each sum is one small product of two (nodes x ~sqrt(N_s)) tables.
+O(nodes * N_s) trig matrix.  White noise starts its panels at the
+infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): on the first
+panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <=
+pi/4 there by the width bound) and the second independent of s, so the
+rule's whole error on it is the constant
+k_ir = (2 j(w_ir)/beta) [log1p(W/w_ir) - sum_k wt_k/w_k], added to K_c.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
@@ -163,44 +165,36 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
-                 s_max: float, halvings: int) -> tuple[np.ndarray, int]:
-    """Composite panel edges on [ir_or_0, omega_max] and the count of leading geometric panels.
+                 s_max: float, halvings: int) -> np.ndarray:
+    """Uniform composite panel edges on [w_ir or 0, omega_max].
 
-    Width bounded by the spectral structure scale min(omega0, omega_c)/4
-    and by the oscillation bound pi/(4*s_max); the white-noise spectrum
-    additionally gets geometrically refined panels above its infrared
-    cutoff, where the integrand behaves like coth ~ 1/omega.
+    Width bounded by the spectral structure scale min(omega0, omega_c)/4 and by
+    the oscillation bound pi/(4*s_max); white noise starts at its infrared cutoff.
     """
     width = min(min(env.omega0, spec.omega_c) / 4.0,
                 math.pi / (4.0 * max(s_max, 1e-12)))
     width /= 2.0 ** halvings
     lo = 0.0
-    geo: list[float] = []
     if spec.kind is SpectralKind.WHITE_NOISE:
         lo = spec.resolved_ir_cutoff(env.omega0)
         if lo >= rq.omega_max:
             raise ConfigError("ir_cutoff must be below omega_max")
-        geo = [lo]
-        e = lo
-        while e * 2.0 < width:
-            e *= 2.0
-            geo.append(e)
-        lo = geo[-1]
     n = max(1, int(math.ceil((rq.omega_max - lo) / width)))
-    uniform = np.linspace(lo, rq.omega_max, n + 1)
-    return np.concatenate([np.asarray(geo[:-1]), uniform]), max(len(geo) - 1, 0)
+    return np.linspace(lo, rq.omega_max, n + 1)
 
 
 def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s_max: float,
-                halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+                halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Gauss-Legendre nodes plus weighted integrand factors, shaped (panels, GL_ORDER).
 
-    Returns (nodes, wc, ws, n_ir, width) with wc = w * j(w) * coth(w beta/2) * taper
-    and ws = w * j(w) * taper, so the kernels are plain cosine/sine sums; the
-    first n_ir panels are the non-uniform infrared ones, the rest have the
-    common width, so nodes[n_ir + j, k] = nodes[n_ir, k] + j * width.
+    Returns (nodes, wc, ws, width, k_ir) with wc = w * j(w) * coth(w beta/2) * taper
+    and ws = w * j(w) * taper, so the kernels are plain cosine/sine sums;
+    nodes[j, k] = nodes[0, k] + j * width.  On the first white-noise panel
+    the 2 j/(beta w) part of wc/w times cos(w s) is (cos(w s) - 1)/w, smooth
+    as w s <= pi/4, plus 1/w: k_ir is the rule's s-independent error on 1/w
+    (0 for the other spectra and at zero temperature).
     """
-    edges, n_ir = _panel_edges(spec, env, rq, s_max, halvings)
+    edges = _panel_edges(spec, env, rq, s_max, halvings)
     x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -213,8 +207,12 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
         start = rq.omega_max / 10.0
         g = g * np.clip((rq.omega_max - nodes) / (rq.omega_max - start), 0.0, 1.0)
     therm = thermal_weight(env, nodes)
-    width = (edges[-1] - edges[n_ir]) / (len(edges) - 1 - n_ir)
-    return nodes, wts * g * therm, wts * g, n_ir, width
+    width = (edges[-1] - edges[0]) / (len(edges) - 1)
+    k_ir = 0.0
+    if spec.kind is SpectralKind.WHITE_NOISE and math.isfinite(env.beta):
+        k_ir = 2.0 * evaluate_j(spec, edges[0]) / env.beta * (
+            math.log1p(width / edges[0]) - np.sum(wts[0] / nodes[0]))
+    return nodes, wts * g * therm, wts * g, width, k_ir
 
 
 def _fast_len(n: int) -> int:
@@ -253,40 +251,20 @@ def _chirp_sums(a: np.ndarray, width: float, ds: float, m: int) -> np.ndarray:
     return c[:m] * ifft(buf, out=buf)[..., :m]
 
 
-def _phase_sums(w: np.ndarray, a: np.ndarray, ds: float, m: int) -> np.ndarray:
-    """sum_k a[..., k] exp(i w_k n ds) for n < m, for arbitrary nodes w.
-
-    With n = q*b + r, b = ceil(sqrt(m)), the phase splits as
-    exp(i w q b ds) * exp(i w r ds), so the sums are one product of two
-    (len(w), ~sqrt(m)) phase tables: O(len(w) * m) multiply-adds and
-    O(len(w) * sqrt(m)) exponentials instead of len(w) * m.
-    """
-    b = math.isqrt(m - 1) + 1
-    q = -(-m // b)
-    outer = np.exp(1j * np.outer(np.arange(q) * (b * ds), w))
-    inner = np.exp(1j * np.outer(w, np.arange(b) * ds))
-    sums = (a[..., None, :] * outer) @ inner
-    return sums.reshape(*a.shape[:-1], q * b)[..., :m]
-
-
-def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, n_ir: int, width: float,
+def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float, k_ir: float,
                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_c(s) = sum wc cos(w s), K_s(s) = sum ws sin(w s) on a uniform grid s.
+    """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) on a uniform grid s.
 
-    Row k of the uniform panels is o_k + j*width, so its sum is
+    Row k of the panels is o_k + j*width, so its sum is
     exp(i o_k s) * sum_j wt_jk exp(i j width s): one batched chirp-z
     transform covers every order and both weight sets, in
-    O(GL_ORDER * (panels + len(s)) log).  The n_ir infrared panels are
-    summed from blocked phase tables.  Raises ValueError on a non-uniform s.
+    O(GL_ORDER * (panels + len(s)) log).  k_ir is _omega_rule's infrared
+    constant.  Raises ValueError on a non-uniform s.
     """
     ds, m = _uniform_step(s), len(s)
-    rows = np.concatenate([wc[n_ir:].T, ws[n_ir:].T])
-    sums = _chirp_sums(rows, width, ds, m).reshape(2, -1, m)
-    turned = (np.exp(1j * np.outer(nodes[n_ir], s)) * sums).sum(axis=1)
-    if n_ir:
-        turned += _phase_sums(nodes[:n_ir].ravel(),
-                              np.stack([wc[:n_ir].ravel(), ws[:n_ir].ravel()]), ds, m)
-    return turned[0].real, turned[1].imag
+    sums = _chirp_sums(np.concatenate([wc.T, ws.T]), width, ds, m).reshape(2, -1, m)
+    turned = (np.exp(1j * np.outer(nodes[0], s)) * sums).sum(axis=1)
+    return turned[0].real + k_ir, turned[1].imag
 
 
 def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,

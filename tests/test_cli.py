@@ -188,6 +188,34 @@ def test_run_verify_grid_modes(tmp_path):
     assert by_name["hight-frozen-correlation-identity"]["value"] <= 1e-10
 
 
+@pytest.mark.parametrize("r0", [1.2, 1e-6])
+@pytest.mark.parametrize("spectrum", ["ohmic", "superohmic", "white"])
+def test_run_verify_high_temperature_constant_of_motion(tmp_path, spectrum, r0):
+    # the frozen-c map conserves C's lambda_T -> inf limit, lambda - v = -2c, to roundoff;
+    # at r0 = 1e-6 that roundoff (scale a ~ 10) exceeds 1e-10 of |C| = 2 c0: absolute there
+    cfg = parse_config(MINIMAL.replace("spectrum = ohmic", f"spectrum = {spectrum}")
+                              .replace("mode = markovian", "mode = hight")
+                              .replace("t_max = 100", "t_max = 25")
+                              .replace("r0 = 1.2", f"r0 = {r0}"))
+    report_file, ok = run_verify(cfg, tmp_path)
+    report = json.loads(report_file.read_text())
+    assert ok, report
+    drift = {c["name"]: c for c in report["checks"]}["constant-of-motion-relative-drift"]
+    assert drift["value"] <= 1e-10 and drift["tolerance"] == 1e-10
+
+
+def test_main_rejects_ir_cutoff_at_omega_max(tmp_path, capsys):
+    cfg_file = tmp_path / "white.cfg"
+    cfg_file.write_text(MINIMAL.replace("spectrum = ohmic", "spectrum = white")
+                               .replace("mode = markovian", "mode = nonmarkovian")
+                        + "omega_max = 20\nir_cutoff = 20\n")
+    rc = main(["coefficients", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "ir_cutoff must be below omega_max" in err
+    assert not (tmp_path / "o" / "coefficients.csv").exists()
+
+
 def test_main_entrypoint_and_exit_codes(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(MINIMAL.replace("alpha = 0.1", "alpha = 0")

@@ -13,12 +13,13 @@ from gaussian_paths import (
     SymmetricCM,
     TrajectoryMode,
     build_coefficient_grid,
+    evaluate_j,
     gamma_markov,
     simulate_trajectory,
     write_coefficients_csv,
 )
 from gaussian_paths import coefficients
-from gaussian_paths.coefficients import _fast_len, _kernels_on, _omega_rule, _phase_sums
+from gaussian_paths.coefficients import _fast_len, _kernels_on, _omega_rule
 
 from conftest import make_env, make_spec
 
@@ -89,29 +90,23 @@ def test_chirp_kernels_match_dense_sums(kind):
     spec, env = make_spec(kind), make_env()
     rq = QuadratureConfig(omega_max=20.0).resolve(spec, env)
     s = np.arange(1201) * rq.s_step
-    nodes, wc, ws, n_ir, width = _omega_rule(spec, env, rq, float(s[-1]), 0)
+    nodes, wc, ws, width, k_ir = _omega_rule(spec, env, rq, float(s[-1]), 0)
     assert nodes.shape == wc.shape == ws.shape == (len(nodes), coefficients.GL_ORDER)
-    # white noise: geometric infrared panels ahead of the uniform ones
-    assert (n_ir > 0) == (kind is SpectralKind.WHITE_NOISE)
-    np.testing.assert_allclose(np.diff(nodes[n_ir:], axis=0), width, rtol=1e-9)
-    Kc, Ks = _kernels_on(nodes, wc, ws, n_ir, width, s)
+    # every panel has the one width, white noise's first included; only it has k_ir
+    np.testing.assert_allclose(np.diff(nodes, axis=0), width, rtol=1e-9)
+    assert (k_ir != 0.0) == (kind is SpectralKind.WHITE_NOISE)
+    Kc, Ks = _kernels_on(nodes, wc, ws, width, k_ir, s)
     ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
-    for got, ref in ((Kc, ref_c), (Ks, ref_s)):
+    for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_chirp_kernels_reject_non_uniform_grid(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the infrared sum ran before the grid check")
-
-    # the grid check comes first, so no sum is formed on a bad grid
-    monkeypatch.setattr(coefficients, "_phase_sums", unreachable)
+def test_chirp_kernels_reject_non_uniform_grid():
     for kind in (SpectralKind.OHMIC, SpectralKind.WHITE_NOISE):
         spec, env = make_spec(kind), make_env()
         rq = QuadratureConfig().resolve(spec, env)
         s = np.arange(101) * rq.s_step
         rule = _omega_rule(spec, env, rq, float(s[-1]), 0)
-        assert (rule[3] > 0) == (kind is SpectralKind.WHITE_NOISE)
         thinned = s[np.r_[np.arange(0, 101, 8), 100]]  # every 8th point plus the last
         with pytest.raises(ValueError, match="uniform"):
             _kernels_on(*rule, thinned)
@@ -124,20 +119,53 @@ def test_fast_len_matches_scipy_next_fast_len():
     assert all(_fast_len(n) == next_fast_len(n) for n in range(1, 50_001))
 
 
-@pytest.mark.parametrize("m", [2, 3, 1009, 1025])
-def test_blocked_phase_sums_match_direct_sums(m):
-    # the white-noise infrared panels at the default numerics; 1009 is prime
-    spec, env = make_spec(SpectralKind.WHITE_NOISE), make_env()
+def white_kc_oracle(spec, env, rq, s):
+    """K_c(s) = int_{w_ir}^{omega_max} j coth(beta w/2) taper(w) cos(w s) dw, s > 0, without panels.
+
+    coth(beta w/2) = 2/(beta w) + r(w) with r smooth.  The 2 j/(beta w) part is
+    Ci(w_a s) - Ci(w_ir s) below the taper start w_a = omega_max/10 (scipy sici)
+    and quad(weight='cos') on the taper; the j r(w) part is quad(weight='cos').
+    """
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    j, beta = float(evaluate_j(spec, 1.0)), env.beta
+    w_ir, top = spec.resolved_ir_cutoff(env.omega0), rq.omega_max
+    w_a = top / 10.0
+
+    def taper(w):
+        return (top - w) / (top - w_a)
+
+    def r(w):  # coth(y) - 1/y, y = beta w/2, by its series where the difference cancels
+        y = 0.5 * beta * w
+        return y / 3 - y**3 / 45 + 2 * y**5 / 945 if y < 1e-2 else 1 / math.tanh(y) - 1 / y
+
+    out = []
+    for si in s:
+        def cos_quad(f, lo, hi):
+            return integrate.quad(f, lo, hi, weight="cos", wvar=si, epsabs=1e-13,
+                                  epsrel=1e-12, limit=2000)[0]
+        ci = special.sici(w_a * si)[1] - special.sici(w_ir * si)[1]
+        log_part = ci + cos_quad(lambda w: taper(w) / w, w_a, top)
+        smooth = cos_quad(r, w_ir, w_a) + cos_quad(lambda w: taper(w) * r(w), w_a, top)
+        out.append(j * (2.0 / beta * log_part + smooth))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("t_max", [2.0, 25.0])
+@pytest.mark.parametrize("ir_cutoff", [1e-6, 1e-3])
+@pytest.mark.parametrize("n_T", [0.01, 10.0])
+def test_white_noise_kernel_matches_sici_quad_oracle(n_T, ir_cutoff, t_max):
+    # the panels start at the infrared cutoff and k_ir restores the first panel's 1/w integral
+    spec = SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=1.0, ir_cutoff=ir_cutoff)
+    env = make_env(n_T=n_T)
     rq = QuadratureConfig().resolve(spec, env)
-    nodes, wc, ws, n_ir, _ = _omega_rule(spec, env, rq, 25.0, 0)
-    w = nodes[:n_ir].ravel()
-    s = np.arange(m) * rq.s_step
-    got = _phase_sums(w, np.stack([wc[:n_ir].ravel(), ws[:n_ir].ravel()]), rq.s_step, m)
-    assert got.shape == (2, m)
-    ref_c = np.cos(np.outer(s, w)) @ wc[:n_ir].ravel()
-    ref_s = np.sin(np.outer(s, w)) @ ws[:n_ir].ravel()
-    for val, ref in ((got[0].real, ref_c), (got[1].imag, ref_s)):
-        assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
+    s = np.arange(int(math.ceil(t_max / rq.s_step - 1e-9)) + 1) * rq.s_step
+    Kc, _ = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), s)
+    idx = np.unique(np.linspace(1, len(s) - 1, 9).astype(int))
+    assert len(idx) == 9
+    err = np.max(np.abs(Kc[idx] - white_kc_oracle(spec, env, rq, s[idx])))
+    bound = 1e-12 if (t_max, ir_cutoff) == (2.0, 1e-6) else 2e-9
+    assert err <= bound * np.max(np.abs(Kc))
 
 
 def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
@@ -354,6 +382,19 @@ def test_white_noise_ir_cutoff_is_respected(quad):
     assert g_fine.delta[-1] != pytest.approx(g_coarse.delta[-1], rel=1e-3)
     # while the damping coefficient is insensitive (no infrared log there)
     assert g_fine.gamma[-1] == pytest.approx(g_coarse.gamma[-1], rel=1e-3)
+
+
+def test_ir_cutoff_must_be_below_omega_max():
+    env, rq = make_env(), QuadratureConfig(omega_max=20.0)
+    for ir in (20.0, 30.0):
+        spec = SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=1.0, ir_cutoff=ir)
+        with pytest.raises(ConfigError, match="ir_cutoff must be below omega_max"):
+            build_coefficient_grid(spec, env, 2.0, rq)
+    # just below the boundary the grid builds: one panel, finite and exactly 0 at t = 0
+    spec = SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=1.0,
+                           ir_cutoff=float(np.nextafter(20.0, 0.0)))
+    grid = build_coefficient_grid(spec, env, 2.0, rq)
+    assert np.all(np.isfinite(grid.delta)) and grid.delta[0] == 0.0
 
 
 # ------------------------------------------------------------------- CSV
