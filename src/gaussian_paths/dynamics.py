@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from itertools import repeat, starmap
 from typing import NamedTuple
 
@@ -185,6 +186,34 @@ class Trajectory:
         cms = map(tuple.__new__, repeat(SymmetricCM), pairs) if ok else starmap(SymmetricCM, pairs)
         return list(zip(self.times.tolist(), cms))
 
+    @cached_property
+    def _crossing(self) -> tuple[float, float] | None:
+        """(t_sep, Gamma(t_sep)) of separability_time, solved once per trajectory; None if
+        lambda never reaches 1/2.  InconclusiveThresholdError is raised, not stored, so it
+        raises again on every call."""
+        lam0 = self.a[0] - self.c[0]
+        if lam0 >= SEPARABILITY_THRESHOLD:
+            return 0.0, 0.0
+        if self.mode is TrajectoryMode.MARKOVIAN:
+            lam_t = self.n_T + 0.5
+            if lam_t <= SEPARABILITY_THRESHOLD:
+                return None
+            t_sep = math.log((lam_t - lam0) / (lam_t - SEPARABILITY_THRESHOLD)) / self.gamma_m
+            if t_sep > self.times[-1] * (1 + 1e-12):
+                raise InconclusiveThresholdError(
+                    f"closed-form t_sep = {t_sep} exceeds the sampled window {self.times[-1]}"
+                )
+            return t_sep, self.gamma_m * t_sep
+        crossed = np.nonzero(self.lam >= SEPARABILITY_THRESHOLD)[0]
+        if len(crossed):
+            return _grid_crossing(self, int(crossed[0]))
+        if self.n_T + 0.5 > SEPARABILITY_THRESHOLD:
+            raise InconclusiveThresholdError(
+                f"lambda < 1/2 up to t_max = {self.times[-1]} but the stationary value "
+                f"{self.n_T + 0.5} lies above threshold"
+            )
+        return None
+
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                         n_samples: int, grid: CoefficientGrid | None = None,
@@ -214,10 +243,10 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                       n_T=float(n_T), gamma_m=gamma_m, grid=grid, label=label)
 
 
-def _grid_crossing(traj: Trajectory, i: int) -> float:
-    """First float at which the grid channel's lambda reaches 1/2, sample i being the first
-    at or past it.  Linear Gamma and Delta_Gamma make lambda convex between nodes, so the
-    first node at or past 1/2 ends the interval to bisect."""
+def _grid_crossing(traj: Trajectory, i: int) -> tuple[float, float]:
+    """(t, Gamma(t)) at the first float t at which the grid channel's lambda reaches 1/2,
+    sample i being the first at or past it.  Linear Gamma and Delta_Gamma make lambda
+    convex between nodes, so the first node at or past 1/2 ends the interval to bisect."""
     nodes, (a0, c0) = traj.grid.times, traj.initial
     lo = int(np.searchsorted(nodes, traj.times[i - 1], side="right")) - 1
     hi = min(int(np.searchsorted(nodes, traj.times[i])), len(nodes) - 1)
@@ -239,7 +268,7 @@ def _grid_crossing(traj: Trajectory, i: int) -> float:
             lo = mid
         else:
             hi_t = mid
-    return hi_t
+    return hi_t, float(np.interp(hi_t, nodes, knots[0]))
 
 
 def separability_time(traj: Trajectory) -> float | None:
@@ -250,28 +279,8 @@ def separability_time(traj: Trajectory) -> float | None:
     A grid-mode trajectory that has not crossed by t_max while the asymptote n_T + 1/2 lies
     above threshold raises InconclusiveThresholdError (too short), distinct from None.
     """
-    lam = traj.lam
-    if lam[0] >= SEPARABILITY_THRESHOLD:
-        return 0.0
-    if traj.mode is TrajectoryMode.MARKOVIAN:
-        lam_t = traj.n_T + 0.5
-        if lam_t <= SEPARABILITY_THRESHOLD:
-            return None
-        t_sep = math.log((lam_t - lam[0]) / (lam_t - SEPARABILITY_THRESHOLD)) / traj.gamma_m
-        if t_sep > traj.times[-1] * (1 + 1e-12):
-            raise InconclusiveThresholdError(
-                f"closed-form t_sep = {t_sep} exceeds the sampled window {traj.times[-1]}"
-            )
-        return t_sep
-    crossed = np.nonzero(lam >= SEPARABILITY_THRESHOLD)[0]
-    if len(crossed):
-        return _grid_crossing(traj, int(crossed[0]))
-    if traj.n_T + 0.5 > SEPARABILITY_THRESHOLD:
-        raise InconclusiveThresholdError(
-            f"lambda < 1/2 up to t_max = {traj.times[-1]} but the stationary value "
-            f"{traj.n_T + 0.5} lies above threshold"
-        )
-    return None
+    crossing = traj._crossing
+    return None if crossing is None else crossing[0]
 
 
 @dataclass(frozen=True)
@@ -342,6 +351,23 @@ class MotionConstant(NamedTuple):
     degenerate: bool = False
 
 
+@lru_cache(maxsize=64)  # C is evaluated along a trajectory: calls repeat one triple
+def _motion_coefficient(lambda0: float, mu0: float, lambda_T: float) -> float | None:
+    """k = (lambda_T - lambda0)/(v0 - lambda_T) of C = lambda + k v, v0 = 1/(4 mu0 lambda0);
+    None where v0 = lambda_T leaves it undetermined.  A bad argument raises ValueError,
+    which lru_cache does not store, so it raises again on every call."""
+    if not 0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
+    if not 0 < mu0 < math.inf:
+        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
+    if not -math.inf < lambda_T < math.inf:
+        raise ValueError(f"lambda_T must be finite, got {lambda_T}")
+    v0 = 1.0 / (4.0 * mu0 * lambda0)
+    if abs(v0 - lambda_T) <= 1e-12 * max(1.0, abs(v0), abs(lambda_T)):
+        return None
+    return (lambda_T - lambda0) / (v0 - lambda_T)
+
+
 def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float,
                        lambda_T: float) -> MotionConstant:
     """C = lambda + k/(4 lambda mu) with k = (lambda_T - lambda0)/(v0 - lambda_T).
@@ -352,18 +378,13 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
     coefficient is undetermined and lambda itself is returned, flagged.
     ``point`` is anything with ``lam`` and ``mu`` attributes: one PathPoint
     gives a float, a Trajectory or DynamicalPath an array over its samples.
+    k is formed and its arguments (floats) checked once per triple.
     """
-    if not 0 < lambda0 < math.inf:
-        raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
-    if not 0 < mu0 < math.inf:
-        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
-    if not -math.inf < lambda_T < math.inf:
-        raise ValueError(f"lambda_T must be finite, got {lambda_T}")
-    v0 = 1.0 / (4.0 * mu0 * lambda0)
-    if abs(v0 - lambda_T) <= 1e-12 * max(1.0, abs(v0), abs(lambda_T)):
-        return MotionConstant(value=point.lam, degenerate=True)
-    k = (lambda_T - lambda0) / (v0 - lambda_T)
-    return MotionConstant(point.lam + k / (4.0 * point.lam * point.mu))
+    k = _motion_coefficient(lambda0, mu0, lambda_T)
+    lam = point.lam
+    if k is None:
+        return tuple.__new__(MotionConstant, (lam, True))
+    return tuple.__new__(MotionConstant, (lam + k / (4.0 * lam * point.mu), False))
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:

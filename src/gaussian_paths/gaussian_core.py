@@ -14,11 +14,18 @@ entangled states sit below it.
 
 SymmetricCM and PathPoint are NamedTuples, cheaper than dataclasses to build once per
 sample; SymmetricCM checks its pair on every path (new, _make, _replace, copy, pickle).
+
+The discord has one float kernel, _discord, behind both the 0-d discord and path_point:
+h(1/2 + x) = log1p(x) + x log1p(1/x) is written out on math.log1p for its three offsets.
+Arrays take one _h_array pass over a (3, n) buffer of the same offsets.  The two forms
+agree to an ulp of each h term, not bit for bit: math.log1p and numpy's log1p round
+differently on a few percent of arguments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log1p
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -179,17 +186,19 @@ def entropic_h(x: ArrayLike) -> ArrayLike:
     return _h_array(np.asarray(x, dtype=float) - 0.5)
 
 
-def _offsets(a, nu2, nu):
-    """x - 1/2 of the discord's arguments a, nu and a - 2c^2/(1 + 2a), the last two as
-    (nu^2 - 1/4)/(nu + 1/2) and 2(nu^2 - 1/4)/(1 + 2a), no cancellation where h' diverges."""
-    return a - 0.5, (nu2 - 0.25) / (nu + 0.5), 2.0 * (nu2 - 0.25) / (1.0 + 2.0 * a)
-
-
 def _discord(a: float, c: float, nu2: float) -> float:
-    """Scalar D(a, c) given nu2 = (a - c)(a + c), from _offsets."""
-    xa, xn, xc = _offsets(a, nu2, math.sqrt(max(nu2, 0.0)))
+    """Scalar D(a, c) given nu2 = (a - c)(a + c), on the array form's offsets and operations.
+    Where all three offsets are > 0, h(1/2 + x) = log1p(x) + x log1p(1/x) is inline; the
+    clamp band [1/2 - eps, 1/2] and the errors below it go through _h."""
+    xa = a - 0.5
     if c == 0.0:  # all three arguments coincide; keep the cancellation exact
         xn = xc = xa
+    else:
+        q = nu2 - 0.25
+        xn, xc = q / (math.sqrt(max(nu2, 0.0)) + 0.5), 2.0 * q / (1.0 + 2.0 * a)
+    if xa > 0.0 and xn > 0.0 and xc > 0.0:
+        return ((log1p(xa) + xa * log1p(1.0 / xa)) - 2.0 * (log1p(xn) + xn * log1p(1.0 / xn))
+                + (log1p(xc) + xc * log1p(1.0 / xc)))
     return _h(xa) - 2.0 * _h(xn) + _h(xc)
 
 
@@ -197,17 +206,26 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     """D(a, c) = h(a) - 2 h(sqrt(a^2 - c^2)) + h(a - 2c^2/(1 + 2a)), natural log,
     elementwise over arrays of symmetric states.
 
+    h is taken from x - 1/2 of its three arguments: a - 1/2, (nu^2 - 1/4)/(nu + 1/2) and
+    2(nu^2 - 1/4)/(1 + 2a), which do not cancel where h' diverges.  Arrays fill one
+    (3, ...) buffer of these offsets for a single _h_array pass, so an
+    UnphysicalStateError names the first bad one in the order a, nu, conditional.
     Scalar (0-d) a and c take the math.log1p branch (_discord) and return a float.
     """
     if np.ndim(a) == 0 and np.ndim(c) == 0:
         a, c = float(a), float(c)
         return _discord(a, c, (a - c) * (a + c))
-    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
     nu2 = (a - c) * (a + c)
-    xa, xn, xc = _offsets(a, nu2, np.sqrt(np.maximum(nu2, 0.0)))
+    q = nu2 - 0.25
+    x = np.empty((3,) + nu2.shape)
+    np.subtract(a, 0.5, out=x[0])
+    np.divide(q, np.sqrt(np.maximum(nu2, 0.0)) + 0.5, out=x[1])
+    np.divide(2.0 * q, 1.0 + 2.0 * a, out=x[2])
     # at c = 0 all three arguments coincide; force the cancellation exact
-    xn, xc = np.where(c == 0.0, xa, xn), np.where(c == 0.0, xa, xc)
-    return _h_array(xa) - 2.0 * _h_array(xn) + _h_array(xc)
+    np.copyto(x[1:], x[0], where=c == 0.0)
+    h = _h_array(x)
+    return h[0] - 2.0 * h[1] + h[2]
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
@@ -221,7 +239,7 @@ def path_point(cm: SymmetricCM, t: float) -> PathPoint:
         if d < -1e-12:
             raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
         d = 0.0
-    return PathPoint(1.0 / (4.0 * nu2), a - c, d, t)
+    return tuple.__new__(PathPoint, (1.0 / (4.0 * nu2), a - c, d, t))
 
 
 def cm_from_mu_lambda(mu: float, lam: float) -> SymmetricCM:

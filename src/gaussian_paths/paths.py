@@ -22,7 +22,6 @@ from .dynamics import (
     MapUnphysicalError,
     Trajectory,
     TrajectoryMode,
-    _channel,
     separability_time,
     simulate_trajectory,
 )
@@ -200,18 +199,15 @@ def d_star() -> float:
 def dsep_from_trajectory(traj: Trajectory) -> float | None:
     """Discord at the first separability crossing of a trajectory, D(1/2 + c*, c*) with
     c* = c0 e^{-Gamma(t_sep)} on its channel (c0 in high-T mode); None if never.  An
-    initially separable state gives its own discord."""
-    return _dsep_at(traj, separability_time(traj))
-
-
-def _dsep_at(traj: Trajectory, t_sep: float | None) -> float | None:
-    """Discord of traj at its separability time t_sep; None when t_sep is."""
-    if t_sep is None:
+    initially separable state gives its own discord.  The crossing is the one
+    separability_time reads, solved once per trajectory."""
+    crossing = traj._crossing
+    if crossing is None:
         return None
+    t_sep, big_gamma = crossing
     if t_sep == 0.0:
         return discord(traj.initial.a, traj.initial.c)
     # at the crossing lambda = 1/2 exactly, and c = c0 e^{-Gamma} on the channel
-    big_gamma, _ = _channel(traj.mode, traj.grid, traj.gamma_m, traj.n_T, t_sep)
     c_sep = traj.initial.c * np.exp(-big_gamma).item()
     return discord(0.5 + c_sep, c_sep)
 
@@ -249,7 +245,7 @@ def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environme
                                        grid=grid, gamma_m=gamma_m, n_T=env.n_T,
                                        label=spec.kind.value)
             t_sep = separability_time(traj)
-            d_sep = _dsep_at(traj, t_sep)
+            d_sep = dsep_from_trajectory(traj)
             note = "" if t_sep is not None else "no-threshold"
         except (InconclusiveThresholdError, MapUnphysicalError) as exc:
             t_sep, d_sep, note = None, None, f"{type(exc).__name__}: {exc}"

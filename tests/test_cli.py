@@ -168,6 +168,19 @@ def test_run_verify_markovian_report(tmp_path):
     assert by_name["semigroup-composition"]["passed"]
 
 
+@pytest.mark.parametrize("r0", [0.0, 1e-8, 1e-6, 1.2])
+def test_run_verify_markovian_constant_of_motion_at_small_squeezing(tmp_path, r0):
+    # the Markovian map conserves C exactly, but C ~ c0 is formed with rounding at the scale
+    # of a: relative to |C(0)| alone the drift read 1.7e-7 at r0 = 1e-8, so it is absolute
+    # below |C| = 1
+    cfg = parse_config(MINIMAL.replace("r0 = 1.2", f"r0 = {r0}"))
+    report_file, ok = run_verify(cfg, tmp_path)
+    report = json.loads(report_file.read_text())
+    assert ok, report
+    drift = {c["name"]: c for c in report["checks"]}["constant-of-motion-relative-drift"]
+    assert drift["value"] <= 1e-12 and drift["tolerance"] == 1e-8
+
+
 def test_run_verify_grid_modes(tmp_path):
     cfg = parse_config(MINIMAL.replace("mode = markovian", "mode = nonmarkovian")
                               .replace("t_max = 100", "t_max = 12"))

@@ -114,9 +114,33 @@ def test_chirp_kernels_reject_non_uniform_grid():
             _kernels_on(*rule, s[1:])
 
 
-def test_fast_len_matches_scipy_next_fast_len():
+def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
+    # _fast_len steps up to the next 11-smooth number: checked at every small n, on both
+    # sides of each 11-smooth number up to 50,000, at the transform lengths of the default
+    # grids and at seeded n up to 1e6 (a long-window grid has ~6.5e5 samples)
     next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
-    assert all(_fast_len(n) == next_fast_len(n) for n in range(1, 50_001))
+    smooth = [1]
+    for p in (2, 3, 5, 7, 11):
+        smooth = [s * p**k for s in smooth for k in range(16) if s * p**k <= 50_000]
+    ns = set(range(1, 5_001)) | {n for s in smooth for n in range(max(s - 2, 1), s + 3)}
+    # the chirp-z length panels + samples - 1 of the resonant (t_max = 25) and off-resonant
+    # (t_max = 40) grids, recorded at halvings 0 and 1 by a stand-in for the kernel sums
+    lengths = []
+
+    def record(nodes, wc, ws, width, k_ir, s):
+        lengths.append(len(nodes) + len(s) - 1)
+        return np.zeros_like(s), np.zeros_like(s)
+
+    monkeypatch.setattr(coefficients, "_kernels_on", record)
+    for kind in SpectralKind:
+        for omega_c, alpha, t_max in ((1.0, 0.1, 25.0), (0.1, 0.01, 40.0)):
+            build_coefficient_grid(make_spec(kind, omega_c), make_env(alpha=alpha), t_max,
+                                   QuadratureConfig())
+    assert len(lengths) == 12 and min(lengths) > 4_000
+    # log-uniform: a step costs ~1 us and the gaps between 11-smooth numbers grow with n
+    rng = np.random.default_rng(20_260_918)
+    ns |= set(lengths) | set(np.floor(10.0 ** rng.uniform(0.0, 6.0, 2_000)).astype(int).tolist())
+    assert all(_fast_len(n) == next_fast_len(n) for n in sorted(ns))
 
 
 def white_kc_oracle(spec, env, rq, s):

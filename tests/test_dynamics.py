@@ -30,6 +30,7 @@ from gaussian_paths import (
     simulate_trajectory,
     write_trajectory_csv,
 )
+from gaussian_paths import dynamics
 from gaussian_paths.coefficients import CoefficientGrid
 from gaussian_paths.dynamics import Trajectory, _check_physical
 
@@ -218,11 +219,20 @@ def test_bad_time_rate_or_temperature_is_a_named_value_error(name, bad):
     (cm_from_mu_lambda, (1.0, math.nan), "lam"),
     (cm_from_mu_lambda, (1.0, math.inf), "lam"),
     (cm_from_mu_lambda, (1.0, -math.inf), "lam"),
+    (constant_of_motion, (path_point(TWB12, 0.0), -0.1, 1.0, 10.5), "lambda0"),
+    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 0.0, 10.5), "mu0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_finite_argument_is_a_named_value_error(fn, args, name):
-    # NaN passes `x < 0` checks; inf lambda_T read as a degenerate constant
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        fn(*args)
+    # NaN passes `x < 0` checks; inf lambda_T read as a degenerate constant.  The motion
+    # coefficient is cached per (lambda0, mu0, lambda_T): a bad triple raises on every
+    # call, before and after a good call with the same other arguments
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fn(*args)
+    if fn is constant_of_motion:
+        assert not constant_of_motion(args[0], 0.1, 1.0, 10.5).degenerate
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fn(*args)
 
 
 def _interpolant_lam(grid, mode, cm0, t):
@@ -344,10 +354,31 @@ def test_separability_inconclusive_is_distinct(resonant_grids):
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
     short = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
                                 n_samples=201, grid=grid, n_T=env.n_T)
-    with pytest.raises(InconclusiveThresholdError):
-        separability_time(short)
-    with pytest.raises(InconclusiveThresholdError):
-        separability_time(markovian_traj(gamma_m=1.0, n_T=10.0, t_max=0.01))
+    # the crossing is solved once per trajectory, but an inconclusive one is not stored:
+    # both of its readers raise, on every call
+    for traj in (short, markovian_traj(gamma_m=1.0, n_T=10.0, t_max=0.01)):
+        for _ in range(2):
+            for reader in (separability_time, dsep_from_trajectory):
+                with pytest.raises(InconclusiveThresholdError):
+                    reader(traj)
+
+
+@pytest.mark.parametrize("mode", list(TrajectoryMode))
+def test_crossing_is_solved_once_in_either_order(resonant_grids, monkeypatch, mode):
+    # dsep_from_trajectory before or after separability_time: the same (t_sep, D_sep), and
+    # a grid trajectory bisects its crossing once
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    channel = {"gamma_m": 1.0} if mode is TrajectoryMode.MARKOVIAN else {"grid": grid}
+    first, second = (simulate_trajectory(TWB12, mode=mode, t_max=25.0, n_samples=2001,
+                                         n_T=env.n_T, **channel) for _ in range(2))
+    solves = []
+    grid_crossing = dynamics._grid_crossing
+    monkeypatch.setattr(dynamics, "_grid_crossing",
+                        lambda *args: solves.append(args) or grid_crossing(*args))
+    pair = separability_time(first), dsep_from_trajectory(first)
+    d_sep = dsep_from_trajectory(second)
+    assert (separability_time(second), d_sep) == pair and pair[0] > 0.0
+    assert len(solves) == (0 if mode is TrajectoryMode.MARKOVIAN else 2)
 
 
 # ------------------------------------------------------------ reachability

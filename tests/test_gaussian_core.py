@@ -23,6 +23,7 @@ from gaussian_paths import (
     purity,
     to_sts,
 )
+from gaussian_paths.gaussian_core import _h, _h_array
 
 TWB12 = STSParams(r=1.2, nu_T=0.0)
 
@@ -199,6 +200,15 @@ def test_discord_zero_without_correlations():
         assert discord(np.array([a]), np.array([0.0]))[0] == 0.0
 
 
+def test_array_discord_names_the_first_bad_offset():
+    # one pass over the offsets of a, nu and the conditional argument, in that order:
+    # a bad a anywhere is named before a bad nu earlier in the array
+    with pytest.raises(UnphysicalStateError, match=r"got 0\.3"):
+        discord(np.array([1.0, 0.3]), np.array([0.9, 0.0]))
+    with pytest.raises(UnphysicalStateError, match=r"got 0\.43"):
+        discord(np.array([1.0, 1.0]), np.array([0.0, 0.9]))
+
+
 def test_discord_returns_python_float():
     cm = from_sts(TWB12)
     assert type(discord(cm.a, cm.c)) is float
@@ -207,9 +217,24 @@ def test_discord_returns_python_float():
 
 
 # physical states (a, c) = nu (cosh 2r, +-sinh 2r): r = 0 gives c = 0 exactly,
-# nu within 1e-6 of 1/2 sits next to the purity boundary
-_NU = st.one_of(st.just(0.5), st.floats(0.5, 0.5 + 1e-6), st.floats(0.5, 50.0))
+# nu within 1e-6 of 1/2 sits next to the purity boundary, nu in [1/2 - 4e-10, 1/2) puts
+# the offsets in entropic_h's clamp band, and nu >= 1e7 gives a from 1e7 to ~2e10
+_NU = st.one_of(st.just(0.5), st.floats(0.5, 0.5 + 1e-6), st.floats(0.5, 50.0),
+                st.floats(0.5 - 4e-10, 0.5), st.floats(1e7, 1e8))
 _R = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+def _discord_by_h(a: float, c: float, h=_h) -> float:
+    """The discord term by term through h (_h, or one element of _h_array): the reference
+    that the written-out float kernel, and the one-pass array form, equal bit for bit."""
+    nu2 = (a - c) * (a + c)
+    xa = a - 0.5
+    if c == 0.0:
+        xn = xc = xa
+    else:
+        xn = (nu2 - 0.25) / (math.sqrt(max(nu2, 0.0)) + 0.5)
+        xc = 2.0 * (nu2 - 0.25) / (1.0 + 2.0 * a)
+    return h(xa) - 2.0 * h(xn) + h(xc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,10 +242,15 @@ _R = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
     a, c = nu * math.cosh(2.0 * r), sign * nu * math.sinh(2.0 * r)
     d = discord(a, c)
+    assert d == _discord_by_h(a, c)
     ref = discord(np.array([a]), np.array([c]))[0]
+    assert ref == _discord_by_h(a, c, h=lambda x: _h_array(np.array([x]))[0])
     # D = h(a) - 2 h(nu) + h(cond) cancels terms up to h(a) in size, and
     # math.log and numpy's log differ by an ulp on a few inputs
     assert d == pytest.approx(ref, rel=1e-13, abs=1e-15 * max(1.0, 4.0 * entropic_h(a)))
+    # path_point shares the scalar kernel: its discord is the 0-d discord, clamped at 0,
+    # bit for bit (D is even in c; path_point takes c >= 0)
+    assert path_point(SymmetricCM(a, abs(c)), 0.0).discord == max(discord(a, abs(c)), 0.0)
     for x in (a, math.sqrt(max(a * a - c * c, 0.0)), a - 2.0 * c * c / (1.0 + 2.0 * a)):
         assert entropic_h(x) == pytest.approx(entropic_h(np.array([x]))[0],
                                               rel=1e-13, abs=1e-15)
