@@ -57,7 +57,6 @@ class RunConfig:
     t_max: float
     mode: str
     nu0: float = 0.0
-    j_prefactor: float = 1.0
     ir_cutoff: float | None = None
     n_samples: int = 2001
     s_step: float | None = None
@@ -75,7 +74,7 @@ class RunConfig:
                               f"got {self.spectrum!r}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
-        for key in ("omega0", "omega_c", "alpha", "t_max", "j_prefactor"):
+        for key in ("omega0", "omega_c", "alpha", "t_max"):
             if getattr(self, key) is None or getattr(self, key) <= 0:
                 if not (key == "alpha" and self.alpha == 0.0):
                     raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
@@ -92,7 +91,7 @@ class RunConfig:
         if kind == "all":
             raise ConfigError("spectrum 'all' is only valid for dsep-sweep")
         return SpectralDensity(kind=_SPECTRA[kind], omega_c=self.omega_c,
-                               prefactor=self.j_prefactor, ir_cutoff=self.ir_cutoff)
+                               ir_cutoff=self.ir_cutoff)
 
     def environment(self) -> Environment:
         return Environment(omega0=self.omega0, alpha=self.alpha, n_T=self.n_T)

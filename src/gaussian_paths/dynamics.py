@@ -188,9 +188,9 @@ class Trajectory:
 
     @cached_property
     def _crossing(self) -> tuple[float, float] | None:
-        """(t_sep, Gamma(t_sep)) of separability_time, solved once per trajectory; None if
-        lambda never reaches 1/2.  InconclusiveThresholdError is raised, not stored, so it
-        raises again on every call."""
+        """(t_sep, Gamma(t_sep)) of separability_time, solved once per trajectory from the
+        initial state, the channel and t_max alone; None if lambda never reaches 1/2.
+        InconclusiveThresholdError is raised, not stored, so it raises again on every call."""
         lam0 = self.a[0] - self.c[0]
         if lam0 >= SEPARABILITY_THRESHOLD:
             return 0.0, 0.0
@@ -204,15 +204,13 @@ class Trajectory:
                     f"closed-form t_sep = {t_sep} exceeds the sampled window {self.times[-1]}"
                 )
             return t_sep, self.gamma_m * t_sep
-        crossed = np.nonzero(self.lam >= SEPARABILITY_THRESHOLD)[0]
-        if len(crossed):
-            return _grid_crossing(self, int(crossed[0]))
-        if self.n_T + 0.5 > SEPARABILITY_THRESHOLD:
+        crossing = _grid_crossing(self)
+        if crossing is None and self.n_T + 0.5 > SEPARABILITY_THRESHOLD:
             raise InconclusiveThresholdError(
                 f"lambda < 1/2 up to t_max = {self.times[-1]} but the stationary value "
                 f"{self.n_T + 0.5} lies above threshold"
             )
-        return None
+        return crossing
 
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
@@ -243,38 +241,37 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                       n_T=float(n_T), gamma_m=gamma_m, grid=grid, label=label)
 
 
-def _grid_crossing(traj: Trajectory, i: int) -> tuple[float, float]:
-    """(t, Gamma(t)) at the first float t at which the grid channel's lambda reaches 1/2,
-    sample i being the first at or past it.  Linear Gamma and Delta_Gamma make lambda
-    convex between nodes, so the first node at or past 1/2 ends the interval to bisect."""
-    nodes, (a0, c0) = traj.grid.times, traj.initial
-    lo = int(np.searchsorted(nodes, traj.times[i - 1], side="right")) - 1
-    hi = min(int(np.searchsorted(nodes, traj.times[i])), len(nodes) - 1)
+def _grid_crossing(traj: Trajectory) -> tuple[float, float] | None:
+    """(t, Gamma(t)) at the first float t <= t_max at which the grid channel's lambda
+    reaches 1/2; None if it does not.  Linear Gamma and Delta_Gamma make lambda convex
+    between knots, so the first knot at or past 1/2 ends the interval to bisect."""
+    nodes, (a0, c0), t_max = traj.grid.times, traj.initial, traj.times[-1]
     knots = _channel(traj.mode, traj.grid, traj.gamma_m, traj.n_T)
-    for lo in (lo, 0):  # from t = 0 if lambda rose past 1/2 and fell back between samples
-        big_gamma, delta_gamma = (v[lo:hi + 1] for v in knots)
-        x = np.exp(-big_gamma)
-        if not (above := (a0 * x + 0.5 * delta_gamma) - c0 * x >= SEPARABILITY_THRESHOLD)[0]:
-            break
-    k = int(np.argmax(above))
-    (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist()
-                                    for v in (nodes[lo:], big_gamma, delta_gamma))
+    end = int(np.searchsorted(nodes, t_max)) + 1  # knots of [0, t_max], one past if between
+    x = np.exp(-knots[0][:end])
+    above = (a0 * x + 0.5 * knots[1][:end]) - c0 * x >= SEPARABILITY_THRESHOLD
+    if not above[k := int(np.argmax(above))]:
+        return None
+    (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist() for v in (nodes, *knots))
     # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
     g_slope, d_slope = (g1 - g0) / (t1 - t0), (d1 - d0) / (t1 - t0)
-    lo, hi_t = t0, t1
-    while lo < (mid := 0.5 * (lo + hi_t)) < hi_t:
+    lo, hi = t0, t1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         x = float(np.exp(-(g_slope * (mid - t0) + g0)))
         if (a0 * x + 0.5 * (d_slope * (mid - t0) + d0)) - c0 * x < SEPARABILITY_THRESHOLD:
             lo = mid
         else:
-            hi_t = mid
-    return hi_t, float(np.interp(hi_t, nodes, knots[0]))
+            hi = mid
+    if hi > t_max * (1 + 1e-12):  # the channel crosses, but after t_max
+        return None
+    return hi, float(np.interp(hi, nodes, knots[0]))
 
 
 def separability_time(traj: Trajectory) -> float | None:
-    """First time lambda(t) reaches 1/2; None if it never will.  Markovian mode solves it
-    in closed form; the grid modes bisect lambda on the grid's own interpolant (Gamma and
-    Delta_Gamma linear between nodes) to the first float, so n_samples does not enter.
+    """First time lambda(t) reaches 1/2; None if it never will.  It depends on the initial
+    state, the channel and t_max only, not on n_samples: Markovian mode solves it in closed
+    form, the grid modes bisect lambda on the grid's own interpolant (Gamma and Delta_Gamma
+    linear between knots) to the first float.
 
     A grid-mode trajectory that has not crossed by t_max while the asymptote n_T + 1/2 lies
     above threshold raises InconclusiveThresholdError (too short), distinct from None.

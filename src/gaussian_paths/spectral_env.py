@@ -39,11 +39,12 @@ class SpectralDensity:
 
     kind selects one of
 
-        ohmic       j(omega) = p * omega * omega_c^2 / (omega^2 + omega_c^2)
-        superohmic  j(omega) = p * omega^2 * omega_c / (omega^2 + omega_c^2)
-        white       j(omega) = p * omega_c
+        ohmic       j(omega) = omega * omega_c^2 / (omega^2 + omega_c^2)
+        superohmic  j(omega) = omega^2 * omega_c / (omega^2 + omega_c^2)
+        white       j(omega) = omega_c
 
-    with p the dimensionless prefactor.  ``ir_cutoff`` is the infrared
+    Every coefficient is linear in alpha^2 j, so a spectrum scaled by p is the same
+    channel at coupling alpha sqrt(p).  ``ir_cutoff`` is the infrared
     regularization frequency used when integrating the white-noise
     spectrum against coth(omega*beta/2); ``None`` resolves to
     1e-6 * omega0 at quadrature time.
@@ -51,7 +52,6 @@ class SpectralDensity:
 
     kind: SpectralKind
     omega_c: float
-    prefactor: float = 1.0
     ir_cutoff: float | None = None
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class SpectralDensity:
         object.__setattr__(self, "kind", SpectralKind(self.kind))
         if not (0 < self.omega_c < math.inf):
             raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        if not (0 < self.prefactor < math.inf):
-            raise ValueError(f"prefactor must be finite and > 0, got {self.prefactor}")
         if self.ir_cutoff is not None and not (self.ir_cutoff > 0):
             raise ValueError(f"ir_cutoff must be > 0, got {self.ir_cutoff}")
 
@@ -113,11 +111,11 @@ def evaluate_j(spec: SpectralDensity, omega: ArrayLike) -> ArrayLike:
     if not np.all(w >= 0):  # NaN fails too
         raise ValueError("evaluate_j requires omega >= 0")
     if spec.kind is SpectralKind.OHMIC:
-        out = spec.prefactor * w * spec.omega_c**2 / (w**2 + spec.omega_c**2)
+        out = w * spec.omega_c**2 / (w**2 + spec.omega_c**2)
     elif spec.kind is SpectralKind.SUPER_OHMIC:
-        out = spec.prefactor * w**2 * spec.omega_c / (w**2 + spec.omega_c**2)
+        out = w**2 * spec.omega_c / (w**2 + spec.omega_c**2)
     else:
-        out = np.full_like(w, spec.prefactor * spec.omega_c)
+        out = np.full_like(w, spec.omega_c)
     return float(out) if np.ndim(omega) == 0 else out
 
 
@@ -141,11 +139,7 @@ def thermal_weight(env: Environment, omega: ArrayLike) -> ArrayLike:
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0):  # NaN fails too
         raise ValueError("thermal_weight requires omega > 0 (it is singular at 0)")
-    beta = env.beta
-    if math.isinf(beta):
-        out = np.ones_like(w)
-    else:
-        out = _coth(0.5 * beta * w)
+    out = _coth(0.5 * env.beta * w)  # beta = inf gives y = inf, where coth is exactly 1
     return float(out) if np.ndim(omega) == 0 else out
 
 

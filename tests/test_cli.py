@@ -45,7 +45,7 @@ def test_parse_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.spectrum == "ohmic" and cfg.mode == "markovian"
     assert cfg.t_max == 100.0 and cfg.nu0 == 0.0
-    assert cfg.n_samples == 2001 and cfg.j_prefactor == 1.0
+    assert cfg.n_samples == 2001
     assert cfg.ir_cutoff is None and cfg.s_step is None
     assert cfg.out_dir == "out"
 
@@ -58,8 +58,9 @@ def test_parse_config_rejects_bad_values():
         parse_config(MINIMAL + "rel_tol = -1\n")
     with pytest.raises(ConfigError, match="omega_c"):
         parse_config(MINIMAL.replace("omega_c = 1", "omega_c = -2"))
-    # the grid step is s_step alone, and abs_tol is a constant: neither is a key
-    for line in ("wibble = 3", "t_step = 0.01", "abs_tol = 1e-12"):
+    # the grid step is s_step alone, abs_tol is a constant, and a spectral prefactor p is
+    # the coupling alpha sqrt(p): none is a key
+    for line in ("wibble = 3", "t_step = 0.01", "abs_tol = 1e-12", "j_prefactor = 2"):
         with pytest.raises(ConfigError, match=f"unknown config key: '{line.split()[0]}'"):
             parse_config(MINIMAL + line + "\n")
     with pytest.raises(ConfigError, match="'n_T' given twice: lines 7 and 8"):

@@ -205,14 +205,14 @@ def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
 
 @pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])
 def test_default_grid_matches_closed_form_gamma(resonant_grids, kind):
-    # white: gamma = alpha^2 p wc Si(w0 t); super-Ohmic subtracts the Lorentzian part,
-    # alpha^2 p wc int_0^t sin(w0 s) F(wc s) ds, F(x) = [e^{-x} Ei(x) + e^{x} E1(x)]/2.
+    # white: gamma = alpha^2 wc Si(w0 t); super-Ohmic subtracts the Lorentzian part,
+    # alpha^2 wc int_0^t sin(w0 s) F(wc s) ds, F(x) = [e^{-x} Ei(x) + e^{x} E1(x)]/2.
     # The residual is the constant UV tail cut at omega_max (3.45e-4 at t ~ 0.057,
     # <= 1.04e-5 beyond t = 2); taking that tail in closed form should tighten both bounds.
     special = pytest.importorskip("scipy.special")
     quad = pytest.importorskip("scipy.integrate").quad
     spec, env, grid = resonant_grids[kind]
-    wc, w0, scale = spec.omega_c, env.omega0, env.alpha**2 * spec.prefactor * spec.omega_c
+    wc, w0, scale = spec.omega_c, env.omega0, env.alpha**2 * spec.omega_c
     idx = np.unique(np.geomspace(1, len(grid.times) - 1, 40).astype(int))
     t = grid.times[idx]
     closed = scale * special.sici(w0 * t)[0]

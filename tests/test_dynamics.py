@@ -288,22 +288,48 @@ def test_separability_time_and_dsep_independent_of_sampling(resonant_grids, kind
 
 def test_grid_crossing_is_the_channels_first():
     # lambda = 0.3 + Delta_Gamma/2 passes 1/2 at node 5 only and falls back before t = 5.5.
-    # A sample on node 5 (t_max = 10), samples that miss the excursion (t_max = 11) and a
-    # t_max between nodes (5.3) all give the channel's first crossing, on [4, 5]
+    # A sample on node 5 (t_max = 10), samples that miss the excursion (t_max = 11), a
+    # t_max between nodes (5.3) and samples that all read lambda = 0.3, the excursion over
+    # by t_max (7, 8), all give the channel's first crossing, on [4, 5]
     delta_gamma = np.zeros(12)
     delta_gamma[5], delta_gamma[-2:] = 0.6, 1.0
     grid = CoefficientGrid(times=np.arange(12.0), delta=np.zeros(12), gamma=np.zeros(12),
                            big_gamma=np.zeros(12), delta_gamma=delta_gamma)
     cm0 = SymmetricCM(0.6, 0.3)  # lambda0 = 0.3
     found = set()
-    for t_max, n in ((10.0, 3), (11.0, 3), (5.3, 2)):
+    for t_max, lam in ((10.0, [0.3, 0.6, 0.8]), (11.0, [0.3, 0.45, 0.8]), (5.3, [0.3, 0.51]),
+                       (7.0, [0.3, 0.3]), (8.0, [0.3, 0.3, 0.3])):
         traj = simulate_trajectory(cm0, mode=TrajectoryMode.NONMARKOVIAN, t_max=t_max,
-                                   n_samples=n, grid=grid, n_T=1.0)
-        assert traj.lam[-1] >= 0.5
-        found.add(separability_time(traj))
+                                   n_samples=len(lam), grid=grid, n_T=1.0)
+        np.testing.assert_allclose(traj.lam, lam, rtol=1e-14)
+        found.add((separability_time(traj), dsep_from_trajectory(traj)))
     assert len(found) == 1
     # lambda = 0.3 + 0.3 (t - 4) on [4, 5]
-    assert found.pop() == pytest.approx(4.0 + 2.0 / 3.0, rel=1e-15)
+    assert found.pop()[0] == pytest.approx(4.0 + 2.0 / 3.0, rel=1e-15)
+    # the first knot crossing lies in the knot interval that holds t_max (or ends at it),
+    # but its root is past t_max: not reached yet, while lambda_T = 1.5 lies above 1/2
+    for t_max in (4.0, 4.5, 4.6):
+        traj = simulate_trajectory(cm0, mode=TrajectoryMode.NONMARKOVIAN, t_max=t_max,
+                                   n_samples=2, grid=grid, n_T=1.0)
+        with pytest.raises(InconclusiveThresholdError):
+            separability_time(traj)
+
+
+@pytest.mark.parametrize("n_T, t_sep, d_sep", [(0.01, 2.132424919881291, 0.006474711642021486),
+                                               (0.1, 1.3383370412827162, 0.006593328677591881)])
+def test_white_noise_excursion_crossing_independent_of_sampling(quad, n_T, t_sep, d_sep):
+    # at r0 = 0.05 white noise lifts lambda past 1/2 early; with two samples on [0, 25]
+    # neither sample is past it, yet the crossing is the channel's, as with 11 or 2001
+    env = make_env(n_T=n_T)
+    grid = build_coefficient_grid(make_spec(SpectralKind.WHITE_NOISE), env, 25.0, quad)
+    cm0 = from_sts(STSParams(r=0.05, nu_T=0.0))
+    found = set()
+    for n in (2, 11, 2001):
+        traj = simulate_trajectory(cm0, mode=TrajectoryMode.NONMARKOVIAN, t_max=25.0,
+                                   n_samples=n, grid=grid, n_T=n_T)
+        found.add((separability_time(traj), dsep_from_trajectory(traj)))
+    assert len(found) == 1
+    assert found.pop() == pytest.approx((t_sep, d_sep), rel=1e-13)
 
 
 # ------------------------------------------------------- separability time

@@ -23,16 +23,8 @@ def test_evaluate_j_closed_forms():
 
 def test_evaluate_j_at_cutoff_is_half_peak_scale():
     for kind in (SpectralKind.OHMIC, SpectralKind.SUPER_OHMIC):
-        spec = SpectralDensity(kind, omega_c=1.7, prefactor=2.5)
-        assert evaluate_j(spec, 1.7) == pytest.approx(2.5 * 1.7 / 2.0, rel=1e-14)
-
-
-def test_evaluate_j_prefactor_scaling():
-    w = np.linspace(0.0, 20.0, 101)
-    for kind in SpectralKind:
-        j1 = evaluate_j(SpectralDensity(kind, omega_c=1.0, prefactor=1.0), w)
-        j3 = evaluate_j(SpectralDensity(kind, omega_c=1.0, prefactor=3.0), w)
-        np.testing.assert_allclose(j3, 3.0 * j1, rtol=1e-15)
+        spec = SpectralDensity(kind, omega_c=1.7)
+        assert evaluate_j(spec, 1.7) == pytest.approx(1.7 / 2.0, rel=1e-14)
 
 
 def test_evaluate_j_nonnegative_finite_and_continuous():
@@ -53,8 +45,6 @@ def test_evaluate_j_rejects_negative_frequency():
 def test_spectral_density_validation():
     with pytest.raises(ValueError):
         SpectralDensity(SpectralKind.OHMIC, omega_c=-1.0)
-    with pytest.raises(ValueError):
-        SpectralDensity(SpectralKind.OHMIC, omega_c=1.0, prefactor=0.0)
     with pytest.raises(ValueError):
         SpectralDensity(SpectralKind.OHMIC, omega_c=1.0, ir_cutoff=-1e-6)
 
@@ -77,8 +67,7 @@ def test_spectral_kind_strings_are_coerced():
 def test_spectral_inputs_reject_nan_and_zero():
     spec = SpectralDensity(SpectralKind.OHMIC, omega_c=1.0)
     env = Environment(omega0=1.0, alpha=0.1, n_T=1.0)
-    for bad in ({"omega_c": math.nan}, {"omega_c": math.inf}, {"prefactor": math.nan},
-                {"ir_cutoff": math.nan}):
+    for bad in ({"omega_c": math.nan}, {"omega_c": math.inf}, {"ir_cutoff": math.nan}):
         with pytest.raises(ValueError):
             SpectralDensity(**{"kind": SpectralKind.OHMIC, "omega_c": 1.0, **bad})
     for y in (math.nan, 0.0, -1.0, np.array([1.0, math.nan])):
