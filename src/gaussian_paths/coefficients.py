@@ -31,6 +31,7 @@ The Markovian damping rate needs no grid: it is the t -> infinity
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO, Sequence
@@ -156,6 +157,10 @@ class CoefficientGrid:
     @cached_property
     def _delta_cumulative(self) -> np.ndarray:  # built once per grid, on first use
         return _cumtrapz(self.delta, self.times)
+
+    @cached_property
+    def _windows(self) -> OrderedDict:  # dynamics' sampled channel windows on this grid
+        return OrderedDict()
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

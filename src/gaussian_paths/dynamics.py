@@ -12,6 +12,7 @@ while a is driven by the accumulated diffusion integral.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 SEPARABILITY_THRESHOLD = 0.5
+CHANNEL_WINDOWS = 8  # sampled channel windows kept per grid, and Markovian ones in all
 
 
 class TrajectoryMode(str, Enum):
@@ -139,6 +141,17 @@ def _channel(mode: TrajectoryMode, grid, gamma_m, n_T: float, t=None):
     return knots if t is None else tuple(grid._interp(t, v) for v in knots)
 
 
+@lru_cache(maxsize=CHANNEL_WINDOWS)  # Markovian windows; a grid keeps its own (_windows)
+def _window(mode: TrajectoryMode, grid, gamma_m, n_T: float, t_max: float, n_samples: int):
+    """Read-only (times, Gamma, Delta_Gamma, e^{-Gamma}) at n_samples times on [0, t_max]."""
+    times = np.linspace(0.0, t_max, n_samples)
+    big_gamma, delta_gamma = _channel(mode, grid, gamma_m, n_T, times)
+    window = (times, big_gamma, delta_gamma, np.exp(-big_gamma))
+    for v in window:
+        v.flags.writeable = False
+    return window
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered states under one of the three modes, and their channel: gamma_m or grid."""
@@ -222,6 +235,7 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
     Markovian mode uses the closed form and needs (gamma_m, n_T), not a grid; the
     grid modes interpolate Gamma / Delta_Gamma (or the diffusion integral) from a
     CoefficientGrid, not gamma_m, which raises ValueError unless it covers [0, t_max].
+    Channel samples are taken once per window (_window) and shared read-only; a, c per state.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -233,9 +247,15 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
         raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
     mode = TrajectoryMode(mode)
     _check_channel(mode, grid, gamma_m)
-    times = np.linspace(0.0, t_max, n_samples)
-    big_gamma, delta_gamma = _channel(mode, grid, gamma_m, n_T, times)
-    a, c = _secular_map(cm0, np.exp(-big_gamma), delta_gamma, times)
+    key = (mode, t_max, operator.index(n_samples))  # errors are raised, never stored
+    if mode is TrajectoryMode.MARKOVIAN:
+        window = _window(mode, None, gamma_m, n_T, *key[1:])
+    elif (window := grid._windows.get(key)) is None:
+        window = grid._windows[key] = _window.__wrapped__(mode, grid, None, n_T, *key[1:])
+        if len(grid._windows) > CHANNEL_WINDOWS:  # evict the oldest, atomically
+            grid._windows.popitem(last=False)
+    times, big_gamma, delta_gamma, decay = window
+    a, c = _secular_map(cm0, decay, delta_gamma, times)
     return Trajectory(mode=mode, initial=cm0, times=times, a=a, c=c,
                       big_gamma=big_gamma, delta_gamma=delta_gamma,
                       n_T=float(n_T), gamma_m=gamma_m, grid=grid, label=label)

@@ -164,7 +164,9 @@ def _h(xm: float) -> float:
 
 
 def _h_array(xm: np.ndarray) -> np.ndarray:
-    """h(1/2 + xm) elementwise, with _h's clamp and errors."""
+    """h(1/2 + xm) elementwise, with _h's clamp and errors (unneeded if all xm > 1e-300)."""
+    if xm.size and xm.min() > 1e-300:
+        return np.log1p(xm) + xm * np.log1p(1.0 / xm)
     low = ~(xm >= -H_BOUNDARY_EPS)
     if np.any(low):
         raise UnphysicalStateError(f"entropic_h requires x >= 1/2, got {0.5 + xm[low][0]}")
@@ -195,7 +197,7 @@ def _discord(a: float, c: float, nu2: float) -> float:
         xn = xc = xa
     else:
         q = nu2 - 0.25
-        xn, xc = q / (math.sqrt(max(nu2, 0.0)) + 0.5), 2.0 * q / (1.0 + 2.0 * a)
+        xn, xc = q / (math.sqrt(nu2 if nu2 > 0.0 else 0.0) + 0.5), 2.0 * q / (1.0 + 2.0 * a)
     if xa > 0.0 and xn > 0.0 and xc > 0.0:
         return ((log1p(xa) + xa * log1p(1.0 / xa)) - 2.0 * (log1p(xn) + xn * log1p(1.0 / xn))
                 + (log1p(xc) + xc * log1p(1.0 / xc)))
@@ -215,7 +217,9 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     if np.ndim(a) == 0 and np.ndim(c) == 0:
         a, c = float(a), float(c)
         return _discord(a, c, (a - c) * (a + c))
-    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    if a.shape != c.shape:
+        a, c = np.broadcast_arrays(a, c)
     nu2 = (a - c) * (a + c)
     q = nu2 - 0.25
     x = np.empty((3,) + nu2.shape)
@@ -223,14 +227,17 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     np.divide(q, np.sqrt(np.maximum(nu2, 0.0)) + 0.5, out=x[1])
     np.divide(2.0 * q, 1.0 + 2.0 * a, out=x[2])
     # at c = 0 all three arguments coincide; force the cancellation exact
-    np.copyto(x[1:], x[0], where=c == 0.0)
+    if (zero := c == 0.0).any():
+        np.copyto(x[1:], x[0], where=zero)
     h = _h_array(x)
     return h[0] - 2.0 * h[1] + h[2]
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
     """Assemble the (mu, lambda = a - c, D) coordinates of a state (c >= 0) at time t."""
-    a, c = float(cm.a), float(cm.c)
+    a, c = cm
+    if type(a) is not float or type(c) is not float:  # np.float64 too: a float subclass
+        a, c = float(a), float(c)
     if c < 0:
         raise UnphysicalStateError("path_point requires the c >= 0 sign convention")
     nu2 = (a - c) * (a + c)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -68,6 +69,20 @@ class DynamicalPath:
     def __len__(self) -> int:
         return len(self.lam)
 
+    @cached_property
+    def _reference(self) -> tuple[np.ndarray, ...]:
+        """compare_paths' (lam, mu, discord, v) ascending in lambda without repeats, once."""
+        keep = np.concatenate(([True], np.diff(self.lam) != 0))
+        lam_r, mu_r, d_r = self.lam[keep], self.mu[keep], self.discord[keep]
+        if len(lam_r) < 2:
+            raise ValueError("reference path is a single point")
+        direction = np.sign(np.diff(lam_r))
+        if not (np.all(direction > 0) or np.all(direction < 0)):
+            raise ValueError("reference path must be monotone in lambda")
+        if direction[0] < 0:
+            lam_r, mu_r, d_r = lam_r[::-1], mu_r[::-1], d_r[::-1]
+        return lam_r, mu_r, d_r, 1.0 / (4.0 * mu_r * lam_r)
+
 
 @dataclass(frozen=True)
 class UniversalityReport:
@@ -94,14 +109,14 @@ def _source_of(traj: Trajectory) -> PathSource:
 
 
 def extract_path(traj: Trajectory) -> DynamicalPath:
-    """Map every trajectory sample through (mu, lambda, D); t is kept as metadata."""
-    mu = traj.mu
-    lam = traj.lam
+    """Map every trajectory sample through (mu, lambda, D); t is kept as metadata.  If lambda
+    moves at every step nothing is dropped or copied: t is the trajectory's read-only times."""
+    mu, lam, t = traj.mu, traj.lam, traj.times
     disc = np.maximum(discord(traj.a, traj.c), 0.0)
-    keep = np.ones(len(lam), dtype=bool)
-    keep[1:] = (np.diff(mu) != 0) | (np.diff(lam) != 0) | (np.diff(disc) != 0)
-    return DynamicalPath(mu=mu[keep], lam=lam[keep], discord=disc[keep],
-                         t=traj.times[keep], source=_source_of(traj))
+    if not (moved := np.diff(lam) != 0).all():
+        keep = np.concatenate(([True], (np.diff(mu) != 0) | moved | (np.diff(disc) != 0)))
+        mu, lam, disc, t = mu[keep], lam[keep], disc[keep], t[keep]
+    return DynamicalPath(mu=mu, lam=lam, discord=disc, t=t, source=_source_of(traj))
 
 
 def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
@@ -115,7 +130,7 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
     points are matched independently, which handles non-monotone
     (oscillating) candidates segment by segment automatically; points
     outside the reference lambda range are skipped and accounted for in
-    matched_fraction.
+    matched_fraction.  A reference is prepared once (DynamicalPath._reference).
     """
     if reference.source is not None and candidate.source is not None:
         same = (
@@ -125,19 +140,7 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
         )
         if not same:
             raise ValueError("paths stem from different initial states or temperatures")
-    lam_r, mu_r, d_r = reference.lam, reference.mu, reference.discord
-    keep = np.ones(len(lam_r), dtype=bool)
-    keep[1:] = np.diff(lam_r) != 0
-    lam_r, mu_r, d_r = lam_r[keep], mu_r[keep], d_r[keep]
-    if len(lam_r) < 2:
-        raise ValueError("reference path is a single point")
-    direction = np.sign(np.diff(lam_r))
-    if not (np.all(direction > 0) or np.all(direction < 0)):
-        raise ValueError("reference path must be monotone in lambda")
-    if direction[0] < 0:
-        lam_r, mu_r, d_r = lam_r[::-1], mu_r[::-1], d_r[::-1]
-    v_r = 1.0 / (4.0 * mu_r * lam_r)
-
+    lam_r, mu_r, d_r, v_r = reference._reference
     lam_c = candidate.lam
     lo, hi = lam_r[0], lam_r[-1]
     matched = (lam_c >= lo) & (lam_c <= hi)
@@ -230,9 +233,9 @@ def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environme
     """Discord at separability for a list of initial squeezings.
 
     The coefficient grid (or, in Markovian mode, gamma_m) is required, as in
-    simulate_trajectory (ValueError otherwise), and shared across r0 values;
-    rows where the trajectory errors or never crosses carry None entries
-    and the sweep continues.
+    simulate_trajectory (ValueError otherwise), and shared across r0 values with its
+    sampled window, so each row pays only for its own state; rows where the
+    trajectory errors or never crosses carry None entries and the sweep continues.
     """
     if not len(r0_values):
         raise ValueError("r0_values must be non-empty")

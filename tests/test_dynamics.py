@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +193,117 @@ def test_trajectory_validation_errors(resonant_grids):
                                 gamma_m=1.0, n_T=1.0)
 
 
+# --------------------------------------------------------- channel windows
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mode", [TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE])
+def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
+    env = make_env()
+    grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), env, 3.0, quad)
+
+    def run(cm0, t_max=2.5, n=41):
+        return simulate_trajectory(cm0, mode=mode, t_max=t_max, n_samples=n, grid=grid,
+                                   n_T=env.n_T)
+
+    first, second = run(TWB12), run(from_sts(STSParams(r=0.4, nu_T=0.3)))
+    window = grid._windows[(mode, 2.5, 41)]
+    assert len(window) == 4
+    for traj in (first, second):
+        for got, shared in zip((traj.times, traj.big_gamma, traj.delta_gamma), window):
+            assert got is shared
+    for v in window:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    # bit for bit what the channel and np.exp give at the same times
+    times = np.linspace(0.0, 2.5, 41)
+    big_gamma, delta_gamma = dynamics._channel(mode, grid, None, env.n_T, times)
+    for got, want in zip(window, (times, big_gamma, delta_gamma, np.exp(-big_gamma))):
+        assert _bits(got) == _bits(want)
+    # another t_max or n_samples is another window
+    assert run(TWB12, n=17).times is not first.times
+    assert run(TWB12, t_max=2.0).times is not first.times
+    assert {(mode, 2.5, 17), (mode, 2.0, 41)} <= set(grid._windows)
+    assert run(TWB12).times is first.times
+    # a float n_samples is refused as np.linspace refused it, cached window or not
+    with pytest.raises(TypeError):
+        run(TWB12, n=41.0)
+
+
+def test_grid_window_too_short_raises_every_time_and_caps_the_windows(quad):
+    env = make_env()
+    grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), env, 3.0, quad)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"grid covers \[0, "):
+            simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=4.0,
+                                n_samples=11, grid=grid, n_T=env.n_T)
+    assert grid._windows == {}
+    # the grid keeps a fixed number of windows, the oldest evicted first
+    for n in range(2, 3 + dynamics.CHANNEL_WINDOWS):
+        simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
+                            n_samples=n, grid=grid, n_T=env.n_T)
+    keys = [(TrajectoryMode.NONMARKOVIAN, 1.0, n) for n in range(2, 3 + dynamics.CHANNEL_WINDOWS)]
+    assert list(grid._windows) == keys[-dynamics.CHANNEL_WINDOWS:]
+
+
+def test_grid_windows_shared_across_threads(quad):
+    # more threads than cores, more window sizes than the grid keeps, and a short switch
+    # interval: every trajectory must still read its own window, and the cache stay capped
+    env = make_env()
+    spec = make_spec(SpectralKind.OHMIC)
+    grid, twin = (build_coefficient_grid(spec, env, 3.0, quad) for _ in range(2))
+    sizes = list(range(2, 2 + 2 * dynamics.CHANNEL_WINDOWS))
+
+    def run(g, n):
+        return simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=2.0,
+                                   n_samples=n, grid=g, n_T=env.n_T).a
+
+    expected = {n: _bits(run(twin, n)) for n in sizes}
+    errors = []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).permutation(sizes * 10)
+        try:
+            for n in order.tolist():
+                if _bits(run(grid, n)) != expected[n]:
+                    errors.append(f"n_samples = {n}: wrong window")
+        except Exception as exc:  # reported below with the thread's seed
+            errors.append(f"{seed}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < len(grid._windows) <= dynamics.CHANNEL_WINDOWS
+
+
+def test_markovian_window_per_rate_temperature_and_sampling():
+    low, high = markovian_traj(n_T=1.0, t_max=3.0, n=31), markovian_traj(n_T=2.0, t_max=3.0, n=31)
+    assert markovian_traj(n_T=1.0, t_max=3.0, n=31).delta_gamma is low.delta_gamma
+    assert not low.delta_gamma.flags.writeable and not low.times.flags.writeable
+    assert high.delta_gamma is not low.delta_gamma
+    assert np.all(high.delta_gamma[1:] > low.delta_gamma[1:])
+    assert _bits(high.big_gamma) == _bits(low.big_gamma)
+    times = np.linspace(0.0, 3.0, 31)
+    for traj, n_T in ((low, 1.0), (high, 2.0)):
+        big_gamma, delta_gamma = dynamics._channel(TrajectoryMode.MARKOVIAN, None, 1.0, n_T, times)
+        assert _bits(traj.times) == _bits(times)
+        assert _bits(traj.big_gamma) == _bits(big_gamma)
+        assert _bits(traj.delta_gamma) == _bits(delta_gamma)
+        assert _bits(traj.c) == _bits(TWB12.c * np.exp(-big_gamma))
+
+
 @pytest.mark.parametrize("name, bad", [("t_max", math.nan), ("n_T", math.nan), ("n_T", -0.4),
                                        ("gamma_m", math.nan), ("gamma_m", math.inf),
                                        ("gamma_m", -1.0)])
@@ -249,7 +362,7 @@ def _interpolant_lam(grid, mode, cm0, t):
 
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
-def test_grid_separability_time_is_the_pchip_root(resonant_grids, kind):
+def test_grid_separability_time_is_the_interpolant_root(resonant_grids, kind):
     # the root of the grid's own interpolant: Gamma, Delta_Gamma linear between nodes
     _, env, grid = resonant_grids[kind]
     for r0 in (0.3, 1.2, 2.7):

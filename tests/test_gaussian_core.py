@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,49 @@ def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
                                               rel=1e-13, abs=1e-15)
 
 
+def test_h_array_one_pass_equals_guarded_branch():
+    # all offsets > 1e-300 take the single pass; one 0 appended sends the same values
+    # through the clamp-and-guard branch
+    rng = np.random.default_rng(11)
+    x = np.concatenate([10.0 ** rng.uniform(-299, 12, 500), [1e-299, 0.5, 1.0, 3e7]])
+    fast, guarded = _h_array(x), _h_array(np.append(x, 0.0))
+    assert fast.tobytes() == guarded[:len(x)].tobytes()
+    assert guarded[-1] == 0.0
+    grid = x.reshape(4, -1)  # the (3, n) buffer of discord is 2-d too
+    assert _h_array(grid).tobytes() == fast.tobytes()
+
+
+def test_h_array_guards_still_raise_and_clamp():
+    for bad, shown in ((math.nan, "nan"), (-1e-3, str(0.5 - 1e-3)), (-1.0, "-0.5")):
+        message = f"entropic_h requires x >= 1/2, got {shown}"
+        with pytest.raises(UnphysicalStateError, match=f"^{re.escape(message)}$"):
+            _h_array(np.array([1.0, 2.0, bad]))
+    # the clamp band [1/2 - 1e-9, 1/2] still reads h(1/2) = 0, and x log1p(1/x) is 0
+    # at offsets <= 1e-300
+    assert _h_array(np.array([1.0, -1e-10, 0.0, 1e-301])).tolist()[1:] == [0.0, 0.0, 1e-301]
+    assert _h_array(np.array([1.0, 1e-301]))[1] == 1e-301
+
+
+def _discord_by_h_arrays(a, c) -> np.ndarray:
+    """The array discord from three _h_array passes, broadcast and c = 0 spelled out."""
+    a, c = np.broadcast_arrays(np.asarray(a, float), np.asarray(c, float))
+    nu2 = (a - c) * (a + c)
+    xa = a - 0.5
+    xn = np.where(c == 0.0, xa, (nu2 - 0.25) / (np.sqrt(np.maximum(nu2, 0.0)) + 0.5))
+    xc = np.where(c == 0.0, xa, 2.0 * (nu2 - 0.25) / (1.0 + 2.0 * a))
+    return _h_array(xa) - 2.0 * _h_array(xn) + _h_array(xc)
+
+
+def test_array_discord_broadcast_and_zero_c_match_h_reference():
+    a = np.linspace(0.7, 40.0, 257)
+    for c in (0.3, np.array(0.3), np.where(np.arange(257) % 3 == 0, 0.0, 0.3), np.zeros(257)):
+        assert discord(a, c).tobytes() == _discord_by_h_arrays(a, c).tobytes()
+    # a scalar a against an array c broadcasts the other way
+    c = np.array([0.0, 0.2, 0.4])
+    assert discord(0.9, c).tobytes() == _discord_by_h_arrays(0.9, c).tobytes()
+    assert discord(a[:, None], c[None, :]).shape == (257, 3)
+
+
 def _discord_mp(a: float, c: float) -> float:
     """D of the exact doubles (a, c) at 50 digits, with entropic_h's clamp at 1/2."""
     mpmath = pytest.importorskip("mpmath")
@@ -345,6 +389,17 @@ def test_path_point_closed_forms():
     thermal = path_point(SymmetricCM(1.5, 0.0), 0.0)
     assert thermal.mu == pytest.approx(1.0 / 9.0, rel=1e-14)
     assert thermal.lam == 1.5 and thermal.discord == 0.0
+
+
+def test_path_point_converts_numpy_and_int_members_to_floats():
+    cm = from_sts(TWB12)
+    for a, c in ((np.float64(cm.a), np.float64(cm.c)), (2, 1), (np.float64(3.0), 0),
+                 (cm.a, np.float64(cm.c))):
+        held = SymmetricCM(a, c)
+        assert (type(held.a), type(held.c)) == (type(a), type(c))
+        got, want = path_point(held, 0.25), path_point(SymmetricCM(float(a), float(c)), 0.25)
+        assert got == want and type(got) is PathPoint
+        assert [type(v) for v in got[:3]] == [float, float, float]
 
 
 def test_path_point_constraint_surface():

@@ -23,6 +23,7 @@ from gaussian_paths import (
     write_path_csv,
     write_sweep_csv,
 )
+from gaussian_paths.dynamics import Trajectory
 from gaussian_paths.gaussian_core import SymmetricCM, discord
 
 from conftest import make_env, make_spec
@@ -60,6 +61,29 @@ def test_extract_path_high_t_crosses_threshold_with_discord():
     i = np.searchsorted(path.lam, 0.5)
     assert 0 < i < len(path)
     assert path.discord[i] > 0.25
+
+
+def test_extract_path_uncopied_branch_equals_copying_branch():
+    traj, path = markovian_path(n=401)
+    assert path.t is traj.times and not path.t.flags.writeable
+    # the same samples with the last one repeated go through the dropping branch
+    twin = Trajectory(mode=traj.mode, initial=traj.initial, n_T=traj.n_T, gamma_m=1.0,
+                      **{k: np.append(v, v[-1]) for k, v in (
+                          ("times", traj.times), ("a", traj.a), ("c", traj.c),
+                          ("big_gamma", traj.big_gamma), ("delta_gamma", traj.delta_gamma))})
+    copied = extract_path(twin)
+    for name in ("mu", "lam", "discord", "t"):
+        assert getattr(copied, name).tobytes() == getattr(path, name).tobytes()
+    assert copied.source == path.source
+
+
+def test_extract_path_static_trajectory_is_one_point():
+    # the thermal state is the Markovian fixed point: every sample repeats the first
+    thermal = SymmetricCM(10.5, 0.0)
+    traj = simulate_trajectory(thermal, mode=TrajectoryMode.MARKOVIAN, t_max=2.0,
+                               n_samples=30, gamma_m=1.0, n_T=10.0)
+    path = extract_path(traj)
+    assert len(path) == 1 and (path.mu[0], path.lam[0], path.t[0]) == (1.0 / 441.0, 10.5, 0.0)
 
 
 # ------------------------------------------------------------ comparison
@@ -115,6 +139,32 @@ def test_compare_requires_monotone_reference():
         compare_paths(ref, ref)
 
 
+def test_bad_reference_raises_on_every_call():
+    lam = np.array([0.1, 0.3, 0.2, 0.4])
+    wavy = DynamicalPath(mu=np.full(4, 0.1), lam=lam, discord=np.zeros(4), t=lam)
+    flat = DynamicalPath(mu=np.full(3, 0.1), lam=np.full(3, 0.7), discord=np.zeros(3),
+                         t=np.arange(3.0))
+    for ref, message in ((wavy, "monotone"), (flat, "single point")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                compare_paths(ref, ref)
+
+
+def test_repeated_comparisons_against_one_reference_agree():
+    _, ref = markovian_path()
+    _, fast = markovian_path(gamma_m=2.0, tau_max=4.0, n=1777)
+    _, short = markovian_path(tau_max=2.0, n=300)
+    first = [compare_paths(ref, cand, tol=1e-10) for cand in (fast, short)]
+    assert [compare_paths(ref, cand, tol=1e-10) for cand in (fast, short)] == first
+    # the prepared reference still matches a path against itself exactly
+    rep = compare_paths(ref, ref)
+    assert rep.max_deviation == 0.0 and rep.matched_fraction == 1.0
+    # a descending reference is prepared ascending, once
+    desc = DynamicalPath(mu=ref.mu[::-1], lam=ref.lam[::-1], discord=ref.discord[::-1],
+                         t=ref.t, source=ref.source)
+    assert compare_paths(desc, fast, tol=1e-10) == first[0]
+
+
 # --------------------------------------------------- discord at threshold
 
 def test_dsep_universal_values():
@@ -164,7 +214,7 @@ def _channel_dsep(big_gamma):
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_dsep_from_trajectory_window_equals_full_grid_pchip(where):
+def test_dsep_from_trajectory_window_equals_closed_form(where):
     # Markovian trajectories sampled so the closed-form crossing lies half-way
     # through the first, a middle or the last sample interval: D_sep is the
     # channel's c0 e^{-gamma_M t_sep} wherever the samples fall
