@@ -17,6 +17,7 @@ from .coefficients import (
     write_coefficients_csv,
 )
 from .dynamics import (
+    Channel,
     DegenerateInputError,
     InconclusiveThresholdError,
     MapUnphysicalError,

@@ -23,10 +23,10 @@ from .coefficients import (
     write_coefficients_csv,
 )
 from .dynamics import (
+    Channel,
     TrajectoryMode,
     constant_of_motion,
     evolve_markovian,
-    simulate_trajectory,
     write_trajectory_csv,
 )
 from .gaussian_core import STSParams, UnphysicalStateError, _physical, discord, from_sts, purity
@@ -84,6 +84,8 @@ class RunConfig:
             raise ConfigError("r0 and nu0 must be >= 0")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.mode == TrajectoryMode.MARKOVIAN.value and self.alpha == 0.0:
+            raise ConfigError("markovian mode needs alpha > 0 (gamma_M = 0 at alpha = 0)")
         self.quadrature()  # field checks even in Markovian mode, which needs no grid
 
     def spectral_density(self, kind: str | None = None) -> SpectralDensity:
@@ -145,19 +147,17 @@ def _grid_for(cfg: RunConfig, kind: str | None = None):
                                   cfg.t_max, cfg.quadrature())
 
 
-def _coefficients_for(cfg: RunConfig, kind: str | None = None):
-    """(grid, gamma_M) for cfg.mode: the golden-rule rate alone in Markovian mode,
-    the coefficient grid alone otherwise."""
+def _coefficients_for(cfg: RunConfig, kind: str | None = None) -> Channel:
+    """cfg.mode's channel: the golden-rule rate gamma_M if Markovian, else the grid."""
     if cfg.mode == TrajectoryMode.MARKOVIAN.value:
-        return None, gamma_markov(cfg.spectral_density(kind), cfg.environment())
-    return _grid_for(cfg, kind), None
+        return Channel(cfg.mode, cfg.n_T,
+                       gamma_m=gamma_markov(cfg.spectral_density(kind), cfg.environment()))
+    return Channel(cfg.mode, cfg.n_T, grid=_grid_for(cfg, kind))
 
 
 def _trajectory_for(cfg: RunConfig):
-    grid, gamma_m = _coefficients_for(cfg)
-    return simulate_trajectory(cfg.initial_state(), mode=TrajectoryMode(cfg.mode),
-                               t_max=cfg.t_max, n_samples=cfg.n_samples, grid=grid,
-                               gamma_m=gamma_m, n_T=cfg.n_T, label=cfg.spectrum)
+    return _coefficients_for(cfg).sample(cfg.initial_state(), t_max=cfg.t_max,
+                                         n_samples=cfg.n_samples, label=cfg.spectrum)
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
@@ -189,11 +189,8 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
     kinds = sorted(_SPECTRA) if cfg.spectrum == "all" else [cfg.spectrum]
     rows = []
     for kind in kinds:
-        grid, gamma_m = _coefficients_for(cfg, kind)
-        rows.extend(dsep_sweep(r0_values, cfg.spectral_density(kind), cfg.environment(),
-                               TrajectoryMode(cfg.mode), t_max=cfg.t_max,
-                               n_samples=cfg.n_samples, nu0=cfg.nu0, grid=grid,
-                               gamma_m=gamma_m))
+        rows.extend(dsep_sweep(r0_values, _coefficients_for(cfg, kind), t_max=cfg.t_max,
+                               n_samples=cfg.n_samples, nu0=cfg.nu0, label=kind))
     out = out_dir / "dsep_sweep.csv"
     with out.open("w") as fh:
         write_sweep_csv(rows, fh)
@@ -201,12 +198,10 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
 
 
 def _verify_markovian(cfg: RunConfig, checks: list[dict]) -> None:
-    gamma_m = gamma_markov(cfg.spectral_density(), cfg.environment())
-    cm0 = cfg.initial_state()
-    tau_max = 5.0
-    traj = simulate_trajectory(cm0, mode=TrajectoryMode.MARKOVIAN, t_max=tau_max / gamma_m,
-                               n_samples=cfg.n_samples, gamma_m=gamma_m, n_T=cfg.n_T,
-                               label=cfg.spectrum)
+    channel = _coefficients_for(cfg)
+    gamma_m, cm0, tau_max = channel.gamma_m, cfg.initial_state(), 5.0
+    traj = channel.sample(cm0, t_max=tau_max / gamma_m, n_samples=cfg.n_samples,
+                          label=cfg.spectrum)
     _common_checks(traj, checks, drift_tol=1e-8)
     # semigroup property at two split points
     mid = evolve_markovian(cm0, gamma_m, cfg.n_T, 0.3 / gamma_m)
@@ -216,10 +211,8 @@ def _verify_markovian(cfg: RunConfig, checks: list[dict]) -> None:
     checks.append(_check("semigroup-composition", semi, 1e-12))
     # same path at doubled damping: pure speed change
     ref = extract_path(traj)
-    fast = extract_path(simulate_trajectory(cm0, mode=TrajectoryMode.MARKOVIAN,
-                                            t_max=0.5 * tau_max / gamma_m,
-                                            n_samples=cfg.n_samples, gamma_m=2 * gamma_m,
-                                            n_T=cfg.n_T, label=cfg.spectrum))
+    fast = extract_path(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=2 * gamma_m).sample(
+        cm0, t_max=0.5 * tau_max / gamma_m, n_samples=cfg.n_samples, label=cfg.spectrum))
     rep = compare_paths(ref, fast, tol=1e-10)
     checks.append(_check("markovian-reparametrization-deviation", rep.max_deviation, 1e-10))
 
@@ -240,9 +233,8 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
             tau_ref = -math.log(max((lam_t - lam_end) / (lam_t - lam0), 1e-12)) + 0.1
         else:
             tau_ref = 5.0
-        ref = extract_path(simulate_trajectory(traj.initial, mode=TrajectoryMode.MARKOVIAN,
-                                               t_max=tau_ref, n_samples=cfg.n_samples,
-                                               gamma_m=1.0, n_T=cfg.n_T, label=cfg.spectrum))
+        ref = extract_path(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=1.0).sample(
+            traj.initial, t_max=tau_ref, n_samples=cfg.n_samples, label=cfg.spectrum))
         rep = compare_paths(ref, extract_path(traj), tol=1e-2)
         checks.append(_check("universality-max-deviation", rep.max_deviation, 1e-2))
         checks.append(_check("universality-matched-fraction", rep.matched_fraction, 0.95,

@@ -31,7 +31,6 @@ The Markovian damping rate needs no grid: it is the t -> infinity
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO, Sequence
@@ -106,9 +105,10 @@ class QuadratureConfig:
         return replace(self, omega_max=omega_max, s_step=s_step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientGrid:
-    """Sampled Delta, gamma, Gamma and Delta_Gamma on a uniform time grid."""
+    """Sampled Delta, gamma, Gamma and Delta_Gamma on a uniform time grid, kept as read-only
+    float copies so that nothing derived from them can go stale; compared by identity."""
 
     times: np.ndarray
     delta: np.ndarray
@@ -117,13 +117,15 @@ class CoefficientGrid:
     delta_gamma: np.ndarray
 
     def __post_init__(self):
+        for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma"):
+            object.__setattr__(self, name, value := np.array(getattr(self, name), dtype=float))
+            value.flags.writeable = False
         n = len(self.times)
-        for name in ("delta", "gamma", "big_gamma", "delta_gamma"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length differs from times")
         if n < 2 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must start at 0 and be strictly increasing")
         for name in ("delta", "gamma", "big_gamma", "delta_gamma"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} length differs from times")
             if getattr(self, name)[0] != 0.0:
                 raise ValueError(f"{name}[0] must be 0")
         # Gamma must accumulate monotonically wherever gamma >= 0
@@ -144,23 +146,11 @@ class CoefficientGrid:
                              f"[{float(np.min(t))}, {float(np.max(t))}]")
         return np.interp(t, self.times, values)
 
-    def interp_big_gamma(self, t):
-        return self._interp(t, self.big_gamma)
-
-    def interp_delta_gamma(self, t):
-        return self._interp(t, self.delta_gamma)
-
-    def delta_integral(self, t):
-        """int_0^t Delta(s) ds, cumulative trapezoid of the sampled Delta."""
-        return self._interp(t, self._delta_cumulative)
-
     @cached_property
-    def _delta_cumulative(self) -> np.ndarray:  # built once per grid, on first use
-        return _cumtrapz(self.delta, self.times)
-
-    @cached_property
-    def _windows(self) -> OrderedDict:  # dynamics' sampled channel windows on this grid
-        return OrderedDict()
+    def _delta_cumulative(self) -> np.ndarray:  # int_0^t Delta by cumulative trapezoid, once
+        out = _cumtrapz(self.delta, self.times)
+        out.flags.writeable = False
+        return out
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -26,6 +27,7 @@ from .gaussian_core import PathPoint, SymmetricCM, _physical, discord
 
 __all__ = [
     "TrajectoryMode",
+    "Channel",
     "Trajectory",
     "MapUnphysicalError",
     "InconclusiveThresholdError",
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 SEPARABILITY_THRESHOLD = 0.5
-CHANNEL_WINDOWS = 8  # sampled channel windows kept per grid, and Markovian ones in all
+CHANNEL_WINDOWS = 8  # sampled windows kept per grid, and for all Markovian channels
 
 
 class TrajectoryMode(str, Enum):
@@ -120,52 +122,145 @@ def evolve_markovian(cm0: SymmetricCM, gamma_m: float, n_T: float, t: float) -> 
     return SymmetricCM(a=lam_t + (cm0.a - lam_t) * x, c=cm0.c * x)
 
 
-def _check_channel(mode: TrajectoryMode, grid, gamma_m) -> None:
-    """One channel per mode, gamma_m (Markovian) or a grid (grid modes); ValueError if not."""
-    if mode is TrajectoryMode.MARKOVIAN:
-        if grid is not None or not 0 < (gamma_m or 0) < math.inf:  # None and NaN fail
-            raise ValueError("markovian mode requires a finite gamma_m > 0 and no grid, "
-                             f"got gamma_m = {gamma_m}")
-    elif grid is None or gamma_m is not None:
-        raise ValueError(f"{mode.value} mode requires a coefficient grid and no gamma_m")
+@dataclass(frozen=True, eq=False)
+class Channel:
+    """One mode's (Gamma(t), Delta_Gamma(t)) at temperature n_T, the one place that knows what
+    each mode means, checked once, when built (ValueError otherwise).  Markovian: gamma_m t and
+    (1 - e^{-Gamma})(2 n_T + 1) from a finite gamma_m > 0, no grid.  Non-Markovian: a
+    CoefficientGrid's Gamma and Delta_Gamma; high-T: 0 and the grid's int_0^t Delta; both
+    linear between the grid's knots on [0, grid.t_max], with no gamma_m."""
+
+    mode: TrajectoryMode
+    n_T: float
+    gamma_m: float | None = None
+    grid: CoefficientGrid | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", mode := TrajectoryMode(self.mode))
+        if self.n_T is None or not 0 <= self.n_T < math.inf:
+            raise ValueError(f"n_T must be finite and >= 0, got {self.n_T}")
+        object.__setattr__(self, "n_T", float(self.n_T))
+        if mode is TrajectoryMode.MARKOVIAN:
+            if self.grid is not None or not 0 < (self.gamma_m or 0) < math.inf:
+                raise ValueError("markovian mode requires a finite gamma_m > 0 and no grid, "
+                                 f"got gamma_m = {self.gamma_m}")
+        elif self.grid is None or self.gamma_m is not None:
+            raise ValueError(f"{mode.value} mode requires a coefficient grid and no gamma_m")
+
+    def __call__(self, t=None) -> tuple[np.ndarray, np.ndarray]:
+        """(Gamma, Delta_Gamma) at the times t (within a grid's range), or at its knots."""
+        if self.grid is None:
+            big_gamma = self.gamma_m * t
+            return big_gamma, -np.expm1(-big_gamma) * (2.0 * self.n_T + 1.0)
+        knots = ((self.grid.big_gamma, self.grid.delta_gamma)
+                 if self.mode is TrajectoryMode.NONMARKOVIAN
+                 else (np.zeros_like(self.grid.times), self.grid._delta_cumulative))
+        return knots if t is None else tuple(self.grid._interp(t, v) for v in knots)
+
+    @property
+    def _windows(self):  # this channel's lru window cache: its grid's, or the Markovian one
+        if self.grid is None:
+            return _MARKOVIAN_WINDOWS
+        cache = _GRID_WINDOWS.get(self.grid)
+        return cache or _GRID_WINDOWS.setdefault(self.grid, _window_cache(weakref.ref(self.grid)))
+
+    def window(self, t_max: float, n_samples: int):
+        """Read-only (times, Gamma, Delta_Gamma, e^{-Gamma}) at n_samples times on [0, t_max],
+        sampled once into this channel's cache of CHANNEL_WINDOWS windows."""
+        return self._windows(self.mode, self.n_T, self.gamma_m, t_max, n_samples)
+
+    def sample(self, cm0: SymmetricCM, *, t_max: float, n_samples: int,
+               label: str = "") -> "Trajectory":
+        """cm0's trajectory at n_samples uniform times on [0, t_max]: the channel's shared
+        read-only window through the secular map, with only a and c per state."""
+        if n_samples < 2:
+            raise ValueError("n_samples must be >= 2")
+        if not 0 < t_max < math.inf:
+            raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+        times, big_gamma, delta_gamma, decay = self.window(t_max, operator.index(n_samples))
+        a, c = _secular_map(cm0, decay, delta_gamma, times)
+        return Trajectory(channel=self, initial=cm0, times=times, a=a, c=c,
+                          big_gamma=big_gamma, delta_gamma=delta_gamma, label=label)
+
+    def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
+        """(t_sep, Gamma(t_sep)) at which cm0's lambda = a - c first reaches 1/2, by t_max: in
+        closed form if Markovian, else bisected on the grid's interpolant; (0, 0) if cm0 is
+        separable, None if never.  InconclusiveThresholdError if not by t_max but later."""
+        lam0, lam_t = cm0.a - cm0.c, self.n_T + 0.5
+        if lam0 >= SEPARABILITY_THRESHOLD:
+            return 0.0, 0.0
+        if self.grid is None:
+            if lam_t <= SEPARABILITY_THRESHOLD:
+                return None
+            t_sep = math.log((lam_t - lam0) / (lam_t - SEPARABILITY_THRESHOLD)) / self.gamma_m
+            if t_sep > t_max * (1 + 1e-12):
+                raise InconclusiveThresholdError(f"closed-form t_sep = {t_sep} exceeds the "
+                                                 f"sampled window {t_max}")
+            return t_sep, self.gamma_m * t_sep
+        crossing = self._grid_crossing(cm0, t_max)
+        if crossing is None and lam_t > SEPARABILITY_THRESHOLD:
+            raise InconclusiveThresholdError(f"lambda < 1/2 up to t_max = {t_max} but the "
+                                             f"stationary value {lam_t} lies above threshold")
+        return crossing
+
+    def _grid_crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
+        """(t, Gamma(t)) at the first float t <= t_max at which the grid channel's lambda
+        reaches 1/2, or None.  Linear Gamma and Delta_Gamma make lambda convex between knots,
+        so the first knot (cached with its e^{-Gamma}) at or past 1/2 ends the bisection."""
+        (a0, c0), knots = cm0, self._windows(self.mode, self.n_T, None, None, None)
+        nodes, big_gamma, delta_gamma, decay = knots
+        end = int(np.searchsorted(nodes, t_max)) + 1  # knots of [0, t_max], one past if between
+        x = decay[:end]
+        above = (a0 * x + 0.5 * delta_gamma[:end]) - c0 * x >= SEPARABILITY_THRESHOLD
+        if not above[k := int(np.argmax(above))]:
+            return None
+        (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist()
+                                        for v in (nodes, big_gamma, delta_gamma))
+        # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
+        g_slope, d_slope = (g1 - g0) / (t1 - t0), (d1 - d0) / (t1 - t0)
+        lo, hi = t0, t1
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            x = float(np.exp(-(g_slope * (mid - t0) + g0)))
+            if (a0 * x + 0.5 * (d_slope * (mid - t0) + d0)) - c0 * x < SEPARABILITY_THRESHOLD:
+                lo = mid
+            else:
+                hi = mid
+        if hi > t_max * (1 + 1e-12):  # the channel crosses, but after t_max
+            return None
+        return hi, float(np.interp(hi, nodes, big_gamma))
 
 
-def _channel(mode: TrajectoryMode, grid, gamma_m, n_T: float, t=None):
-    """Each mode's (Gamma(t), Delta_Gamma(t)): gamma_M t, (1 - e^{-Gamma})(2 n_T + 1) if Markovian,
-    else the node values (grid arrays; 0, int Delta if high-T) interpolated, or as is if t=None."""
-    if mode is TrajectoryMode.MARKOVIAN:
-        big_gamma = gamma_m * t
-        return big_gamma, -np.expm1(-big_gamma) * (2.0 * n_T + 1.0)
-    knots = ((grid.big_gamma, grid.delta_gamma) if mode is TrajectoryMode.NONMARKOVIAN
-             else (np.zeros_like(grid.times), grid._delta_cumulative))
-    return knots if t is None else tuple(grid._interp(t, v) for v in knots)
+def _window_cache(grid_ref):
+    """An lru cache of CHANNEL_WINDOWS windows by (mode, n_T, gamma_m, t_max, n_samples), t_max
+    None at a grid's knots; a grid's holds its grid only by the weak grid_ref, so dies with it."""
+    @lru_cache(maxsize=CHANNEL_WINDOWS)
+    def sample_window(mode, n_T, gamma_m, t_max, n_samples):
+        channel = Channel(mode, n_T, gamma_m, grid_ref and grid_ref())
+        times = channel.grid.times if t_max is None else np.linspace(0.0, t_max, n_samples)
+        big_gamma, delta_gamma = channel(None if t_max is None else times)
+        window = (times, big_gamma, delta_gamma, np.exp(-big_gamma))
+        for v in window:
+            v.flags.writeable = False
+        return window
+    return sample_window
 
 
-@lru_cache(maxsize=CHANNEL_WINDOWS)  # Markovian windows; a grid keeps its own (_windows)
-def _window(mode: TrajectoryMode, grid, gamma_m, n_T: float, t_max: float, n_samples: int):
-    """Read-only (times, Gamma, Delta_Gamma, e^{-Gamma}) at n_samples times on [0, t_max]."""
-    times = np.linspace(0.0, t_max, n_samples)
-    big_gamma, delta_gamma = _channel(mode, grid, gamma_m, n_T, times)
-    window = (times, big_gamma, delta_gamma, np.exp(-big_gamma))
-    for v in window:
-        v.flags.writeable = False
-    return window
+_MARKOVIAN_WINDOWS = _window_cache(None)
+_GRID_WINDOWS = weakref.WeakKeyDictionary()  # grid -> its window cache, dropped with the grid
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered states under one of the three modes, and their channel: gamma_m or grid."""
+    """Time-ordered states of one initial state under one channel, which gives the mode and
+    n_T; the arrays are the channel's shared read-only window except a and c."""
 
-    mode: TrajectoryMode
+    channel: Channel
     initial: SymmetricCM
     times: np.ndarray
     a: np.ndarray
     c: np.ndarray
     big_gamma: np.ndarray
     delta_gamma: np.ndarray
-    n_T: float
-    gamma_m: float | None = None
-    grid: CoefficientGrid | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -177,8 +272,9 @@ class Trajectory:
                 raise ValueError(f"{name} length differs from times")
         if self.a[0] != self.initial.a or self.c[0] != self.initial.c:
             raise ValueError("a[0], c[0] must equal the initial state")
-        object.__setattr__(self, "mode", TrajectoryMode(self.mode))
-        _check_channel(self.mode, self.grid, self.gamma_m)
+
+    mode = property(lambda self: self.channel.mode)
+    n_T = property(lambda self: self.channel.n_T)
 
     @property
     def lam(self) -> np.ndarray:
@@ -201,90 +297,20 @@ class Trajectory:
 
     @cached_property
     def _crossing(self) -> tuple[float, float] | None:
-        """(t_sep, Gamma(t_sep)) of separability_time, solved once per trajectory from the
-        initial state, the channel and t_max alone; None if lambda never reaches 1/2.
-        InconclusiveThresholdError is raised, not stored, so it raises again on every call."""
-        lam0 = self.a[0] - self.c[0]
-        if lam0 >= SEPARABILITY_THRESHOLD:
-            return 0.0, 0.0
-        if self.mode is TrajectoryMode.MARKOVIAN:
-            lam_t = self.n_T + 0.5
-            if lam_t <= SEPARABILITY_THRESHOLD:
-                return None
-            t_sep = math.log((lam_t - lam0) / (lam_t - SEPARABILITY_THRESHOLD)) / self.gamma_m
-            if t_sep > self.times[-1] * (1 + 1e-12):
-                raise InconclusiveThresholdError(
-                    f"closed-form t_sep = {t_sep} exceeds the sampled window {self.times[-1]}"
-                )
-            return t_sep, self.gamma_m * t_sep
-        crossing = _grid_crossing(self)
-        if crossing is None and self.n_T + 0.5 > SEPARABILITY_THRESHOLD:
-            raise InconclusiveThresholdError(
-                f"lambda < 1/2 up to t_max = {self.times[-1]} but the stationary value "
-                f"{self.n_T + 0.5} lies above threshold"
-            )
-        return crossing
+        """The channel's crossing from the initial state by the last sample time, solved once;
+        InconclusiveThresholdError is raised, not stored, so it raises on every call."""
+        return self.channel.crossing(self.initial, self.times[-1])
 
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                         n_samples: int, grid: CoefficientGrid | None = None,
                         gamma_m: float | None = None, n_T: float | None = None,
                         label: str = "") -> Trajectory:
-    """Sample the evolution of cm0 at n_samples uniform times on [0, t_max].
-
-    Markovian mode uses the closed form and needs (gamma_m, n_T), not a grid; the
-    grid modes interpolate Gamma / Delta_Gamma (or the diffusion integral) from a
-    CoefficientGrid, not gamma_m, which raises ValueError unless it covers [0, t_max].
-    Channel samples are taken once per window (_window) and shared read-only; a, c per state.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    if n_T is None:
-        raise ValueError("n_T is required (environment summary of the trajectory)")
-    if not 0 <= n_T < math.inf:
-        raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
-    mode = TrajectoryMode(mode)
-    _check_channel(mode, grid, gamma_m)
-    key = (mode, t_max, operator.index(n_samples))  # errors are raised, never stored
-    if mode is TrajectoryMode.MARKOVIAN:
-        window = _window(mode, None, gamma_m, n_T, *key[1:])
-    elif (window := grid._windows.get(key)) is None:
-        window = grid._windows[key] = _window.__wrapped__(mode, grid, None, n_T, *key[1:])
-        if len(grid._windows) > CHANNEL_WINDOWS:  # evict the oldest, atomically
-            grid._windows.popitem(last=False)
-    times, big_gamma, delta_gamma, decay = window
-    a, c = _secular_map(cm0, decay, delta_gamma, times)
-    return Trajectory(mode=mode, initial=cm0, times=times, a=a, c=c,
-                      big_gamma=big_gamma, delta_gamma=delta_gamma,
-                      n_T=float(n_T), gamma_m=gamma_m, grid=grid, label=label)
-
-
-def _grid_crossing(traj: Trajectory) -> tuple[float, float] | None:
-    """(t, Gamma(t)) at the first float t <= t_max at which the grid channel's lambda
-    reaches 1/2; None if it does not.  Linear Gamma and Delta_Gamma make lambda convex
-    between knots, so the first knot at or past 1/2 ends the interval to bisect."""
-    nodes, (a0, c0), t_max = traj.grid.times, traj.initial, traj.times[-1]
-    knots = _channel(traj.mode, traj.grid, traj.gamma_m, traj.n_T)
-    end = int(np.searchsorted(nodes, t_max)) + 1  # knots of [0, t_max], one past if between
-    x = np.exp(-knots[0][:end])
-    above = (a0 * x + 0.5 * knots[1][:end]) - c0 * x >= SEPARABILITY_THRESHOLD
-    if not above[k := int(np.argmax(above))]:
-        return None
-    (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist() for v in (nodes, *knots))
-    # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
-    g_slope, d_slope = (g1 - g0) / (t1 - t0), (d1 - d0) / (t1 - t0)
-    lo, hi = t0, t1
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        x = float(np.exp(-(g_slope * (mid - t0) + g0)))
-        if (a0 * x + 0.5 * (d_slope * (mid - t0) + d0)) - c0 * x < SEPARABILITY_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    if hi > t_max * (1 + 1e-12):  # the channel crosses, but after t_max
-        return None
-    return hi, float(np.interp(hi, nodes, knots[0]))
+    """Sample the evolution of cm0 at n_samples uniform times on [0, t_max], by keywords:
+    Channel(mode, n_T, gamma_m, grid).sample(cm0, t_max=t_max, n_samples=n_samples).  Markovian
+    mode needs gamma_m and no grid, the grid modes a grid that covers [0, t_max] and no gamma_m."""
+    return Channel(mode, n_T, gamma_m, grid).sample(cm0, t_max=t_max, n_samples=n_samples,
+                                                    label=label)
 
 
 def separability_time(traj: Trajectory) -> float | None:

@@ -17,17 +17,15 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientGrid, _write_rows
+from .coefficients import _write_rows
 from .dynamics import (
+    Channel,
     InconclusiveThresholdError,
     MapUnphysicalError,
     Trajectory,
-    TrajectoryMode,
     separability_time,
-    simulate_trajectory,
 )
 from .gaussian_core import STSParams, discord, from_sts, to_sts
-from .spectral_env import Environment, SpectralDensity
 
 __all__ = [
     "PathSource",
@@ -226,34 +224,25 @@ class SweepRow:
     note: str = ""
 
 
-def dsep_sweep(r0_values: Sequence[float], spec: SpectralDensity, env: Environment,
-               mode: TrajectoryMode, *, t_max: float, n_samples: int = 2001,
-               nu0: float = 0.0, grid: CoefficientGrid | None = None,
-               gamma_m: float | None = None) -> list[SweepRow]:
-    """Discord at separability for a list of initial squeezings.
-
-    The coefficient grid (or, in Markovian mode, gamma_m) is required, as in
-    simulate_trajectory (ValueError otherwise), and shared across r0 values with its
-    sampled window, so each row pays only for its own state; rows where the
-    trajectory errors or never crosses carry None entries and the sweep continues.
-    """
+def dsep_sweep(r0_values: Sequence[float], channel: Channel, *, t_max: float,
+               n_samples: int = 2001, nu0: float = 0.0, label: str = "") -> list[SweepRow]:
+    """Discord at separability for a list of initial squeezings on one channel, whose window and
+    knots the rows share, so each pays only for its state; label names the rows' spectrum.  A
+    row whose trajectory errors or never crosses carries None, and the sweep continues."""
     if not len(r0_values):
         raise ValueError("r0_values must be non-empty")
-    mode = TrajectoryMode(mode)
     rows: list[SweepRow] = []
     for r0 in r0_values:
         cm0 = from_sts(STSParams(r=float(r0), nu_T=nu0))
         try:
-            traj = simulate_trajectory(cm0, mode=mode, t_max=t_max, n_samples=n_samples,
-                                       grid=grid, gamma_m=gamma_m, n_T=env.n_T,
-                                       label=spec.kind.value)
+            traj = channel.sample(cm0, t_max=t_max, n_samples=n_samples, label=label)
             t_sep = separability_time(traj)
             d_sep = dsep_from_trajectory(traj)
             note = "" if t_sep is not None else "no-threshold"
         except (InconclusiveThresholdError, MapUnphysicalError) as exc:
             t_sep, d_sep, note = None, None, f"{type(exc).__name__}: {exc}"
-        rows.append(SweepRow(r0=float(r0), n_T=env.n_T, spectrum=spec.kind.value,
-                             mode=mode.value, t_sep=t_sep, d_sep=d_sep, note=note))
+        rows.append(SweepRow(r0=float(r0), n_T=channel.n_T, spectrum=label,
+                             mode=channel.mode.value, t_sep=t_sep, d_sep=d_sep, note=note))
     return rows
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gaussian_paths import (
+    Channel,
     QuadratureConfig,
     STSParams,
     SpectralKind,
@@ -73,8 +74,8 @@ def test_criterion_2_threshold_discord_all_spectra(resonant_grids):
         t0 = time.perf_counter()
         for kind in SpectralKind:
             spec, env, grid = resonant_grids[kind]
-            rows = dsep_sweep(R0_SET, spec, env, TrajectoryMode.NONMARKOVIAN,
-                              t_max=grid.t_max, n_samples=2001, grid=grid)
+            rows = dsep_sweep(R0_SET, Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
+                              t_max=grid.t_max, n_samples=2001, label=spec.kind.value)
             for row in rows:
                 assert row.d_sep is not None, (kind, row)
                 err = abs(row.d_sep - dsep_universal(row.r0))

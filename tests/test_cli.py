@@ -270,6 +270,26 @@ def test_main_white_noise_markovian_commands(tmp_path, capsys):
     assert len(rows) == 3 and all(",white,markovian," in row for row in rows[1:])
 
 
+@pytest.mark.parametrize("cmd, extra", [("simulate", []), ("verify", []),
+                                        ("dsep-sweep", ["--r0-list", "0.5,1.2"])])
+def test_main_markovian_at_zero_coupling_is_a_config_error(tmp_path, capsys, cmd, extra):
+    # alpha = 0 is the decoupled limit, where gamma_M = 0 leaves the Markovian map undefined:
+    # refused when the config is read, also when a --mode override asks for it
+    decoupled = MINIMAL.replace("alpha = 0.1", "alpha = 0")
+    with pytest.raises(ConfigError, match="markovian mode needs alpha > 0"):
+        parse_config(decoupled)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(decoupled.replace("mode = markovian", "mode = nonmarkovian")
+                                 .replace("t_max = 100", "t_max = 2") + "n_samples = 11\n")
+    argv = [cmd, "--config", str(cfg_file)] + extra
+    assert main(argv + ["--out", str(tmp_path / "grid")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "mk"), "--mode", "markovian"]) == 2
+    err = capsys.readouterr().err
+    assert "coefficients.ConfigError" in err and "alpha > 0" in err
+    assert not (tmp_path / "mk").exists()
+
+
 def test_main_dsep_requires_r0_list(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(MINIMAL)

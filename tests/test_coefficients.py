@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gaussian_paths import (
+    Channel,
+    CoefficientGrid,
     ConfigError,
     QuadratureConfig,
     QuadratureError,
@@ -307,19 +309,35 @@ def test_grid_convergence_under_step_halving():
 
 
 def test_grid_interpolators_and_coverage(resonant_grids):
-    _, _, grid = resonant_grids[SpectralKind.OHMIC]
-    # the grid answers on [0, t_max] and names its range one step outside it
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    full, high_t = (Channel(mode, env.n_T, grid=grid)
+                    for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE))
+    # a grid channel answers on [0, t_max] and names the grid's range one step outside it
     t_max, step = grid.t_max, float(grid.times[1] - grid.times[0])
-    assert grid.interp_big_gamma(t_max)[0] == grid.big_gamma[-1]
-    grid.interp_big_gamma(25.0)  # the window it was built for
+    assert full(t_max)[0][0] == grid.big_gamma[-1]
+    full(25.0)  # the window it was built for
     for t in (t_max + step, -step):
         with pytest.raises(ValueError, match=r"grid covers \[0, "):
-            grid.interp_big_gamma(t)
+            full(t)
     t = np.array([0.0, 1.234, 24.9])
-    assert grid.interp_big_gamma(t)[0] == 0.0
-    assert grid.delta_integral(t)[0] == 0.0
+    assert full(t)[0][0] == 0.0
+    assert high_t(t)[1][0] == 0.0
     with pytest.raises(ValueError):
-        grid.interp_big_gamma(np.array([30.0]))
+        high_t(np.array([30.0]))
+
+
+def test_grid_arrays_are_read_only_copies(resonant_grids):
+    grid = resonant_grids[SpectralKind.OHMIC][2]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.big_gamma[:] *= 2
+    for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma", "_delta_cumulative"):
+        assert not getattr(grid, name).flags.writeable, name
+    # the grid copies what it is given: the caller's arrays stay writeable and unshared
+    times = np.linspace(0.0, 1.0, 5)
+    mine = CoefficientGrid(times=times, delta=np.zeros(5), gamma=np.zeros(5),
+                           big_gamma=np.zeros(5), delta_gamma=np.zeros(5))
+    times[1] = 0.3
+    assert times.flags.writeable and mine.times[1] == 0.25
 
 
 # -------------------------------------------------------------- gamma_M

@@ -1,8 +1,10 @@
+import gc
 import io
 import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from gaussian_paths import (
 )
 from gaussian_paths import dynamics
 from gaussian_paths.coefficients import CoefficientGrid
-from gaussian_paths.dynamics import Trajectory, _check_physical
+from gaussian_paths.dynamics import Channel, Trajectory, _check_physical
 
 from conftest import make_env, make_spec
 from gaussian_paths import SpectralKind
@@ -209,7 +211,8 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
                                    n_T=env.n_T)
 
     first, second = run(TWB12), run(from_sts(STSParams(r=0.4, nu_T=0.3)))
-    window = grid._windows[(mode, 2.5, 41)]
+    channel = Channel(mode, env.n_T, grid=grid)
+    window = channel.window(2.5, 41)
     assert len(window) == 4
     for traj in (first, second):
         for got, shared in zip((traj.times, traj.big_gamma, traj.delta_gamma), window):
@@ -220,13 +223,14 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
             v[0] = 1.0
     # bit for bit what the channel and np.exp give at the same times
     times = np.linspace(0.0, 2.5, 41)
-    big_gamma, delta_gamma = dynamics._channel(mode, grid, None, env.n_T, times)
+    big_gamma, delta_gamma = channel(times)
     for got, want in zip(window, (times, big_gamma, delta_gamma, np.exp(-big_gamma))):
         assert _bits(got) == _bits(want)
-    # another t_max or n_samples is another window
-    assert run(TWB12, n=17).times is not first.times
-    assert run(TWB12, t_max=2.0).times is not first.times
-    assert {(mode, 2.5, 17), (mode, 2.0, 41)} <= set(grid._windows)
+    # another t_max or n_samples is another window, kept beside the first
+    fewer, shorter = run(TWB12, n=17), run(TWB12, t_max=2.0)
+    assert fewer.times is not first.times and shorter.times is not first.times
+    assert channel.window(2.5, 17)[0] is fewer.times
+    assert channel.window(2.0, 41)[0] is shorter.times
     assert run(TWB12).times is first.times
     # a float n_samples is refused as np.linspace refused it, cached window or not
     with pytest.raises(TypeError):
@@ -236,17 +240,22 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
 def test_grid_window_too_short_raises_every_time_and_caps_the_windows(quad):
     env = make_env()
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), env, 3.0, quad)
+    windows = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)._windows
     for _ in range(2):
         with pytest.raises(ValueError, match=r"grid covers \[0, "):
             simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=4.0,
                                 n_samples=11, grid=grid, n_T=env.n_T)
-    assert grid._windows == {}
-    # the grid keeps a fixed number of windows, the oldest evicted first
-    for n in range(2, 3 + dynamics.CHANNEL_WINDOWS):
-        simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
-                            n_samples=n, grid=grid, n_T=env.n_T)
-    keys = [(TrajectoryMode.NONMARKOVIAN, 1.0, n) for n in range(2, 3 + dynamics.CHANNEL_WINDOWS)]
-    assert list(grid._windows) == keys[-dynamics.CHANNEL_WINDOWS:]
+    assert windows.cache_info().currsize == 0
+    # the grid keeps a fixed number of windows, the least recently used evicted first
+    last = 2 + dynamics.CHANNEL_WINDOWS
+    trajs = {n: simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
+                                    n_samples=n, grid=grid, n_T=env.n_T)
+             for n in range(2, last + 1)}
+    assert windows.cache_info().currsize == windows.cache_info().maxsize
+    assert windows.cache_info().maxsize == dynamics.CHANNEL_WINDOWS
+    channel = trajs[last].channel
+    assert all(channel.window(1.0, n)[0] is trajs[n].times for n in range(3, last + 1))
+    assert channel.window(1.0, 2)[0] is not trajs[2].times
 
 
 def test_grid_windows_shared_across_threads(quad):
@@ -285,7 +294,28 @@ def test_grid_windows_shared_across_threads(quad):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert 0 < len(grid._windows) <= dynamics.CHANNEL_WINDOWS
+    info = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)._windows.cache_info()
+    assert 0 < info.currsize <= info.maxsize == dynamics.CHANNEL_WINDOWS
+
+
+def test_grid_windows_are_freed_with_the_grid(quad):
+    # a grid's windows and knots live in its own cache, which holds the grid only weakly:
+    # dropping the last reference to the grid frees both at once, with no cycle to collect
+    env = make_env()
+    grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), env, 3.0, quad)
+    traj = simulate_trajectory(from_sts(STSParams(r=0.05, nu_T=0.0)), n_T=env.n_T,
+                               mode=TrajectoryMode.HIGH_TEMPERATURE, t_max=2.5, n_samples=41,
+                               grid=grid)
+    assert separability_time(traj) is not None  # the knot window, beside the sampled one
+    assert traj.channel._windows.cache_info().currsize == 2
+    grids, probes = len(dynamics._GRID_WINDOWS), [weakref.ref(grid), weakref.ref(traj.times)]
+    gc.disable()
+    try:
+        del grid, traj
+        assert [probe() for probe in probes] == [None, None]
+    finally:
+        gc.enable()
+    assert len(dynamics._GRID_WINDOWS) == grids - 1
 
 
 def test_markovian_window_per_rate_temperature_and_sampling():
@@ -297,7 +327,7 @@ def test_markovian_window_per_rate_temperature_and_sampling():
     assert _bits(high.big_gamma) == _bits(low.big_gamma)
     times = np.linspace(0.0, 3.0, 31)
     for traj, n_T in ((low, 1.0), (high, 2.0)):
-        big_gamma, delta_gamma = dynamics._channel(TrajectoryMode.MARKOVIAN, None, 1.0, n_T, times)
+        big_gamma, delta_gamma = Channel(TrajectoryMode.MARKOVIAN, n_T, gamma_m=1.0)(times)
         assert _bits(traj.times) == _bits(times)
         assert _bits(traj.big_gamma) == _bits(big_gamma)
         assert _bits(traj.delta_gamma) == _bits(delta_gamma)
@@ -467,13 +497,12 @@ def test_separability_markovian_closed_form():
     h = times[1]
     bound = h * h / 8.0 * (2.0 * n_T + 1.0) / (2.0 * n_T)
     assert expected - 4.0 * np.spacing(expected) <= separability_time(as_grid) <= expected + bound
-    mk = markovian_traj(gamma_m=1.0, n_T=n_T, t_max=1.0, n=11)
+    # each mode's channel is checked when built, and the mode may be given by its value
     with pytest.raises(ValueError, match="grid"):
-        Trajectory(mode=TrajectoryMode.NONMARKOVIAN, initial=mk.initial, times=mk.times, a=mk.a,
-                   c=mk.c, big_gamma=mk.big_gamma, delta_gamma=mk.delta_gamma, n_T=mk.n_T)
-    with pytest.raises(ValueError, match="gamma_m"):  # the mode may be given by its value
-        Trajectory(mode="markovian", initial=mk.initial, times=mk.times, a=mk.a,
-                   c=mk.c, big_gamma=mk.big_gamma, delta_gamma=mk.delta_gamma, n_T=mk.n_T)
+        Channel(TrajectoryMode.NONMARKOVIAN, n_T)
+    with pytest.raises(ValueError, match="gamma_m"):
+        Channel("markovian", n_T)
+    assert Channel("markovian", n_T, gamma_m=1.0).mode is TrajectoryMode.MARKOVIAN
 
 
 def test_separability_zero_temperature_never():
@@ -511,13 +540,17 @@ def test_crossing_is_solved_once_in_either_order(resonant_grids, monkeypatch, mo
     first, second = (simulate_trajectory(TWB12, mode=mode, t_max=25.0, n_samples=2001,
                                          n_T=env.n_T, **channel) for _ in range(2))
     solves = []
-    grid_crossing = dynamics._grid_crossing
-    monkeypatch.setattr(dynamics, "_grid_crossing",
+    grid_crossing = Channel._grid_crossing
+    monkeypatch.setattr(Channel, "_grid_crossing",
                         lambda *args: solves.append(args) or grid_crossing(*args))
     pair = separability_time(first), dsep_from_trajectory(first)
+    # the knots and their e^{-Gamma} are taken once per channel, not per trajectory
+    windows = second.channel._windows
+    misses = windows.cache_info().misses
     d_sep = dsep_from_trajectory(second)
     assert (separability_time(second), d_sep) == pair and pair[0] > 0.0
     assert len(solves) == (0 if mode is TrajectoryMode.MARKOVIAN else 2)
+    assert windows.cache_info().misses == misses
 
 
 # ------------------------------------------------------------ reachability
@@ -630,9 +663,8 @@ def test_points_raise_the_constructor_error_at_the_first_bad_sample(bad, message
     traj = markovian_traj(n=11)
     a, c = traj.a.copy(), traj.c.copy()
     (a[4], c[4]), (a[7], c[7]) = bad, (math.inf, 1.0)
-    hand_built = Trajectory(mode=traj.mode, initial=traj.initial, times=traj.times, a=a, c=c,
-                            big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma,
-                            n_T=traj.n_T, gamma_m=traj.gamma_m)
+    hand_built = Trajectory(channel=traj.channel, initial=traj.initial, times=traj.times, a=a,
+                            c=c, big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma)
     with pytest.raises(UnphysicalStateError) as caught:
         SymmetricCM(*bad)
     assert message in str(caught.value)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaussian_paths import (
+    Channel,
     DynamicalPath,
     STSParams,
     SpectralKind,
@@ -67,7 +68,7 @@ def test_extract_path_uncopied_branch_equals_copying_branch():
     traj, path = markovian_path(n=401)
     assert path.t is traj.times and not path.t.flags.writeable
     # the same samples with the last one repeated go through the dropping branch
-    twin = Trajectory(mode=traj.mode, initial=traj.initial, n_T=traj.n_T, gamma_m=1.0,
+    twin = Trajectory(channel=traj.channel, initial=traj.initial,
                       **{k: np.append(v, v[-1]) for k, v in (
                           ("times", traj.times), ("a", traj.a), ("c", traj.c),
                           ("big_gamma", traj.big_gamma), ("delta_gamma", traj.delta_gamma))})
@@ -253,17 +254,18 @@ def test_dsep_already_separable_initial_state():
 
 # ----------------------------------------------------------------- sweeps
 
+def markovian(n_T: float, gamma_m: float = 1.0) -> Channel:
+    return Channel(TrajectoryMode.MARKOVIAN, n_T, gamma_m=gamma_m)
+
+
 def test_dsep_sweep_markovian_rows():
-    spec, env = make_spec(SpectralKind.OHMIC), make_env(n_T=0.5)
-    rows = dsep_sweep([0.5, 1.2, 2.0], spec, env, TrajectoryMode.MARKOVIAN,
-                      t_max=20.0, gamma_m=1.0)
+    rows = dsep_sweep([0.5, 1.2, 2.0], markovian(0.5), t_max=20.0, label="ohmic")
     assert [r.r0 for r in rows] == [0.5, 1.2, 2.0]
     for r in rows:
         assert r.mode == "markovian" and r.spectrum == "ohmic" and r.n_T == 0.5
         assert r.t_sep is not None and r.d_sep is not None and r.note == ""
     # markovian d_sep is invariant under the damping rate (pure reparametrization)
-    rows2 = dsep_sweep([0.5, 1.2, 2.0], spec, env, TrajectoryMode.MARKOVIAN,
-                       t_max=10.0, gamma_m=2.0)
+    rows2 = dsep_sweep([0.5, 1.2, 2.0], markovian(0.5, gamma_m=2.0), t_max=10.0)
     for r, r2 in zip(rows, rows2):
         assert r2.d_sep == pytest.approx(r.d_sep, rel=1e-10)
 
@@ -271,46 +273,45 @@ def test_dsep_sweep_markovian_rows():
 def test_dsep_low_temperature_family_below_universal():
     # Markovian threshold discord at small n_T sits strictly below the
     # high-temperature universal curve, approaching it as n_T grows
-    spec = make_spec(SpectralKind.OHMIC)
     for n_T in (1e-2, 1e-3):
-        rows = dsep_sweep([0.5, 1.2, 2.0], spec, make_env(n_T=n_T),
-                          TrajectoryMode.MARKOVIAN, t_max=400.0, gamma_m=1.0,
-                          n_samples=4001)
+        rows = dsep_sweep([0.5, 1.2, 2.0], markovian(n_T), t_max=400.0, n_samples=4001)
         for r in rows:
             assert r.d_sep is not None
             assert r.d_sep < dsep_universal(r.r0)
     gap_cold = dsep_universal(1.2) - dsep_sweep(
-        [1.2], spec, make_env(n_T=1e-3), TrajectoryMode.MARKOVIAN,
-        t_max=400.0, gamma_m=1.0, n_samples=4001)[0].d_sep
+        [1.2], markovian(1e-3), t_max=400.0, n_samples=4001)[0].d_sep
     gap_warm = dsep_universal(1.2) - dsep_sweep(
-        [1.2], spec, make_env(n_T=1.0), TrajectoryMode.MARKOVIAN,
-        t_max=40.0, gamma_m=1.0, n_samples=4001)[0].d_sep
+        [1.2], markovian(1.0), t_max=40.0, n_samples=4001)[0].d_sep
     assert 0 < gap_warm < gap_cold
 
 
 def test_dsep_sweep_marks_missing_thresholds():
-    spec, env = make_spec(SpectralKind.OHMIC), make_env(n_T=0.0)
-    rows = dsep_sweep([0.7], spec, env, TrajectoryMode.MARKOVIAN, t_max=20.0, gamma_m=1.0)
+    rows = dsep_sweep([0.7], markovian(0.0), t_max=20.0)
     assert rows[0].t_sep is None and rows[0].d_sep is None
     assert rows[0].note == "no-threshold"
     with pytest.raises(ValueError):
-        dsep_sweep([], spec, env, TrajectoryMode.MARKOVIAN, t_max=1.0, gamma_m=1.0)
+        dsep_sweep([], markovian(0.0), t_max=1.0)
 
 
-def test_dsep_sweep_requires_grid_or_rate():
-    # no silent fallback to default numerics: the caller supplies the bath data
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+def test_dsep_sweep_requires_grid_or_rate(resonant_grids):
+    # no silent fallback to default numerics: the caller's channel carries the bath data,
+    # and a channel without it is refused when built
+    grid = resonant_grids[SpectralKind.OHMIC][2]
     with pytest.raises(ValueError, match="gamma_m"):
-        dsep_sweep([0.7], spec, env, TrajectoryMode.MARKOVIAN, t_max=1.0)
+        Channel(TrajectoryMode.MARKOVIAN, 10.0)
+    with pytest.raises(ValueError, match="gamma_m"):
+        Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0, grid=grid)
     with pytest.raises(ValueError, match="grid"):
-        dsep_sweep([0.7], spec, env, TrajectoryMode.NONMARKOVIAN, t_max=1.0)
+        Channel(TrajectoryMode.NONMARKOVIAN, 10.0)
+    with pytest.raises(ValueError, match="grid"):
+        Channel(TrajectoryMode.HIGH_TEMPERATURE, 10.0, gamma_m=1.0, grid=grid)
 
 
 def test_dsep_sweep_continues_past_inconclusive_rows(resonant_grids):
     spec, env, grid = resonant_grids[SpectralKind.OHMIC]
     # r0 = 2.5 cannot cross within 3 time units; the sweep marks it and moves on
-    rows = dsep_sweep([2.5, 0.05], spec, env, TrajectoryMode.NONMARKOVIAN,
-                      t_max=3.0, grid=grid)
+    rows = dsep_sweep([2.5, 0.05], Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
+                      t_max=3.0)
     assert rows[0].d_sep is None and "Inconclusive" in rows[0].note
     assert rows[1].d_sep is not None and rows[1].note == ""
 
@@ -326,7 +327,7 @@ def test_high_t_frozen_correlations(resonant_grids):
     d_frozen = discord(traj.lam + TWB12.c, np.full_like(traj.a, TWB12.c))
     assert np.max(np.abs(d_traj - d_frozen)) <= 1e-10
     # lambda(t) = lambda0 + (1/2) int_0^t Delta
-    half_integral = grid.delta_integral(traj.times) / 2.0
+    half_integral = np.interp(traj.times, grid.times, grid._delta_cumulative) / 2.0
     np.testing.assert_allclose(traj.lam, (TWB12.a - TWB12.c) + half_integral, rtol=0, atol=1e-12)
 
 
@@ -354,8 +355,7 @@ def test_path_csv_roundtrip():
 
 
 def test_sweep_csv_roundtrip():
-    spec, env = make_spec(SpectralKind.OHMIC), make_env(n_T=0.0)
-    rows = dsep_sweep([0.7], spec, env, TrajectoryMode.MARKOVIAN, t_max=20.0, gamma_m=1.0)
+    rows = dsep_sweep([0.7], markovian(0.0), t_max=20.0, label="ohmic")
     buf = io.StringIO()
     write_sweep_csv(rows, buf)
     lines = buf.getvalue().splitlines()
