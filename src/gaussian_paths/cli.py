@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,7 @@ def run_verify(cfg: RunConfig, out_dir: Path) -> tuple[Path, bool]:
     return out, ok
 
 
+@cache  # parse_args leaves the parser unchanged, so in-process callers share one
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gaussian-paths",
                                 description="Symmetric Gaussian states in thermal channels: "

@@ -12,7 +12,9 @@ cumulative trapezoid.  On a uniform s grid the nodes of the uniform
 panels, o_k + j*W, make each Gauss-Legendre order's cosine/sine sum one
 Bluestein chirp-z transform (Bluestein 1970; Rabiner, Schafer & Rader
 1969) on ``numpy.fft``, O((panels + N_s) log) rather than an
-O(nodes * N_s) trig matrix.  White noise starts its panels at the
+O(nodes * N_s) trig matrix.  A grid costs two transforms: the accepted rule
+on every sample, and a convergence probe one level coarser on every fourth
+sample, a third of the length.  White noise starts its panels at the
 infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): on the first
 panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <=
 pi/4 there by the width bound) and the second independent of s, so the
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 GL_ORDER = 8  # Gauss-Legendre nodes per frequency panel
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)  # on [-1, 1], solved once
 MAX_REFINE = 2  # panel halvings tried before QuadratureError
 ABS_TOL = 1e-12  # floor of the kernel magnitude the halving error is relative to
 
@@ -190,11 +193,10 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
     (0 for the other spectra and at zero temperature).
     """
     edges = _panel_edges(spec, env, rq, s_max, halvings)
-    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    wts = half[:, None] * w[None, :]
+    nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    wts = half[:, None] * GL_WEIGHTS[None, :]
     g = np.asarray(evaluate_j(spec, nodes.ravel()), float).reshape(nodes.shape)
     # saturating tails (super-Ohmic, white) decay only through oscillation:
     # linearly damp the last decade of the range to suppress truncation ringing
@@ -262,33 +264,40 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float,
     return turned[0].real + k_ir, turned[1].imag
 
 
+def _kernel_err(coarse: tuple[np.ndarray, ...], fine: tuple[np.ndarray, ...]) -> float:
+    """Largest difference of two rules' kernels, relative to the finer one's magnitude."""
+    return max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), ABS_TOL)
+               for a, b in zip(coarse, fine))
+
+
 def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
                         rq: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Delta(t), gamma(t) on the uniform grid s, with panel-halving convergence control.
 
-    The halving probe compares the kernels on the full s grid, which
-    isolates the frequency-quadrature error from the fixed s-step.
+    The probe is the rule one level coarser (panels twice as wide) on s[::q], the largest
+    stride keeping 5 samples per period 2 pi/omega_max (q = 4 at the default s_step; 1
+    below 64 strided samples).  Level 0 is kept if it agrees with the probe to rel_tol
+    there, else each halving is compared with the previous level's strided samples, up
+    to MAX_REFINE.  The coarser rule's error dominates the difference, so the check is
+    stricter than one against a finer rule, and far cheaper than a finer rule on all of s.
     """
     if env.alpha == 0.0:
         z = np.zeros_like(s)
         return z, z.copy()
     a2 = env.alpha**2
+    q = max(1, int(2.0 * math.pi / (5.0 * rq.omega_max * rq.s_step) + 1e-9))
+    q = q if (len(s) - 1) // q >= 63 else 1
 
-    def kernels(halvings: int) -> tuple[np.ndarray, np.ndarray]:
-        rule = _omega_rule(spec, env, rq, float(s[-1]), halvings)
-        return _kernels_on(*rule, s)
+    def kernels(halvings: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), halvings), t)
 
-    def kernel_err(coarse: tuple[np.ndarray, ...], fine: tuple[np.ndarray, ...]) -> float:
-        return max(float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), ABS_TOL)
-                   for a, b in zip(coarse, fine))
-
-    Kc, Ks = kernels(0)
-    for level in range(1, MAX_REFINE + 2):
-        finer = kernels(level)
-        err = kernel_err((Kc, Ks), finer)
+    probe = kernels(-1, s[::q])
+    for level in range(MAX_REFINE + 1):
+        Kc, Ks = kernels(level, s)
+        err = _kernel_err(probe, (Kc[::q], Ks[::q]))
         if err <= rq.rel_tol:
             break
-        Kc, Ks = finer
+        probe = Kc[::q], Ks[::q]
     else:
         raise QuadratureError("frequency quadrature did not converge at max refinement", err)
     d = a2 * _cumtrapz(np.cos(env.omega0 * s) * Kc, s)

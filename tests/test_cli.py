@@ -17,6 +17,7 @@ from gaussian_paths import (
     simulate_trajectory,
 )
 from gaussian_paths.cli import (
+    _build_parser,
     _common_checks,
     main,
     parse_config,
@@ -252,6 +253,17 @@ def test_main_entrypoint_and_exit_codes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "bogus_key" in err and "ConfigError" in err
+
+
+def test_main_bad_arguments_exit_2_on_every_call_to_the_shared_parser(tmp_path, capsys):
+    # the parser is built once per process; argparse errors still exit 2 each time
+    assert _build_parser() is _build_parser()
+    for argv in (["simulate", "--bogus"], ["simulate", "--bogus"], ["no-such-command"],
+                 ["dsep-sweep", "--config", str(tmp_path / "x.cfg")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: gaussian-paths" in capsys.readouterr().err
 
 
 def test_main_white_noise_markovian_commands(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from gaussian_paths import (
 from gaussian_paths import coefficients
 from gaussian_paths.coefficients import _fast_len, _kernels_on, _omega_rule
 
-from conftest import make_env, make_spec
+from conftest import T_MAX_RESONANT, make_env, make_spec
 
 
 # ---------------------------------------------------------------- oracle
@@ -126,7 +127,8 @@ def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
         smooth = [s * p**k for s in smooth for k in range(16) if s * p**k <= 50_000]
     ns = set(range(1, 5_001)) | {n for s in smooth for n in range(max(s - 2, 1), s + 3)}
     # the chirp-z length panels + samples - 1 of the resonant (t_max = 25) and off-resonant
-    # (t_max = 40) grids, recorded at halvings 0 and 1 by a stand-in for the kernel sums
+    # (t_max = 40) grids, recorded for the probe (half the panels, every fourth sample) and
+    # the accepted rule by a stand-in for the kernel sums
     lengths = []
 
     def record(nodes, wc, ws, width, k_ir, s):
@@ -138,7 +140,7 @@ def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
         for omega_c, alpha, t_max in ((1.0, 0.1, 25.0), (0.1, 0.01, 40.0)):
             build_coefficient_grid(make_spec(kind, omega_c), make_env(alpha=alpha), t_max,
                                    QuadratureConfig())
-    assert len(lengths) == 12 and min(lengths) > 4_000
+    assert len(lengths) == 12 and min(lengths) > 1_500
     # log-uniform: a step costs ~1 us and the gaps between 11-smooth numbers grow with n
     rng = np.random.default_rng(20_260_918)
     ns |= set(lengths) | set(np.floor(10.0 ** rng.uniform(0.0, 6.0, 2_000)).astype(int).tolist())
@@ -406,12 +408,66 @@ def test_quadrature_config_validation():
                 QuadratureConfig(**{field: bad}).resolve(spec, env)
 
 
-def test_quadrature_error_carries_achieved_estimate():
+def test_quadrature_error_carries_achieved_estimate(monkeypatch):
+    halvings = []
+
+    def record(spec, env, rq, s_max, h):
+        halvings.append(h)
+        return _omega_rule(spec, env, rq, s_max, h)
+
+    monkeypatch.setattr(coefficients, "_omega_rule", record)
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
     q = QuadratureConfig(rel_tol=1e-300)
     with pytest.raises(QuadratureError) as err:
         build_coefficient_grid(spec, env, 2.0, q)
     assert err.value.achieved > 0
+    # the coarse probe, level 0, then at most MAX_REFINE halvings
+    assert halvings == list(range(-1, coefficients.MAX_REFINE + 1))
+
+
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_default_build_transforms_the_probe_and_the_accepted_rule_only(monkeypatch, kind):
+    calls = []
+
+    def record(nodes, wc, ws, width, k_ir, s):
+        calls.append((len(nodes), s))
+        return _kernels_on(nodes, wc, ws, width, k_ir, s)
+
+    monkeypatch.setattr(coefficients, "_kernels_on", record)
+    grid = build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
+    (probe_panels, probe_s), (panels, s) = calls
+    assert np.array_equal(s, grid.times) and np.array_equal(probe_s, grid.times[::4])
+    assert probe_panels == math.ceil(panels / 2)
+
+
+def test_coarse_strided_probe_is_never_weaker_than_the_halving_probe(monkeypatch):
+    # the estimate a build compares (its probe against level 0 on the probe's samples) is
+    # at least the former recipe's (level 0 against level 1 on every sample) above roundoff
+    calls = []
+
+    def record(*rule_and_s):
+        calls.append((rule_and_s[-1], out := _kernels_on(*rule_and_s)))
+        return out
+
+    monkeypatch.setattr(coefficients, "_kernels_on", record)
+    compared = 0
+    for kind, omega_c, n_T, t_max, omega_max in itertools.product(
+            SpectralKind, (0.1, 1.0), (0.0, 10.0), (2.0, 25.0), (None, 12.0)):
+        spec, env, q = make_spec(kind, omega_c), make_env(n_T=n_T), QuadratureConfig(omega_max)
+        calls.clear()
+        build_coefficient_grid(spec, env, t_max, q)
+        (probe_s, probe), (s, level0) = calls
+        stride = round(probe_s[1] / s[1])
+        assert np.array_equal(probe_s, s[::stride])
+        new = coefficients._kernel_err(probe, tuple(k[::stride] for k in level0))
+        level1 = _kernels_on(*_omega_rule(spec, env, q.resolve(spec, env), float(s[-1]), 1), s)
+        old = coefficients._kernel_err(level0, level1)
+        if old > 1e-13:
+            compared += 1
+            assert new >= old, (kind, omega_c, n_T, t_max, omega_max, new, old)
+    # above roundoff: the saturating tails (super-Ohmic, white) at omega_c = omega0, where the
+    # probe reads 7-15 times the former estimate (at most 1.3e-5); the rest are below 5e-14
+    assert compared == 12
 
 
 def test_white_noise_ir_cutoff_is_respected(quad):
