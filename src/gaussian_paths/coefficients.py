@@ -14,7 +14,14 @@ Bluestein chirp-z transform (Bluestein 1970; Rabiner, Schafer & Rader
 1969) on ``numpy.fft``, O((panels + N_s) log) rather than an
 O(nodes * N_s) trig matrix.  A grid costs two transforms: the accepted rule
 on every sample, and a convergence probe one level coarser on every fourth
-sample, a third of the length.  White noise starts its panels at the
+sample, a third of the length.  Each order's phase e^{i o_k s} is the
+product of two small tables, one entry per 64-sample block and one per
+offset within a block, so no exponential is taken per sample; and from
+16,384 transform points on (the accepted rule of a grid longer than ~73
+time units at the defaults) the sine sums run on one helper thread, started
+and joined within the call, beside the cosine sums (numpy's FFT releases
+the GIL).  Below that the thread was measured to save nothing.  White noise
+starts its panels at the
 infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): on the first
 panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <=
 pi/4 there by the width bound) and the second independent of s, so the
@@ -23,7 +30,8 @@ k_ir = (2 j(w_ir)/beta) [log1p(W/w_ir) - sum_k wt_k/w_k], added to K_c.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
-further cumulative trapezoids on the same grid.
+further cumulative trapezoids on the same grid, the latter in blocks over which
+Gamma moves by at most ~600, so that e^{Gamma} cannot overflow.
 
 The Markovian damping rate needs no grid: it is the t -> infinity
 (golden-rule) limit of gamma(t), gamma_M = alpha^2 (pi/2) j(omega0)
@@ -33,9 +41,10 @@ The Markovian damping rate needs no grid: it is the t -> infinity
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -56,6 +65,9 @@ GL_ORDER = 8  # Gauss-Legendre nodes per frequency panel
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)  # on [-1, 1], solved once
 MAX_REFINE = 2  # panel halvings tried before QuadratureError
 ABS_TOL = 1e-12  # floor of the kernel magnitude the halving error is relative to
+_PHASE_BLOCK = 64  # samples per entry of _phases' coarse table
+_SPLIT_LEN = 16384  # chirp-z length from which the sine sums get a thread of their own
+_GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 
 
 class ConfigError(ValueError):
@@ -123,6 +135,8 @@ class CoefficientGrid:
         for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma"):
             object.__setattr__(self, name, value := np.array(getattr(self, name), dtype=float))
             value.flags.writeable = False
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite values")
         n = len(self.times)
         if n < 2 or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("times must start at 0 and be strictly increasing")
@@ -159,6 +173,32 @@ class CoefficientGrid:
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
+
+def _effective_diffusion(delta: np.ndarray, big_gamma: np.ndarray,
+                         times: np.ndarray) -> np.ndarray:
+    """Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds by cumulative trapezoid.
+
+    e^{Gamma} overflows once Gamma passes ~709, so the integral is taken in blocks,
+    each ending at the first sample where Gamma has moved by _GAMMA_SPAN from the
+    block's first sample g0: there Delta_Gamma = e^{-(Gamma - g0)} [Delta_Gamma(t0) +
+    int_t0^t e^{Gamma - g0} Delta].  Every exponent stays within _GAMMA_SPAN plus one
+    step, and a grid whose Gamma stays below _GAMMA_SPAN is one block, the single
+    cumulative trapezoid over [0, t].
+    """
+    out = np.empty_like(delta)
+    start, last = 0, len(times) - 1
+    while start < last:
+        moved = np.abs(big_gamma[start + 1:] - big_gamma[start]) >= _GAMMA_SPAN
+        stop = start + 1 + int(np.argmax(moved)) if moved.any() else last
+        g = big_gamma[start:stop + 1] - big_gamma[start]
+        acc = _cumtrapz(np.exp(g) * delta[start:stop + 1], times[start:stop + 1])
+        if start:
+            acc += out[start]
+        out[start:stop + 1] = np.exp(-g) * acc
+        start = stop
+    out[0] = 0.0
     return out
 
 
@@ -232,36 +272,97 @@ def _uniform_step(s: np.ndarray) -> float:
     return ds
 
 
-def _chirp_sums(a: np.ndarray, width: float, ds: float, m: int) -> np.ndarray:
-    """sum_j a[..., j] exp(i j width n ds) for n < m: as j n = (j^2 + n^2 - (n - j)^2) / 2,
-    a convolution with a chirp, done by FFT (Bluestein chirp-z) in O((P + m) log)."""
-    p = a.shape[-1]
-    n = _fast_len(p + m - 1)
-    c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
-    v = np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj()
-    # one zero-padded buffer transformed in place: allocating a fresh (rows, n)
-    # array for each step costs about as much as a transform
-    buf = np.zeros(a.shape[:-1] + (n,), complex)
+def _phases(o: np.ndarray, ds: float, m: int) -> np.ndarray:
+    """exp(i o_k n ds) for n < m, shaped (len(o), m): with n = _PHASE_BLOCK b + r, the
+    product of a table over the ceil(m/_PHASE_BLOCK) blocks b and one over the offsets
+    r, so an order costs m/_PHASE_BLOCK + _PHASE_BLOCK exponentials rather than m, none
+    with an argument beyond o_k (m - 1) ds."""
+    blocks = np.exp(1j * (_PHASE_BLOCK * ds) * np.outer(o, np.arange(-(-m // _PHASE_BLOCK))))
+    offsets = np.exp(1j * ds * np.outer(o, np.arange(_PHASE_BLOCK)))
+    return (blocks[:, :, None] * offsets[:, None, :]).reshape(len(o), -1)[:, :m]
+
+
+def _chirp_sums(buf: np.ndarray, a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
+                post: np.ndarray) -> np.ndarray:
+    """post[k, n] * sum_j a[k, j] exp(i j width n ds) for n < m = post.shape[1]: as
+    j n = (j^2 + n^2 - (n - j)^2) / 2, a convolution with the chirp
+    c_j = exp(i width ds j^2 / 2), done by FFT (Bluestein chirp-z) in O((P + m) log).
+    spectrum is the transform of the conjugate chirp's zero-padded window, and post
+    carries the chirp's c_n.  Formed in place in buf, a zeroed array shaped
+    (rows, len(spectrum)): allocating a fresh one for each step costs about as much
+    as a transform."""
+    p, m = a.shape[-1], post.shape[-1]
     np.multiply(a, c[:p], out=buf[..., :p])
     fft(buf, out=buf)
-    buf *= fft(v)
-    return c[:m] * ifft(buf, out=buf)[..., :m]
+    buf *= spectrum
+    sums = ifft(buf, out=buf)[..., :m]
+    return np.multiply(post, sums, out=sums)
+
+
+def _beside(helper_task: Callable[[], np.ndarray],
+            own_task: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(helper_task(), own_task()), the first run on one thread started and joined here
+    while the caller runs the second; numpy's FFTs and ufuncs release the GIL, so the
+    two overlap.  An exception on the helper thread is re-raised on the caller's, and
+    where no thread can be started both run on the caller's."""
+    out: list = []
+
+    def run() -> None:
+        try:
+            out.append(helper_task())
+        except BaseException as exc:  # handed to the caller below
+            out.append(exc)
+
+    helper = threading.Thread(target=run, name="gaussian_paths-chirp-sums")
+    try:
+        helper.start()
+    except RuntimeError:  # "can't start new thread": out of threads or processes
+        return helper_task(), own_task()
+    try:
+        own = own_task()
+    finally:
+        helper.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0], own
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float, k_ir: float,
                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) on a uniform grid s.
 
-    Row k of the panels is o_k + j*width, so its sum is
-    exp(i o_k s) * sum_j wt_jk exp(i j width s): one batched chirp-z
-    transform covers every order and both weight sets, in
-    O(GL_ORDER * (panels + len(s)) log).  k_ir is _omega_rule's infrared
-    constant.  Raises ValueError on a non-uniform s.
+    Column k of nodes is o_k + j*width, so its sum is
+    exp(i o_k s) * sum_j wt_jk exp(i j width s): a batched chirp-z transform
+    over the orders for each weight set, in O(GL_ORDER * (panels + len(s)) log).
+    The phase exp(i o_k s) comes from _phases' two small tables and is folded into
+    the chirp's post-factor once per order; only Re of the cosine sums and Im of
+    the sine sums is formed.  The two halves share nothing after the chirp, so from
+    _SPLIT_LEN points on the sine half runs on one helper thread (_beside) beside the
+    cosine half, each half's arithmetic unchanged: the result does not depend on the
+    split or on thread timing.  k_ir is _omega_rule's infrared constant.  Raises
+    ValueError on a non-uniform s.
     """
     ds, m = _uniform_step(s), len(s)
-    sums = _chirp_sums(np.concatenate([wc.T, ws.T]), width, ds, m).reshape(2, -1, m)
-    turned = (np.exp(1j * np.outer(nodes[0], s)) * sums).sum(axis=1)
-    return turned[0].real + k_ir, turned[1].imag
+    p = len(nodes)
+    n = _fast_len(p + m - 1)
+    c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
+    spectrum = fft(np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj())
+    post = _phases(nodes[0], ds, m)
+    post *= c[:m]
+    # both halves' buffers are allocated on the caller's thread: a helper thread's own
+    # (8, n) buffer took several times as long to allocate and fill
+    buf = np.zeros((2, wc.shape[1], n), complex)
+
+    def cosine() -> np.ndarray:
+        return _chirp_sums(buf[0], wc.T, c, spectrum, post).real.sum(axis=0) + k_ir
+
+    def sine() -> np.ndarray:
+        return _chirp_sums(buf[1], ws.T, c, spectrum, post).imag.sum(axis=0)
+
+    if n < _SPLIT_LEN:
+        return cosine(), sine()
+    Ks, Kc = _beside(sine, cosine)
+    return Kc, Ks
 
 
 def _kernel_err(coarse: tuple[np.ndarray, ...], fine: tuple[np.ndarray, ...]) -> float:
@@ -315,8 +416,7 @@ def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float
     times = np.arange(n + 1) * rq.s_step
     delta, gamma = _coefficient_curves(spec, env, times, rq)
     big_gamma = _cumtrapz(gamma, times)
-    delta_gamma = np.exp(-big_gamma) * _cumtrapz(np.exp(big_gamma) * delta, times)
-    delta_gamma[0] = 0.0
+    delta_gamma = _effective_diffusion(delta, big_gamma, times)
     return CoefficientGrid(times=times, delta=delta, gamma=gamma,
                            big_gamma=big_gamma, delta_gamma=delta_gamma)
 

@@ -88,20 +88,32 @@ def dense_kernels(nodes, wc, ws, s):
     return np.cos(ph) @ wc.ravel(), np.sin(ph) @ ws.ravel()
 
 
-@pytest.mark.parametrize("kind", [SpectralKind.OHMIC, SpectralKind.WHITE_NOISE])
-def test_chirp_kernels_match_dense_sums(kind):
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_chirp_kernels_match_dense_sums(monkeypatch, kind):
+    # the accepted rule (level 0) on m samples, and the probe (level -1, panels twice as
+    # wide) on every fourth sample of a grid four times as long; m at the edges of the
+    # 64-sample phase blocks
     spec, env = make_spec(kind), make_env()
     rq = QuadratureConfig(omega_max=20.0).resolve(spec, env)
-    s = np.arange(1201) * rq.s_step
-    nodes, wc, ws, width, k_ir = _omega_rule(spec, env, rq, float(s[-1]), 0)
-    assert nodes.shape == wc.shape == ws.shape == (len(nodes), coefficients.GL_ORDER)
-    # every panel has the one width, white noise's first included; only it has k_ir
-    np.testing.assert_allclose(np.diff(nodes, axis=0), width, rtol=1e-9)
-    assert (k_ir != 0.0) == (kind is SpectralKind.WHITE_NOISE)
-    Kc, Ks = _kernels_on(nodes, wc, ws, width, k_ir, s)
-    ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
-    for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for m, probe in itertools.product((2, 64, 65, 1201), (False, True)):
+        stride = 4 if probe else 1
+        full = np.arange(stride * (m - 1) + 1) * rq.s_step
+        s = full[::stride]
+        rule = _omega_rule(spec, env, rq, float(full[-1]), -1 if probe else 0)
+        nodes, wc, ws, width, k_ir = rule
+        assert nodes.shape == wc.shape == ws.shape == (len(nodes), coefficients.GL_ORDER)
+        # every panel has the one width, white noise's first included; only it has k_ir
+        np.testing.assert_allclose(np.diff(nodes, axis=0), width, rtol=1e-9)
+        assert (k_ir != 0.0) == (kind is SpectralKind.WHITE_NOISE)
+        monkeypatch.setattr(coefficients, "_SPLIT_LEN", math.inf)  # both halves here
+        Kc, Ks = _kernels_on(*rule, s)
+        ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
+        for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, probe)
+        # the sine half on a helper thread computes exactly what it does on the caller's
+        monkeypatch.setattr(coefficients, "_SPLIT_LEN", 0)
+        split = _kernels_on(*rule, s)
+        assert np.array_equal(split[0], Kc) and np.array_equal(split[1], Ks), (m, probe)
 
 
 def test_chirp_kernels_reject_non_uniform_grid():
@@ -293,6 +305,46 @@ def test_delta_gamma_approaches_markovian_closed_form(resonant_grids, gamma_m_oh
     # and the diffusion factor keeps growing toward 2 n_T + 1
     tail = grid.delta_gamma[len(grid.times) // 2:]
     assert np.all(np.diff(tail) > -1e-12)
+
+
+def test_delta_gamma_is_one_cumulative_trapezoid_below_the_block_span(resonant_grids):
+    # Gamma stays far below the block span on every default grid: bit for bit the single
+    # e^{-Gamma} int e^{Gamma} Delta trapezoid
+    for _, _, grid in resonant_grids.values():
+        assert np.max(np.abs(grid.big_gamma)) < coefficients._GAMMA_SPAN
+        one = np.exp(-grid.big_gamma) * coefficients._cumtrapz(
+            np.exp(grid.big_gamma) * grid.delta, grid.times)
+        one[0] = 0.0
+        assert np.array_equal(grid.delta_gamma, one)
+
+
+def test_delta_gamma_stays_finite_once_gamma_passes_exp_overflow():
+    # Gamma(t_max) = 841 > 709, where one e^{Gamma} trapezoid overflows: Delta_Gamma must
+    # match the step recursion DG' = e^{-dG} DG + (h/2) (e^{-dG} Delta + Delta'), and the
+    # channel must sample it
+    spec, env = make_spec(SpectralKind.OHMIC), make_env(n_T=1.0, alpha=3.0)
+    grid = build_coefficient_grid(spec, env, 120.0, QuadratureConfig())
+    assert len(grid.times) == 19_100 and grid.big_gamma[-1] > 800.0
+    decay = np.exp(-np.diff(grid.big_gamma)).tolist()
+    half_h, d = (0.5 * np.diff(grid.times)).tolist(), grid.delta.tolist()
+    ref = [0.0]
+    for i, (e, hh) in enumerate(zip(decay, half_h)):
+        ref.append(e * ref[-1] + hh * (e * d[i] + d[i + 1]))
+    assert np.max(np.abs(grid.delta_gamma - ref)) <= 1e-13 * max(map(abs, ref))
+    traj = simulate_trajectory(SymmetricCM(11.5, 10.0), mode=TrajectoryMode.NONMARKOVIAN,
+                               t_max=120.0, n_samples=201, grid=grid, n_T=1.0)
+    assert np.isfinite(traj.a).all() and traj.a[-1] == pytest.approx(1.5, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["times", "delta", "gamma", "big_gamma", "delta_gamma"])
+def test_grid_rejects_non_finite_arrays(name):
+    arrays = {k: np.zeros(5) for k in ("delta", "gamma", "big_gamma", "delta_gamma")}
+    arrays["times"] = np.linspace(0.0, 1.0, 5)
+    for bad in (math.nan, math.inf):
+        arrays[name] = arrays[name].copy()
+        arrays[name][-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite values"):
+            CoefficientGrid(**arrays)
 
 
 def test_grid_convergence_under_step_halving():
