@@ -16,16 +16,11 @@ O(nodes * N_s) trig matrix.  A grid costs two transforms: the accepted rule
 on every sample, and a convergence probe one level coarser on every fourth
 sample, a third of the length.  Each order's phase e^{i o_k s} is the
 product of two small tables, one entry per 64-sample block and one per
-offset within a block, so no exponential is taken per sample; and from
-16,384 transform points on (the accepted rule of a grid longer than ~73
-time units at the defaults) the sine sums run on one helper thread, started
-and joined within the call, beside the cosine sums (numpy's FFT releases
-the GIL).  Below that the thread was measured to save nothing.  White noise
-starts its panels at the
-infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): on the first
-panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <=
-pi/4 there by the width bound) and the second independent of s, so the
-rule's whole error on it is the constant
+offset within a block, so no exponential is taken per sample.  White noise
+starts its panels at the infrared cutoff w_ir, where j coth(w beta/2) ~
+2 j/(beta w): on the first panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the
+first part smooth (w s <= pi/4 there by the width bound) and the second
+independent of s, so the rule's whole error on it is the constant
 k_ir = (2 j(w_ir)/beta) [log1p(W/w_ir) - sum_k wt_k/w_k], added to K_c.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
@@ -41,10 +36,9 @@ The Markovian damping rate needs no grid: it is the t -> infinity
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -66,7 +60,6 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)  # on [-1, 1], 
 MAX_REFINE = 2  # panel halvings tried before QuadratureError
 ABS_TOL = 1e-12  # floor of the kernel magnitude the halving error is relative to
 _PHASE_BLOCK = 64  # samples per entry of _phases' coarse table
-_SPLIT_LEN = 16384  # chirp-z length from which the sine sums get a thread of their own
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 
 
@@ -282,49 +275,22 @@ def _phases(o: np.ndarray, ds: float, m: int) -> np.ndarray:
     return (blocks[:, :, None] * offsets[:, None, :]).reshape(len(o), -1)[:, :m]
 
 
-def _chirp_sums(buf: np.ndarray, a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
+def _chirp_sums(a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
                 post: np.ndarray) -> np.ndarray:
     """post[k, n] * sum_j a[k, j] exp(i j width n ds) for n < m = post.shape[1]: as
     j n = (j^2 + n^2 - (n - j)^2) / 2, a convolution with the chirp
     c_j = exp(i width ds j^2 / 2), done by FFT (Bluestein chirp-z) in O((P + m) log).
     spectrum is the transform of the conjugate chirp's zero-padded window, and post
-    carries the chirp's c_n.  Formed in place in buf, a zeroed array shaped
-    (rows, len(spectrum)): allocating a fresh one for each step costs about as much
-    as a transform."""
+    carries the chirp's c_n."""
     p, m = a.shape[-1], post.shape[-1]
+    # one zero-padded buffer transformed in place: allocating a fresh (rows, n)
+    # array for each step costs about as much as a transform
+    buf = np.zeros(a.shape[:-1] + spectrum.shape, complex)
     np.multiply(a, c[:p], out=buf[..., :p])
     fft(buf, out=buf)
     buf *= spectrum
     sums = ifft(buf, out=buf)[..., :m]
     return np.multiply(post, sums, out=sums)
-
-
-def _beside(helper_task: Callable[[], np.ndarray],
-            own_task: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(helper_task(), own_task()), the first run on one thread started and joined here
-    while the caller runs the second; numpy's FFTs and ufuncs release the GIL, so the
-    two overlap.  An exception on the helper thread is re-raised on the caller's, and
-    where no thread can be started both run on the caller's."""
-    out: list = []
-
-    def run() -> None:
-        try:
-            out.append(helper_task())
-        except BaseException as exc:  # handed to the caller below
-            out.append(exc)
-
-    helper = threading.Thread(target=run, name="gaussian_paths-chirp-sums")
-    try:
-        helper.start()
-    except RuntimeError:  # "can't start new thread": out of threads or processes
-        return helper_task(), own_task()
-    try:
-        own = own_task()
-    finally:
-        helper.join()
-    if isinstance(out[0], BaseException):
-        raise out[0]
-    return out[0], own
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float, k_ir: float,
@@ -336,10 +302,7 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float,
     over the orders for each weight set, in O(GL_ORDER * (panels + len(s)) log).
     The phase exp(i o_k s) comes from _phases' two small tables and is folded into
     the chirp's post-factor once per order; only Re of the cosine sums and Im of
-    the sine sums is formed.  The two halves share nothing after the chirp, so from
-    _SPLIT_LEN points on the sine half runs on one helper thread (_beside) beside the
-    cosine half, each half's arithmetic unchanged: the result does not depend on the
-    split or on thread timing.  k_ir is _omega_rule's infrared constant.  Raises
+    the sine sums is formed.  k_ir is _omega_rule's infrared constant.  Raises
     ValueError on a non-uniform s.
     """
     ds, m = _uniform_step(s), len(s)
@@ -349,19 +312,8 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float,
     spectrum = fft(np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj())
     post = _phases(nodes[0], ds, m)
     post *= c[:m]
-    # both halves' buffers are allocated on the caller's thread: a helper thread's own
-    # (8, n) buffer took several times as long to allocate and fill
-    buf = np.zeros((2, wc.shape[1], n), complex)
-
-    def cosine() -> np.ndarray:
-        return _chirp_sums(buf[0], wc.T, c, spectrum, post).real.sum(axis=0) + k_ir
-
-    def sine() -> np.ndarray:
-        return _chirp_sums(buf[1], ws.T, c, spectrum, post).imag.sum(axis=0)
-
-    if n < _SPLIT_LEN:
-        return cosine(), sine()
-    Ks, Kc = _beside(sine, cosine)
+    Kc = _chirp_sums(wc.T, c, spectrum, post).real.sum(axis=0) + k_ir
+    Ks = _chirp_sums(ws.T, c, spectrum, post).imag.sum(axis=0)
     return Kc, Ks
 
 

@@ -89,7 +89,7 @@ def dense_kernels(nodes, wc, ws, s):
 
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
-def test_chirp_kernels_match_dense_sums(monkeypatch, kind):
+def test_chirp_kernels_match_dense_sums(kind):
     # the accepted rule (level 0) on m samples, and the probe (level -1, panels twice as
     # wide) on every fourth sample of a grid four times as long; m at the edges of the
     # 64-sample phase blocks
@@ -105,15 +105,10 @@ def test_chirp_kernels_match_dense_sums(monkeypatch, kind):
         # every panel has the one width, white noise's first included; only it has k_ir
         np.testing.assert_allclose(np.diff(nodes, axis=0), width, rtol=1e-9)
         assert (k_ir != 0.0) == (kind is SpectralKind.WHITE_NOISE)
-        monkeypatch.setattr(coefficients, "_SPLIT_LEN", math.inf)  # both halves here
         Kc, Ks = _kernels_on(*rule, s)
         ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
         for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, probe)
-        # the sine half on a helper thread computes exactly what it does on the caller's
-        monkeypatch.setattr(coefficients, "_SPLIT_LEN", 0)
-        split = _kernels_on(*rule, s)
-        assert np.array_equal(split[0], Kc) and np.array_equal(split[1], Ks), (m, probe)
 
 
 def test_chirp_kernels_reject_non_uniform_grid():
