@@ -88,6 +88,10 @@ class RunConfig:
         if self.mode == TrajectoryMode.MARKOVIAN.value and self.alpha == 0.0:
             raise ConfigError("markovian mode needs alpha > 0 (gamma_M = 0 at alpha = 0)")
         self.quadrature()  # field checks even in Markovian mode, which needs no grid
+        try:  # spectral fields too; every kind checks them alike, so 'all' asks one
+            self.spectral_density("ohmic" if self.spectrum == "all" else None)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def spectral_density(self, kind: str | None = None) -> SpectralDensity:
         kind = kind or self.spectrum
@@ -226,16 +230,11 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
     high_t = cfg.mode == TrajectoryMode.HIGH_TEMPERATURE.value
     _common_checks(traj, checks, drift_tol=1e-10 if high_t else max(1e-4, 30.0 * cfg.alpha**2))
     if cfg.mode == TrajectoryMode.NONMARKOVIAN.value:
-        # universality against the Markovian reference path at the same temperature
-        lam_end = float(np.max(traj.lam))
-        lam_t = cfg.n_T + 0.5
-        lam0 = float(traj.lam[0])
-        if lam_t > lam_end and lam_t > lam0:
-            tau_ref = -math.log(max((lam_t - lam_end) / (lam_t - lam0), 1e-12)) + 0.1
-        else:
-            tau_ref = 5.0
+        # universality against the Markovian path at n_T: the straight segment from (lambda0,
+        # v0) to the thermal state, exact in compare_paths' (lambda, v) interpolation from its
+        # two ends, at t = 0 and at Gamma = 40, where e^{-Gamma} < 2^-53
         ref = extract_path(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=1.0).sample(
-            traj.initial, t_max=tau_ref, n_samples=cfg.n_samples, label=cfg.spectrum))
+            traj.initial, t_max=40.0, n_samples=2, label=cfg.spectrum))
         rep = compare_paths(ref, extract_path(traj), tol=1e-2)
         checks.append(_check("universality-max-deviation", rep.max_deviation, 1e-2))
         checks.append(_check("universality-matched-fraction", rep.matched_fraction, 0.95,
@@ -263,25 +262,19 @@ def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     d_min = float(np.min(discord(traj.a, traj.c)))
     if d_min < -1e-12:
         raise UnphysicalStateError(f"negative discord {d_min} beyond roundoff tolerance")
-    if traj.mode is TrajectoryMode.HIGH_TEMPERATURE:
-        # the frozen-c map conserves C's lambda_T -> inf limit, k -> -1: C = lambda - v = -2c,
-        # formed with rounding at the scale of a, so its drift is absolute below |C| = 1
-        value = traj.lam - 1.0 / (4.0 * traj.lam * traj.mu)
-        scale = max(2.0 * c0, 1.0)
-    else:
-        com = constant_of_motion(traj, traj.initial.a - c0, purity(traj.initial), traj.n_T + 0.5)
-        if com.degenerate:
-            checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))
-            return
-        value = com.value
-        # C = 2 c0 lambda_T / (v0 - lambda_T) is formed with rounding at the scale of a but
-        # vanishes with c0.  The Markovian map conserves it exactly, so its drift is absolute
-        # below |C| = 1; the non-Markovian drift (n_eff - n_T) is physical and stays relative
-        # to |C(0)|, absolute only at c0 = 0
-        if traj.mode is TrajectoryMode.MARKOVIAN:
-            scale = max(abs(value[0]), 1.0)
-        else:
-            scale = abs(value[0]) if c0 else 1.0
+    lam_t = math.inf if traj.mode is TrajectoryMode.HIGH_TEMPERATURE else traj.n_T + 0.5
+    com = constant_of_motion(traj, traj.initial.a - c0, purity(traj.initial), lam_t)
+    if com.degenerate:
+        checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))
+        return
+    value = com.value
+    # C = 2 c0 lambda_T / (v0 - lambda_T), or its lambda_T -> inf limit -2 c0 that the high-T
+    # map's frozen c keeps, is formed with rounding at the scale of a but vanishes with c0.  The
+    # Markovian and high-T maps conserve it exactly, so their drift is absolute below |C| = 1;
+    # the non-Markovian drift (n_eff - n_T) is physical and stays relative to |C(0)|, absolute
+    # only at c0 = 0
+    exact = traj.mode is not TrajectoryMode.NONMARKOVIAN
+    scale = max(abs(value[0]), 1.0) if exact or not c0 else abs(value[0])
     drift = float(np.max(np.abs(value - value[0]))) / scale
     checks.append(_check("constant-of-motion-relative-drift", drift, drift_tol))
 

@@ -56,7 +56,10 @@ __all__ = [
 ]
 
 GL_ORDER = 8  # Gauss-Legendre nodes per frequency panel
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)  # on [-1, 1], solved once
+# leggauss(GL_ORDER) on [-1, 1], mirrored from literals: the import skips numpy.polynomial
+_GL_X = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+GL_NODES, GL_WEIGHTS = np.array([[-x for x in reversed(_GL_X)] + [*_GL_X], _GL_W[::-1] + _GL_W])
 MAX_REFINE = 2  # panel halvings tried before QuadratureError
 ABS_TOL = 1e-12  # floor of the kernel magnitude the halving error is relative to
 _PHASE_BLOCK = 64  # samples per entry of _phases' coarse table

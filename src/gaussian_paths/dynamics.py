@@ -396,15 +396,17 @@ class MotionConstant(NamedTuple):
 
 @lru_cache(maxsize=64)  # C is evaluated along a trajectory: calls repeat one triple
 def _motion_coefficient(lambda0: float, mu0: float, lambda_T: float) -> float | None:
-    """k = (lambda_T - lambda0)/(v0 - lambda_T) of C = lambda + k v, v0 = 1/(4 mu0 lambda0);
-    None where v0 = lambda_T leaves it undetermined.  A bad argument raises ValueError,
-    which lru_cache does not store, so it raises again on every call."""
+    """k = (lambda_T - lambda0)/(v0 - lambda_T) of C = lambda + k v, v0 = 1/(4 mu0 lambda0), and
+    its limit -1 at lambda_T = inf; None where v0 = lambda_T leaves it undetermined.  A bad
+    argument raises ValueError, which lru_cache does not store, so it raises on every call."""
     if not 0 < lambda0 < math.inf:
         raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
     if not 0 < mu0 < math.inf:
         raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
-    if not -math.inf < lambda_T < math.inf:
-        raise ValueError(f"lambda_T must be finite, got {lambda_T}")
+    if not -math.inf < lambda_T <= math.inf:
+        raise ValueError(f"lambda_T must be finite or +inf, got {lambda_T}")
+    if lambda_T == math.inf:
+        return -1.0
     v0 = 1.0 / (4.0 * mu0 * lambda0)
     if abs(v0 - lambda_T) <= 1e-12 * max(1.0, abs(v0), abs(lambda_T)):
         return None
@@ -417,7 +419,8 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
 
     Both lambda = a - c and v = a + c = 1/(4 lambda mu) relax through the
     same factor e^{-Gamma(t)} toward lambda_T = n_T + 1/2, so this k makes
-    C time-independent along the relaxation; when v0 = lambda_T the
+    C time-independent along the relaxation (k = -1 at lambda_T = inf: the
+    frozen-c high-T map's C = lambda - v = -2c).  When v0 = lambda_T the
     coefficient is undetermined and lambda itself is returned, flagged.
     ``point`` is anything with ``lam`` and ``mu`` attributes: one PathPoint
     gives a float, a Trajectory or DynamicalPath an array over its samples.

@@ -121,14 +121,13 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
                   tol: float = 1e-2) -> UniversalityReport:
     """Sup over candidate points of |Delta D| + |Delta mu| at equal lambda.
 
-    The reference must be monotone in lambda (Markovian references are);
-    it is interpolated in the (lambda, v = 1/(4 mu lambda)) plane, where
-    Markovian relaxation is exactly linear, so comparing two Markovian
-    paths of different damping rates returns pure roundoff.  Candidate
-    points are matched independently, which handles non-monotone
-    (oscillating) candidates segment by segment automatically; points
-    outside the reference lambda range are skipped and accounted for in
-    matched_fraction.  A reference is prepared once (DynamicalPath._reference).
+    The reference must be monotone in lambda (Markovian references are); it is interpolated
+    in the (lambda, v = 1/(4 mu lambda)) plane, where Markovian relaxation is exactly linear:
+    a Markovian reference needs only its two ends, and two Markovian paths of different
+    damping rates differ by pure roundoff.  Candidate points are matched independently, which
+    handles non-monotone (oscillating) candidates segment by segment; points outside the
+    reference lambda range are skipped and accounted for in matched_fraction.  A reference is
+    prepared once (DynamicalPath._reference).
     """
     if reference.source is not None and candidate.source is not None:
         same = (

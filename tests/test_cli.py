@@ -19,6 +19,7 @@ from gaussian_paths import (
 from gaussian_paths.cli import (
     _build_parser,
     _common_checks,
+    _trajectory_for,
     main,
     parse_config,
     run_coefficients,
@@ -74,6 +75,15 @@ def test_parse_config_rejects_bad_values():
         parse_config(MINIMAL.replace("alpha = 0.1", "alpha = fast"))
     with pytest.raises(ConfigError, match="key = value"):
         parse_config(MINIMAL + "how now brown cow\n")
+
+
+@pytest.mark.parametrize("ir_cutoff", ["-1", "0"])
+@pytest.mark.parametrize("spectrum", ["ohmic", "white", "all"])
+def test_parse_config_rejects_bad_ir_cutoff(spectrum, ir_cutoff):
+    # a config error at parse time, not a ValueError from the first command to build a spectrum
+    text = MINIMAL.replace("spectrum = ohmic", f"spectrum = {spectrum}")
+    with pytest.raises(ConfigError, match="^ir_cutoff must be > 0"):
+        parse_config(text + f"ir_cutoff = {ir_cutoff}\n")
 
 
 @pytest.mark.parametrize("line", ["n_T = 10", "r0 = 1.2", "alpha = 0.1", "t_max = 100"])
@@ -203,6 +213,21 @@ def test_run_verify_grid_modes(tmp_path):
     assert by_name["hight-frozen-correlation-identity"]["value"] <= 1e-10
 
 
+def test_run_verify_universality_reference_reaches_the_thermal_state(tmp_path):
+    # strong white noise drives lambda past lambda_T = n_T + 1/2: the Markovian reference
+    # reaches lambda_T itself, so exactly the overshoot goes unmatched, and verify fails
+    cfg = parse_config(MINIMAL.replace("spectrum = ohmic", "spectrum = white")
+                              .replace("alpha = 0.1", "alpha = 0.3")
+                              .replace("mode = markovian", "mode = nonmarkovian"))
+    report_file, ok = run_verify(cfg, tmp_path)
+    by_name = {c["name"]: c for c in json.loads(report_file.read_text())["checks"]}
+    lam = _trajectory_for(cfg).lam
+    assert lam.max() > cfg.n_T + 0.5 and lam.min() == lam[0]
+    overlap = (cfg.n_T + 0.5 - lam[0]) / (lam.max() - lam[0])
+    assert by_name["universality-matched-fraction"]["value"] == pytest.approx(overlap, rel=1e-14)
+    assert not ok and not by_name["universality-matched-fraction"]["passed"]
+
+
 @pytest.mark.parametrize("r0", [1.2, 1e-6])
 @pytest.mark.parametrize("spectrum", ["ohmic", "superohmic", "white"])
 def test_run_verify_high_temperature_constant_of_motion(tmp_path, spectrum, r0):
@@ -320,9 +345,10 @@ def test_common_checks_keep_the_per_sample_guards():
 
 
 def test_cli_import_leaves_out_scipy():
+    # nor numpy.polynomial, whose leggauss the Gauss-Legendre literals replace
     src = str(Path(gaussian_paths.__file__).resolve().parents[1])
-    code = ("import sys, gaussian_paths.cli; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    code = ("import sys, gaussian_paths.cli; print([m for m in sys.modules if m == 'scipy' "
+            "or m.startswith(('scipy.', 'numpy.polynomial'))])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -88,6 +88,12 @@ def dense_kernels(nodes, wc, ws, s):
     return np.cos(ph) @ wc.ravel(), np.sin(ph) @ ws.ravel()
 
 
+def test_gauss_legendre_literals_are_leggauss_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(coefficients.GL_ORDER)
+    assert coefficients.GL_NODES.tobytes() == nodes.tobytes()
+    assert coefficients.GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("kind", list(SpectralKind))
 def test_chirp_kernels_match_dense_sums(kind):
     # the accepted rule (level 0) on m samples, and the probe (level -1, panels twice as

@@ -354,7 +354,7 @@ def test_bad_time_rate_or_temperature_is_a_named_value_error(name, bad):
     (constant_of_motion, (path_point(TWB12, 0.0), math.nan, 1.0, 10.5), "lambda0"),
     (constant_of_motion, (path_point(TWB12, 0.0), 0.1, math.nan, 10.5), "mu0"),
     (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, math.nan), "lambda_T"),
-    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, math.inf), "lambda_T"),
+    (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 1.0, -math.inf), "lambda_T"),
     (dsep_universal, (math.nan,), "r0"),
     (dsep_universal, (math.inf,), "r0"),
     (cm_from_mu_lambda, (math.nan, 0.5), "mu"),
@@ -366,7 +366,7 @@ def test_bad_time_rate_or_temperature_is_a_named_value_error(name, bad):
     (constant_of_motion, (path_point(TWB12, 0.0), 0.1, 0.0, 10.5), "mu0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_finite_argument_is_a_named_value_error(fn, args, name):
-    # NaN passes `x < 0` checks; inf lambda_T read as a degenerate constant.  The motion
+    # NaN passes `x < 0` checks; -inf lambda_T read as a degenerate constant.  The motion
     # coefficient is cached per (lambda0, mu0, lambda_T): a bad triple raises on every
     # call, before and after a good call with the same other arguments
     for _ in range(2):
@@ -604,6 +604,26 @@ def test_reachable_roundtrip_recovery():
         assert dec.n_T == pytest.approx(n_T, rel=1e-9, abs=1e-9)
 
 
+def test_reachable_markovian_is_the_excluded_region_oracle():
+    # a Markovian channel reaches cm1 from cm0 exactly when the correlations decay, 0 < x =
+    # c1/c0 <= 1, and a1 lies on or above the zero-temperature image a0 x + (1 - x)/2; the
+    # targets are physical, scattered on both sides of both bounds
+    rng = np.random.default_rng(7)
+    reached = 0
+    for _ in range(20_000):
+        cm0 = from_sts(STSParams(r=float(rng.uniform(0.05, 2.5)),
+                                 nu_T=float(rng.uniform(0.0, 2.0))))
+        u = float(rng.uniform(-0.25, 1.25))
+        # a1 from the physical floor to twice the floor's distance from the zero-T line
+        floor, line = math.hypot(cm0.c * u, 0.5), cm0.a * u + 0.5 * (1 - u)
+        cm1 = SymmetricCM(floor + abs(line - floor) * float(rng.uniform(0.0, 2.0)), cm0.c * u)
+        x = cm1.c / cm0.c
+        expected = 0 < x <= 1 and cm1.a >= cm0.a * x + 0.5 * (1 - x)
+        assert reachable_markovian(cm0, cm1).reachable == expected, (cm0, cm1)
+        reached += expected
+    assert 5_000 < reached < 10_000
+
+
 def test_reachable_degenerate_input():
     with pytest.raises(DegenerateInputError):
         reachable_markovian(SymmetricCM(1.0, 0.0), TWB12)
@@ -643,6 +663,20 @@ def test_constant_of_motion_degenerate_flag():
     lam0, mu0, lam_t = com_inputs(cm0, 1.0)
     out = constant_of_motion(path_point(cm0, 0.0), lam0, mu0, lam_t)
     assert out.degenerate and out.value == 1.5
+
+
+def test_constant_of_motion_high_temperature_limit(resonant_grids):
+    # lambda_T = +inf is the limit k = -1 that the high-T map conserves: C = lambda - v, to
+    # the bit, whatever lambda0 and mu0 are
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    traj = simulate_trajectory(TWB12, mode=TrajectoryMode.HIGH_TEMPERATURE, t_max=25.0,
+                               n_samples=2001, grid=grid, n_T=env.n_T)
+    lam0, mu0, _ = com_inputs(TWB12, env.n_T)
+    out = constant_of_motion(traj, lam0, mu0, math.inf)
+    assert not out.degenerate
+    assert _bits(out.value) == _bits(traj.lam - 1.0 / (4.0 * traj.lam * traj.mu))
+    point = constant_of_motion(path_point(TWB12, 0.0), 0.1, 1.0, math.inf)
+    assert point.value == pytest.approx(-2.0 * TWB12.c, rel=1e-14)
 
 
 def test_constant_of_motion_array_matches_point_loop(resonant_grids):

@@ -166,6 +166,27 @@ def test_repeated_comparisons_against_one_reference_agree():
     assert compare_paths(desc, fast, tol=1e-10) == first[0]
 
 
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_two_sample_markovian_reference_equals_a_sampled_one(resonant_grids, kind):
+    # a Markovian path is the straight segment from (lambda0, v0) to the thermal state, which
+    # compare_paths interpolates exactly: its two ends, at t = 0 and Gamma = 40, compare a
+    # non-Markovian path like 2,001 samples up to Gamma = 12, which span every lambda it reaches
+    _, env, grid = resonant_grids[kind]
+    for r0 in (0.5, 1.2, 2.5):
+        cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
+        traj = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid).sample(
+            cm0, t_max=25.0, n_samples=2001)
+        assert np.max(traj.lam) < env.n_T + 0.5
+        reference, candidate = markovian(env.n_T).sample, extract_path(traj)
+        two = compare_paths(extract_path(reference(cm0, t_max=40.0, n_samples=2)), candidate)
+        sampled = compare_paths(extract_path(reference(cm0, t_max=12.0, n_samples=2001)),
+                                candidate)
+        assert two.max_deviation > 0.0
+        assert two.max_deviation == pytest.approx(sampled.max_deviation, rel=1e-13, abs=0.0)
+        assert two.matched_fraction == pytest.approx(sampled.matched_fraction, rel=1e-13,
+                                                     abs=0.0)
+
+
 # --------------------------------------------------- discord at threshold
 
 def test_dsep_universal_values():
@@ -206,6 +227,35 @@ def test_dsep_from_trajectory_matches_markovian_closed_form():
     c_sep = TWB12.c * math.exp(-t_sep)
     expected = discord(0.5 + c_sep, c_sep)
     assert dsep_from_trajectory(traj) == pytest.approx(expected, rel=1e-12)
+
+
+def _dsep_on_segment(cm0, lam_t):
+    """D(1/2 + c*, c*) where the straight segment from (lambda0, v0) to the thermal state
+    (lam_t, lam_t) of the (lambda, v) plane crosses lambda = 1/2: x* = (lam_t - 1/2)/(lam_t -
+    lambda0) of the way back from the thermal state, so v* = lam_t + (v0 - lam_t) x*."""
+    lam0, v0 = cm0.a - cm0.c, cm0.a + cm0.c
+    x = (lam_t - 0.5) / (lam_t - lam0)
+    c_sep = 0.5 * (lam_t + (v0 - lam_t) * x - 0.5)
+    return discord(0.5 + c_sep, c_sep)
+
+
+@pytest.mark.parametrize("r0", [0.5, 1.2, 2.5])
+def test_dsep_from_trajectory_is_the_segment_crossing(resonant_grids, r0):
+    # Markovian: the segment to n_T + 1/2.  Non-Markovian: the segment to the effective
+    # temperature the channel has reached at the crossing, n_eff + 1/2 = Delta_Gamma / (2 (1 -
+    # e^{-Gamma})), since the secular map keeps lambda and v on the segment to it
+    cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
+    for n_T in (0.1, 1.0, 10.0):
+        traj = markovian(n_T).sample(cm0, t_max=5.0, n_samples=101)
+        assert dsep_from_trajectory(traj) == pytest.approx(_dsep_on_segment(cm0, n_T + 0.5),
+                                                           rel=0.0, abs=1e-12)
+    for kind, (_, env, grid) in resonant_grids.items():
+        channel = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)
+        traj = channel.sample(cm0, t_max=25.0, n_samples=101)
+        (big_gamma,), (delta_gamma,) = channel(separability_time(traj))
+        lam_eff = delta_gamma / (-2.0 * math.expm1(-big_gamma))
+        assert dsep_from_trajectory(traj) == pytest.approx(_dsep_on_segment(cm0, lam_eff),
+                                                           rel=0.0, abs=1e-12), kind
 
 
 def _channel_dsep(big_gamma):
