@@ -75,21 +75,18 @@ class RunConfig:
                               f"got {self.spectrum!r}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
-        for key in ("omega0", "omega_c", "alpha", "t_max"):
-            if getattr(self, key) is None or getattr(self, key) <= 0:
-                if not (key == "alpha" and self.alpha == 0.0):
-                    raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.n_T < 0:
-            raise ConfigError(f"n_T must be >= 0, got {self.n_T}")
-        if self.r0 < 0 or self.nu0 < 0:
+        if self.t_max <= 0:
+            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
+        if self.r0 < 0 or self.nu0 < 0:  # by these names: STSParams calls them r and nu_T
             raise ConfigError("r0 and nu0 must be >= 0")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.mode == TrajectoryMode.MARKOVIAN.value and self.alpha == 0.0:
             raise ConfigError("markovian mode needs alpha > 0 (gamma_M = 0 at alpha = 0)")
         self.quadrature()  # field checks even in Markovian mode, which needs no grid
-        try:  # spectral fields too; every kind checks them alike, so 'all' asks one
+        try:  # bath fields too; every spectral kind checks them alike, so 'all' asks one
             self.spectral_density("ohmic" if self.spectrum == "all" else None)
+            self.environment()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -195,7 +192,7 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
     rows = []
     for kind in kinds:
         rows.extend(dsep_sweep(r0_values, _coefficients_for(cfg, kind), t_max=cfg.t_max,
-                               n_samples=cfg.n_samples, nu0=cfg.nu0, label=kind))
+                               nu0=cfg.nu0, label=kind))
     out = out_dir / "dsep_sweep.csv"
     with out.open("w") as fh:
         write_sweep_csv(rows, fh)

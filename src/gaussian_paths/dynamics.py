@@ -183,37 +183,41 @@ class Channel:
                           big_gamma=big_gamma, delta_gamma=delta_gamma, label=label)
 
     def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
-        """(t_sep, Gamma(t_sep)) at which cm0's lambda = a - c first reaches 1/2, by t_max: in
-        closed form if Markovian, else bisected on the grid's interpolant; (0, 0) if cm0 is
-        separable, None if never.  InconclusiveThresholdError if not by t_max but later."""
+        """(t_sep, Gamma(t_sep)) at which cm0's lambda = a - c first reaches 1/2 by t_max (finite,
+        > 0, on the grid).  Markovian: in closed form, no knots checked, since a completely
+        positive map (n_T >= 0) keeps a state physical (Holevo & Werner, PRA 63, 032312); else
+        _grid_crossing.  (0, 0) if separable, None if never; InconclusiveThresholdError if not by
+        t_max but later."""
+        end = math.inf if self.grid is None else self.grid.t_max * (1 + 1e-12)
+        if not 0 < t_max < math.inf or t_max > end:
+            raise ValueError(f"t_max must be finite, > 0 and within the grid, got {t_max}")
         lam0, lam_t = cm0.a - cm0.c, self.n_T + 0.5
-        if lam0 >= SEPARABILITY_THRESHOLD:
+        if self.grid is not None:
+            crossing = self._grid_crossing(cm0, t_max)
+        elif lam0 >= SEPARABILITY_THRESHOLD:
             return 0.0, 0.0
-        if self.grid is None:
-            if lam_t <= SEPARABILITY_THRESHOLD:
-                return None
+        elif lam_t <= SEPARABILITY_THRESHOLD:
+            return None
+        else:
             t_sep = math.log((lam_t - lam0) / (lam_t - SEPARABILITY_THRESHOLD)) / self.gamma_m
-            if t_sep > t_max * (1 + 1e-12):
-                raise InconclusiveThresholdError(f"closed-form t_sep = {t_sep} exceeds the "
-                                                 f"sampled window {t_max}")
-            return t_sep, self.gamma_m * t_sep
-        crossing = self._grid_crossing(cm0, t_max)
+            crossing = None if t_sep > t_max * (1 + 1e-12) else (t_sep, self.gamma_m * t_sep)
         if crossing is None and lam_t > SEPARABILITY_THRESHOLD:
             raise InconclusiveThresholdError(f"lambda < 1/2 up to t_max = {t_max} but the "
                                              f"stationary value {lam_t} lies above threshold")
         return crossing
 
     def _grid_crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
-        """(t, Gamma(t)) at the first float t <= t_max at which the grid channel's lambda
-        reaches 1/2, or None.  Linear Gamma and Delta_Gamma make lambda convex between knots,
-        so the first knot (cached with its e^{-Gamma}) at or past 1/2 ends the bisection."""
-        (a0, c0), knots = cm0, self._windows(self.mode, self.n_T, None, None, None)
-        nodes, big_gamma, delta_gamma, decay = knots
+        """(t, Gamma(t)) at the first float t <= t_max at which the grid channel's lambda reaches
+        1/2, or None.  cm0 is mapped over the (cached) knots that fix the channel on [0, t_max]:
+        MapUnphysicalError if unphysical there.  Linear Gamma and Delta_Gamma make lambda convex
+        between knots, so the first knot at or past 1/2 ends the bisection."""
+        nodes, big_gamma, delta_gamma, decay = self._windows(self.mode, self.n_T, None, None, None)
         end = int(np.searchsorted(nodes, t_max)) + 1  # knots of [0, t_max], one past if between
-        x = decay[:end]
-        above = (a0 * x + 0.5 * delta_gamma[:end]) - c0 * x >= SEPARABILITY_THRESHOLD
-        if not above[k := int(np.argmax(above))]:
-            return None
+        a, c = _secular_map(cm0, decay[:end], delta_gamma[:end], nodes)
+        above = a - c >= SEPARABILITY_THRESHOLD
+        if (k := int(np.argmax(above))) == 0:  # separable cm0, or no knot reaches 1/2
+            return (0.0, 0.0) if above[0] else None
+        a0, c0 = cm0
         (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist()
                                         for v in (nodes, big_gamma, delta_gamma))
         # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
@@ -265,8 +269,8 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
-        if n < 1 or self.times[0] != 0.0:
-            raise ValueError("trajectory must start at t = 0")
+        if n < 2 or self.times[0] != 0.0:  # the crossing is read by the last sample time
+            raise ValueError("trajectory must start at t = 0 and hold at least 2 samples")
         for name in ("a", "c", "big_gamma", "delta_gamma"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length differs from times")

@@ -18,14 +18,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .coefficients import _write_rows
-from .dynamics import (
-    Channel,
-    InconclusiveThresholdError,
-    MapUnphysicalError,
-    Trajectory,
-    separability_time,
-)
-from .gaussian_core import STSParams, discord, from_sts, to_sts
+from .dynamics import Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory
+from .gaussian_core import _EPS, STSParams, SymmetricCM, discord, from_sts, to_sts
 
 __all__ = [
     "PathSource",
@@ -69,15 +63,19 @@ class DynamicalPath:
 
     @cached_property
     def _reference(self) -> tuple[np.ndarray, ...]:
-        """compare_paths' (lam, mu, discord, v) ascending in lambda without repeats, once."""
-        keep = np.concatenate(([True], np.diff(self.lam) != 0))
+        """compare_paths' (lam, mu, discord, v) ascending in lambda without repeats, once.  A
+        point that falls back by at most 4 eps max|lambda|, roundoff where the path has relaxed
+        to its end, is dropped like a repeat; a larger reversal is refused."""
+        moved = self.lam - self.lam[0]
+        ahead = np.sign(moved[np.argmax(np.abs(moved))]) * self.lam  # toward its farthest point
+        reach = np.maximum.accumulate(ahead)[:-1]
+        if np.any(ahead[1:] < reach - 4.0 * _EPS * np.max(np.abs(self.lam))):
+            raise ValueError("reference path must be monotone in lambda")
+        keep = np.concatenate(([True], ahead[1:] > reach))
         lam_r, mu_r, d_r = self.lam[keep], self.mu[keep], self.discord[keep]
         if len(lam_r) < 2:
             raise ValueError("reference path is a single point")
-        direction = np.sign(np.diff(lam_r))
-        if not (np.all(direction > 0) or np.all(direction < 0)):
-            raise ValueError("reference path must be monotone in lambda")
-        if direction[0] < 0:
+        if lam_r[-1] < lam_r[0]:
             lam_r, mu_r, d_r = lam_r[::-1], mu_r[::-1], d_r[::-1]
         return lam_r, mu_r, d_r, 1.0 / (4.0 * mu_r * lam_r)
 
@@ -196,20 +194,23 @@ def d_star() -> float:
     return 2.0 * math.log(2.0) - 1.0
 
 
-def dsep_from_trajectory(traj: Trajectory) -> float | None:
-    """Discord at the first separability crossing of a trajectory, D(1/2 + c*, c*) with
-    c* = c0 e^{-Gamma(t_sep)} on its channel (c0 in high-T mode); None if never.  An
-    initially separable state gives its own discord.  The crossing is the one
-    separability_time reads, solved once per trajectory."""
-    crossing = traj._crossing
+def _dsep_at(cm0: SymmetricCM, crossing: tuple[float, float] | None) -> float | None:
+    """D(1/2 + c*, c*) at the crossing (t_sep, Gamma(t_sep)) from cm0, with c* = c0 e^{-Gamma}
+    (c0 in high-T mode): lambda = 1/2 there exactly; cm0's own discord at t_sep = 0."""
     if crossing is None:
         return None
     t_sep, big_gamma = crossing
     if t_sep == 0.0:
-        return discord(traj.initial.a, traj.initial.c)
-    # at the crossing lambda = 1/2 exactly, and c = c0 e^{-Gamma} on the channel
-    c_sep = traj.initial.c * np.exp(-big_gamma).item()
+        return discord(cm0.a, cm0.c)
+    c_sep = cm0.c * np.exp(-big_gamma).item()
     return discord(0.5 + c_sep, c_sep)
+
+
+def dsep_from_trajectory(traj: Trajectory) -> float | None:
+    """Discord at the first separability crossing of a trajectory on its channel; None if
+    never.  An initially separable state gives its own discord.  The crossing is the one
+    separability_time reads, solved once per trajectory."""
+    return _dsep_at(traj.initial, traj._crossing)
 
 
 @dataclass(frozen=True)
@@ -224,24 +225,25 @@ class SweepRow:
 
 
 def dsep_sweep(r0_values: Sequence[float], channel: Channel, *, t_max: float,
-               n_samples: int = 2001, nu0: float = 0.0, label: str = "") -> list[SweepRow]:
-    """Discord at separability for a list of initial squeezings on one channel, whose window and
-    knots the rows share, so each pays only for its state; label names the rows' spectrum.  A
-    row whose trajectory errors or never crosses carries None, and the sweep continues."""
+               nu0: float = 0.0, label: str = "") -> list[SweepRow]:
+    """Discord at separability for a list of initial squeezings on one channel, label naming the
+    rows' spectrum.  Each row is channel.crossing of its state by t_max, so it depends on r0,
+    nu0, the channel and t_max alone, and no trajectory is sampled.  A row whose map is
+    unphysical on the channel's knots, or that is inconclusive or never crosses, carries None,
+    and the sweep continues."""
     if not len(r0_values):
         raise ValueError("r0_values must be non-empty")
     rows: list[SweepRow] = []
     for r0 in r0_values:
         cm0 = from_sts(STSParams(r=float(r0), nu_T=nu0))
         try:
-            traj = channel.sample(cm0, t_max=t_max, n_samples=n_samples, label=label)
-            t_sep = separability_time(traj)
-            d_sep = dsep_from_trajectory(traj)
-            note = "" if t_sep is not None else "no-threshold"
+            crossing = channel.crossing(cm0, t_max)
+            note = "" if crossing is not None else "no-threshold"
         except (InconclusiveThresholdError, MapUnphysicalError) as exc:
-            t_sep, d_sep, note = None, None, f"{type(exc).__name__}: {exc}"
-        rows.append(SweepRow(r0=float(r0), n_T=channel.n_T, spectrum=label,
-                             mode=channel.mode.value, t_sep=t_sep, d_sep=d_sep, note=note))
+            crossing, note = None, f"{type(exc).__name__}: {exc}"
+        t_sep = None if crossing is None else crossing[0]
+        rows.append(SweepRow(r0=float(r0), n_T=channel.n_T, spectrum=label, mode=channel.mode.value,
+                             t_sep=t_sep, d_sep=_dsep_at(cm0, crossing), note=note))
     return rows
 
 

@@ -77,6 +77,20 @@ def test_parse_config_rejects_bad_values():
         parse_config(MINIMAL + "how now brown cow\n")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("spectrum = ohmic", "spectrum = drumhead", "spectrum must be one of"),
+    ("n_T = 10", "n_T = -1", "n_T must be finite and >= 0"),
+    ("r0 = 1.2", "r0 = -0.5", "r0 and nu0 must be >= 0"),
+    ("nu0 = 0", "nu0 = -1", "r0 and nu0 must be >= 0"),
+    ("omega0 = 1", "omega0 = 0", "omega0 must be finite and > 0"),
+    ("alpha = 0.1", "alpha = -0.1", "alpha must be finite and >= 0"),
+    ("t_max = 100", "t_max = 0", "t_max must be > 0"),
+])
+def test_parse_config_rejects_out_of_range_fields(old, new, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config(MINIMAL.replace(old, new))
+
+
 @pytest.mark.parametrize("ir_cutoff", ["-1", "0"])
 @pytest.mark.parametrize("spectrum", ["ohmic", "white", "all"])
 def test_parse_config_rejects_bad_ir_cutoff(spectrum, ir_cutoff):
@@ -191,6 +205,21 @@ def test_run_verify_markovian_constant_of_motion_at_small_squeezing(tmp_path, r0
     assert ok, report
     drift = {c["name"]: c for c in report["checks"]}["constant-of-motion-relative-drift"]
     assert drift["value"] <= 1e-12 and drift["tolerance"] == 1e-8
+
+
+@pytest.mark.parametrize("mode", ["nonmarkovian", "markovian"])
+def test_run_verify_flags_a_degenerate_constant_of_motion(tmp_path, mode):
+    # r0 = ln(21)/2 at n_T = 10 puts v0 = a0 + c0 = e^{2 r0}/2 at lambda_T = 10.5, where the
+    # coefficient k of C = lambda + k v is undetermined: verify reports it and passes
+    cfg = parse_config(MINIMAL.replace("r0 = 1.2", f"r0 = {0.5 * math.log(21.0)!r}")
+                              .replace("mode = markovian", f"mode = {mode}")
+                              .replace("t_max = 100", "t_max = 25"))
+    report_file, ok = run_verify(cfg, tmp_path)
+    report = json.loads(report_file.read_text())
+    assert ok, report
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["constant-of-motion-degenerate"]["passed"]
+    assert "constant-of-motion-relative-drift" not in by_name
 
 
 def test_run_verify_grid_modes(tmp_path):
@@ -334,6 +363,17 @@ def test_main_dsep_requires_r0_list(tmp_path, capsys):
                "--r0-list", "zebra"])
     assert rc == 2
     assert "r0-list" in capsys.readouterr().err
+
+
+def test_main_dsep_rejects_an_empty_r0_list(tmp_path, capsys):
+    # separators alone leave no number: refused before any channel is built
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MINIMAL)
+    rc = main(["dsep-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--r0-list", ","])
+    assert rc == 2
+    assert "--r0-list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_common_checks_keep_the_per_sample_guards():

@@ -348,6 +348,26 @@ def test_grid_rejects_non_finite_arrays(name):
             CoefficientGrid(**arrays)
 
 
+def test_grid_rejects_inconsistent_arrays():
+    def grid(**changes):
+        arrays = {k: np.zeros(5) for k in ("delta", "gamma", "big_gamma", "delta_gamma")}
+        arrays["times"] = np.linspace(0.0, 1.0, 5)
+        return CoefficientGrid(**{**arrays, **changes})
+
+    for times in (np.linspace(0.5, 1.0, 5), np.array([0.0, 0.5, 0.5, 0.75, 1.0])):
+        with pytest.raises(ValueError, match="^times must start at 0 and be strictly increasing"):
+            grid(times=times)
+    with pytest.raises(ValueError, match="^gamma length differs from times"):
+        grid(gamma=np.zeros(4))
+    with pytest.raises(ValueError, match=r"^delta_gamma\[0\] must be 0"):
+        grid(delta_gamma=np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
+    # Gamma = int gamma may only fall where gamma < 0
+    falling = np.array([0.0, 0.2, 0.1, 0.3, 0.4])
+    with pytest.raises(ValueError, match="^big_gamma decreases on an interval where gamma >= 0"):
+        grid(gamma=np.array([0.0, 0.4, 0.4, 0.4, 0.4]), big_gamma=falling)
+    assert grid(gamma=np.array([0.0, 0.4, -0.4, 0.4, 0.4]), big_gamma=falling).t_max == 1.0
+
+
 def test_grid_convergence_under_step_halving():
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
     base = 2.0 * math.pi / 1000.0

@@ -531,6 +531,18 @@ def test_separability_inconclusive_is_distinct(resonant_grids):
                     reader(traj)
 
 
+def test_crossing_refuses_a_t_max_off_the_channel(resonant_grids):
+    # a grid covers [0, 25]: t_max = 100 is a ValueError, not an inconclusive threshold
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    for channel, past in ((Channel(TrajectoryMode.MARKOVIAN, env.n_T, gamma_m=1.0), math.inf),
+                          (Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid), 100.0),
+                          (Channel(TrajectoryMode.HIGH_TEMPERATURE, env.n_T, grid=grid), 26.0)):
+        for t_max in (past, math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="^t_max must be finite, > 0"):
+                channel.crossing(TWB12, t_max)
+        assert channel.crossing(TWB12, grid.t_max)[0] > 0.0
+
+
 @pytest.mark.parametrize("mode", list(TrajectoryMode))
 def test_crossing_is_solved_once_in_either_order(resonant_grids, monkeypatch, mode):
     # dsep_from_trajectory before or after separability_time: the same (t_sep, D_sep), and
@@ -705,6 +717,24 @@ def test_points_raise_the_constructor_error_at_the_first_bad_sample(bad, message
     with pytest.raises(UnphysicalStateError, match=f"^{re.escape(str(caught.value))}$"):
         hand_built.points
     assert [cm for _, cm in traj.points] == list(map(SymmetricCM, traj.a, traj.c))
+
+
+def test_trajectory_rejects_inconsistent_samples():
+    traj = markovian_traj(n=11)
+    fields = {"channel": traj.channel, "initial": traj.initial, "times": traj.times, "a": traj.a,
+              "c": traj.c, "big_gamma": traj.big_gamma, "delta_gamma": traj.delta_gamma}
+    with pytest.raises(ValueError, match="^trajectory must start at t = 0"):
+        Trajectory(**{**fields, "times": traj.times + 0.1})
+    one = {k: v[:1] if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    with pytest.raises(ValueError, match="hold at least 2 samples"):
+        Trajectory(**one)
+    with pytest.raises(ValueError, match="^delta_gamma length differs from times"):
+        Trajectory(**{**fields, "delta_gamma": traj.delta_gamma[:-1]})
+    for name in ("a", "c"):
+        moved = getattr(traj, name).copy()
+        moved[0] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match=r"^a\[0\], c\[0\] must equal the initial state"):
+            Trajectory(**{**fields, name: moved})
 
 
 def test_lambda_and_v_relax_identically(resonant_grids):

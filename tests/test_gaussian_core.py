@@ -402,6 +402,12 @@ def test_path_point_converts_numpy_and_int_members_to_floats():
         assert [type(v) for v in got[:3]] == [float, float, float]
 
 
+def test_path_point_requires_nonnegative_c():
+    # (a, -c) is the same state up to a local phase flip, held in the other sign convention
+    with pytest.raises(UnphysicalStateError, match="c >= 0 sign convention"):
+        path_point(SymmetricCM(1.5, -0.5), 0.0)
+
+
 def test_path_point_constraint_surface():
     for p in random_states(50, seed=23):
         cm = from_sts(p)

@@ -7,6 +7,7 @@ import pytest
 from gaussian_paths import (
     Channel,
     DynamicalPath,
+    MapUnphysicalError,
     STSParams,
     SpectralKind,
     TrajectoryMode,
@@ -185,6 +186,12 @@ def test_two_sample_markovian_reference_equals_a_sampled_one(resonant_grids, kin
         assert two.max_deviation == pytest.approx(sampled.max_deviation, rel=1e-13, abs=0.0)
         assert two.matched_fraction == pytest.approx(sampled.matched_fraction, rel=1e-13,
                                                      abs=0.0)
+        # 2,001 samples up to Gamma = 40 reach the thermal end, where lambda reverses by an ulp
+        # (dropped as roundoff); their coarser spacing moves v by an ulp at matched lambda, and
+        # D by a few 1e-15
+        far = compare_paths(extract_path(reference(cm0, t_max=40.0, n_samples=2001)), candidate)
+        assert far.max_deviation == pytest.approx(two.max_deviation, rel=0.0, abs=1e-14)
+        assert far.matched_fraction == pytest.approx(two.matched_fraction, rel=1e-13, abs=0.0)
 
 
 # --------------------------------------------------- discord at threshold
@@ -324,15 +331,28 @@ def test_dsep_low_temperature_family_below_universal():
     # Markovian threshold discord at small n_T sits strictly below the
     # high-temperature universal curve, approaching it as n_T grows
     for n_T in (1e-2, 1e-3):
-        rows = dsep_sweep([0.5, 1.2, 2.0], markovian(n_T), t_max=400.0, n_samples=4001)
+        rows = dsep_sweep([0.5, 1.2, 2.0], markovian(n_T), t_max=400.0)
         for r in rows:
             assert r.d_sep is not None
             assert r.d_sep < dsep_universal(r.r0)
     gap_cold = dsep_universal(1.2) - dsep_sweep(
-        [1.2], markovian(1e-3), t_max=400.0, n_samples=4001)[0].d_sep
+        [1.2], markovian(1e-3), t_max=400.0)[0].d_sep
     gap_warm = dsep_universal(1.2) - dsep_sweep(
-        [1.2], markovian(1.0), t_max=40.0, n_samples=4001)[0].d_sep
+        [1.2], markovian(1.0), t_max=40.0)[0].d_sep
     assert 0 < gap_warm < gap_cold
+
+
+def test_dsep_gap_to_the_universal_curve_falls_as_one_over_n_T():
+    # the Markovian threshold discord approaches the high-temperature curve from below, with a
+    # gap g(r0)/n_T: n_T times the gap agrees at n_T = 100 and 1,000 (g = 0.0024 to 0.035)
+    r0_values = [0.1, 0.5, 1.2, 2.0, 3.0]
+    scaled = {}
+    for n_T in (10.0, 100.0, 1000.0):
+        gaps = [dsep_universal(r.r0) - r.d_sep
+                for r in dsep_sweep(r0_values, markovian(n_T), t_max=50.0)]
+        assert all(gap > 0.0 for gap in gaps), (n_T, gaps)
+        scaled[n_T] = np.multiply(n_T, gaps)
+    np.testing.assert_allclose(scaled[100.0], scaled[1000.0], rtol=1e-2, atol=0.0)
 
 
 def test_dsep_sweep_marks_missing_thresholds():
@@ -355,6 +375,37 @@ def test_dsep_sweep_requires_grid_or_rate(resonant_grids):
         Channel(TrajectoryMode.NONMARKOVIAN, 10.0)
     with pytest.raises(ValueError, match="grid"):
         Channel(TrajectoryMode.HIGH_TEMPERATURE, 10.0, gamma_m=1.0, grid=grid)
+
+
+@pytest.mark.parametrize("mode", [TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE])
+def test_dsep_sweep_rows_are_the_channels_crossings(resonant_grids, mode):
+    # a row is (state, channel, t_max) alone: what a trajectory of any sampling reads
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    channel = Channel(mode, env.n_T, grid=grid)
+    rows = dsep_sweep([0.0, 0.5, 1.2, 2.5], channel, t_max=25.0, nu0=0.3)
+    assert rows[0].t_sep == 0.0 and rows[0].d_sep == 0.0  # separable at t = 0, uncorrelated
+    for row in rows:
+        assert row.d_sep is not None and row.note == ""
+        for n in (2, 2001):
+            traj = channel.sample(from_sts(STSParams(r=row.r0, nu_T=0.3)), t_max=25.0,
+                                  n_samples=n)
+            assert (separability_time(traj), dsep_from_trajectory(traj)) == (row.t_sep,
+                                                                             row.d_sep)
+
+
+def test_dsep_sweep_rows_are_empty_where_the_map_is_unphysical_on_the_knots(quad):
+    # white noise at omega_c = 3, n_T = 0.01: the secular map is unphysical on [0, 10] though
+    # not at the two samples t = 0 and 10, so no row crosses, the separable r0 = 0 included
+    grid = build_coefficient_grid(make_spec(SpectralKind.WHITE_NOISE, omega_c=3.0),
+                                  make_env(n_T=0.01), 10.0, quad)
+    channel = Channel(TrajectoryMode.NONMARKOVIAN, 0.01, grid=grid)
+    rows = dsep_sweep([0.0, 0.05], channel, t_max=10.0)
+    for row in rows:
+        assert row.t_sep is None and row.d_sep is None
+        assert row.note.startswith("MapUnphysicalError: unphysical sample at t = ")
+        traj = channel.sample(from_sts(STSParams(r=row.r0, nu_T=0.0)), t_max=10.0, n_samples=2)
+        with pytest.raises(MapUnphysicalError):
+            separability_time(traj)
 
 
 def test_dsep_sweep_continues_past_inconclusive_rows(resonant_grids):
