@@ -11,7 +11,6 @@ from .coefficients import (
     CoefficientGrid,
     ConfigError,
     QuadratureConfig,
-    QuadratureError,
     build_coefficient_grid,
     gamma_markov,
     write_coefficients_csv,

@@ -62,7 +62,6 @@ class RunConfig:
     n_samples: int = 2001
     s_step: float | None = None
     omega_max: float | None = None
-    rel_tol: float = 1e-4
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -101,8 +100,7 @@ class RunConfig:
         return Environment(omega0=self.omega0, alpha=self.alpha, n_T=self.n_T)
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(omega_max=self.omega_max, rel_tol=self.rel_tol,
-                                s_step=self.s_step)
+        return QuadratureConfig(omega_max=self.omega_max, s_step=self.s_step)
 
     def initial_state(self):
         return from_sts(STSParams(r=self.r0, nu_T=self.nu0))

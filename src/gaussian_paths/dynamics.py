@@ -148,8 +148,12 @@ class Channel:
             raise ValueError(f"{mode.value} mode requires a coefficient grid and no gamma_m")
 
     def __call__(self, t=None) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma, Delta_Gamma) at the times t (within a grid's range), or at its knots."""
+        """(Gamma, Delta_Gamma) at the times t (within a grid's range, or >= 0), or at a grid's
+        knots; ValueError otherwise."""
         if self.grid is None:
+            if t is None or not np.all(np.asarray(t) >= 0):  # NaN too
+                raise ValueError("a Markovian channel has no knots" if t is None else
+                                 f"a Markovian channel covers t >= 0 but was asked for t = {t}")
             big_gamma = self.gamma_m * t
             return big_gamma, -np.expm1(-big_gamma) * (2.0 * self.n_T + 1.0)
         knots = ((self.grid.big_gamma, self.grid.delta_gamma)
@@ -165,19 +169,19 @@ class Channel:
         return cache or _GRID_WINDOWS.setdefault(self.grid, _window_cache(weakref.ref(self.grid)))
 
     def window(self, t_max: float, n_samples: int):
-        """Read-only (times, Gamma, Delta_Gamma, e^{-Gamma}) at n_samples times on [0, t_max],
-        sampled once into this channel's cache of CHANNEL_WINDOWS windows."""
-        return self._windows(self.mode, self.n_T, self.gamma_m, t_max, n_samples)
+        """Read-only (times, Gamma, Delta_Gamma, e^{-Gamma}) at n_samples >= 2 times on [0, t_max]
+        (finite, > 0), sampled once into this channel's cache of CHANNEL_WINDOWS windows."""
+        if n_samples < 2:
+            raise ValueError("n_samples must be >= 2")
+        if not 0 < t_max < math.inf:
+            raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+        return self._windows(self.mode, self.n_T, self.gamma_m, t_max, operator.index(n_samples))
 
     def sample(self, cm0: SymmetricCM, *, t_max: float, n_samples: int,
                label: str = "") -> "Trajectory":
         """cm0's trajectory at n_samples uniform times on [0, t_max]: the channel's shared
         read-only window through the secular map, with only a and c per state."""
-        if n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if not 0 < t_max < math.inf:
-            raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-        times, big_gamma, delta_gamma, decay = self.window(t_max, operator.index(n_samples))
+        times, big_gamma, delta_gamma, decay = self.window(t_max, n_samples)
         a, c = _secular_map(cm0, decay, delta_gamma, times)
         return Trajectory(channel=self, initial=cm0, times=times, a=a, c=c,
                           big_gamma=big_gamma, delta_gamma=delta_gamma, label=label)

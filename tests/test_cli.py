@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -56,7 +57,10 @@ def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="n_samples"):
         parse_config(MINIMAL + "n_samples = 1\n")
     # MINIMAL is a Markovian config, which builds no grid: the numerics are checked anyway
-    with pytest.raises(ConfigError, match="rel_tol"):
+    with pytest.raises(ConfigError, match="omega_max must be finite and > 0"):
+        parse_config(MINIMAL + "omega_max = -1\n")
+    # the panel rule's accuracy is fixed a priori: no tolerance is a key
+    with pytest.raises(ConfigError, match="unknown config key: 'rel_tol'"):
         parse_config(MINIMAL + "rel_tol = -1\n")
     with pytest.raises(ConfigError, match="omega_c"):
         parse_config(MINIMAL.replace("omega_c = 1", "omega_c = -2"))
@@ -392,3 +396,107 @@ def test_cli_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------ console-script runs, in process
+
+def _config(tmp_path, name, **changes):
+    fields = {"spectrum": "ohmic", "omega0": 1, "omega_c": 1, "alpha": 0.1, "n_T": 10,
+              "r0": 1.2, "t_max": 25, "mode": "nonmarkovian", **changes}
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+    return path
+
+
+def _run(tmp_path, cmd, name, *extra, **changes):
+    """main([cmd, ...]) on a config of _config's fields and changes; its output directory."""
+    out = tmp_path / name
+    assert main([cmd, "--config", str(_config(tmp_path, name, **changes)), "--out", str(out),
+                 *extra]) == 0, name
+    return out
+
+
+def _sweep_rows(out):
+    with (out / "dsep_sweep.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def _verify_markovian_ohmic(tmp_path):
+    _run(tmp_path, "verify", "verify", t_max=100, mode="markovian")
+
+
+def _verify_markovian_at_tiny_squeezing(tmp_path):
+    _run(tmp_path, "verify", "tiny", r0=1e-8, mode="markovian")
+
+
+def _verify_high_temperature_white_noise(tmp_path):
+    _run(tmp_path, "verify", "hight", spectrum="white", mode="hight")
+
+
+def _dsep_crossing_on_the_grid(tmp_path):
+    rows = _sweep_rows(_run(tmp_path, "dsep-sweep", "dsep", "--r0-list", "0.5,1.2,2.5"))
+    assert len(rows) == 3 and all(r["d_sep"] for r in rows), rows
+
+
+def _dsep_high_t_and_markovian_on_the_universal_curve(tmp_path):
+    # high-T d_sep is the universal curve exactly, Markovian d_sep within 0.01 of it
+    for mode, tol in (("hight", 0.0), ("markovian", 0.01)):
+        rows = _sweep_rows(_run(tmp_path, "dsep-sweep", f"dsep-{mode}", "--r0-list",
+                                "0.5,1.2,2.5", mode=mode))
+        assert len(rows) == 3 and all(r["d_sep"] for r in rows), (mode, rows)
+        for r in rows:
+            err = abs(float(r["d_sep"]) - gaussian_paths.dsep_universal(float(r["r0"])))
+            assert err <= tol, (mode, r["r0"], err)
+
+
+def _dsep_crossing_independent_of_n_samples(tmp_path):
+    # white noise: r0 = 0.05 crosses early at omega_c = 1, n_T = 0.1; at omega_c = 3,
+    # n_T = 0.01 the map is unphysical on the channel's knots of [0, 10]
+    outs = {}
+    for n in (2, 2001):
+        outs["excursion", n] = _run(tmp_path, "dsep-sweep", f"excursion{n}", "--r0-list",
+                                    "0.05,1.2", spectrum="white", n_T=0.1, r0=0.05, n_samples=n)
+        outs["unphysical", n] = _run(tmp_path, "dsep-sweep", f"unphysical{n}", "--r0-list",
+                                     "0,0.05", spectrum="white", omega_c=3, n_T=0.01, r0=0.05,
+                                     t_max=10, n_samples=n)
+    for case in ("excursion", "unphysical"):
+        csvs = [(outs[case, n] / "dsep_sweep.csv").read_bytes() for n in (2, 2001)]
+        assert csvs[0] == csvs[1], case
+    excursion, unphysical = _sweep_rows(outs["excursion", 2]), _sweep_rows(outs["unphysical", 2])
+    rows = [r for r in excursion if float(r["r0"]) == 0.05]
+    assert len(rows) == 1 and rows[0]["d_sep"], excursion
+    assert len(unphysical) == 2 and not any(r["d_sep"] for r in unphysical), unphysical
+
+
+def _largest_coefficient_grids_and_one_simulate(tmp_path):
+    # the benchmark's off-resonant grid (6,368 samples) for every spectrum
+    offres = {"omega_c": 0.1, "alpha": 0.01, "t_max": 40}
+    expected = {}
+    for spectrum in ("ohmic", "superohmic", "white"):
+        out = _run(tmp_path, "coefficients", f"offres-{spectrum}", spectrum=spectrum, **offres)
+        expected[out / "coefficients.csv"] = 6368
+    expected[_run(tmp_path, "simulate", "offres-sim", **offres) / "trajectory.csv"] = 2001
+    for path, rows in expected.items():
+        assert len(path.read_text().splitlines()) - 1 == rows, path  # less the header
+
+
+@pytest.mark.parametrize("step", [
+    _verify_markovian_ohmic, _verify_markovian_at_tiny_squeezing,
+    _verify_high_temperature_white_noise, _dsep_crossing_on_the_grid,
+    _dsep_high_t_and_markovian_on_the_universal_curve, _dsep_crossing_independent_of_n_samples,
+    _largest_coefficient_grids_and_one_simulate,
+], ids=lambda step: step.__name__.lstrip("_"))
+def test_console_script_run(tmp_path, step):
+    step(tmp_path)
+
+
+def test_module_entry_point_runs_verify(tmp_path):
+    # the installed console script is main; `python -m gaussian_paths.cli` reaches it too
+    src = str(Path(gaussian_paths.__file__).resolve().parents[1])
+    cfg = _config(tmp_path, "verify", t_max=100, mode="markovian")
+    out = subprocess.run([sys.executable, "-m", "gaussian_paths.cli", "verify", "--config",
+                          str(cfg), "--out", str(tmp_path / "verify")], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "verify: PASS" in out.stdout
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["passed"] is True

@@ -334,6 +334,33 @@ def test_markovian_window_per_rate_temperature_and_sampling():
         assert _bits(traj.c) == _bits(TWB12.c * np.exp(-big_gamma))
 
 
+def test_window_refuses_a_bad_span_or_sample_count(quad):
+    # the checks sample() relies on live in window(), so direct callers get them too and
+    # nothing bad reaches the window cache
+    grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(), 3.0, quad)
+    markovian = Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0)
+    on_grid = Channel(TrajectoryMode.NONMARKOVIAN, 10.0, grid=grid)
+    for channel in (markovian, on_grid):
+        for t_max, n, message in ((-1.0, 5, "t_max must be finite and > 0"),
+                                  (math.inf, 3, "t_max must be finite and > 0"),
+                                  (1.0, 1, "n_samples must be >= 2"),
+                                  (1.0, 0, "n_samples must be >= 2")):
+            with pytest.raises(ValueError, match=message):
+                channel.window(t_max, n)
+    assert on_grid._windows.cache_info().currsize == 0
+
+
+def test_markovian_channel_refuses_knots_and_negative_times():
+    channel = Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0)
+    with pytest.raises(ValueError, match="a Markovian channel has no knots"):
+        channel()
+    for t in (-1.0, math.nan, np.array([0.0, 1.0, -1e-300])):
+        with pytest.raises(ValueError, match="a Markovian channel covers t >= 0"):
+            channel(t)
+    big_gamma, delta_gamma = channel(np.array([0.0, 1.0]))
+    assert big_gamma.tolist() == [0.0, 1.0] and delta_gamma[0] == 0.0
+
+
 @pytest.mark.parametrize("name, bad", [("t_max", math.nan), ("n_T", math.nan), ("n_T", -0.4),
                                        ("gamma_m", math.nan), ("gamma_m", math.inf),
                                        ("gamma_m", -1.0)])
