@@ -1,0 +1,166 @@
+"""CSV rows of ``%.17g`` values, formatted a block of rows at a time by one numpy kernel.
+
+Every value is written as the bytes of ``'%.17g' % v``: 17 significant digits,
+correctly rounded (ties to even), so that it reads back exactly.  The kernel
+makes those bytes for a whole block of rows:
+
+- Digits.  For a finite x with 1e-98 <= |x| < 1e16, E = floor(log10|x|) and
+  D = round(|x| 10^(16-E)), the 17 digits.  10^(16-E) = hi + lo is a pair of doubles
+  taken from the exact integer; |x| hi is formed exactly as a Dekker two-product,
+  and |x| lo adds an absolute error below ~1e-14 to a product of 1e16 to 1e17
+  (measured: below 3e-15).  So D is exact unless the product's fraction lies within
+  ``_TIE`` of 1/2.  Those values go to ``%``, and so do the few whose product falls
+  below 1e16 (log10 rounded up to E near a power of ten) or rounds up to 1e17 (the
+  value rounds into the next decade).
+- Text.  The digits come from a 4-digit table and lose their trailing zeros, and
+  ``%g``'s layout applies: fixed notation for -4 <= E < 17, ``d.ddde-XX`` below.
+  Each value fills a fixed slot of 25 bytes by one gather from its 28 bytes of
+  parts (digits, point, exponent, sign, separator); the absent bytes are 0 and are
+  deleted from the block at the end.  Zeros are ``0`` and ``-0``.
+
+Every other value (NaN, +-inf, subnormals, exponents outside the window, near
+ties) is written by ``'%.17g' % v``, the reference the tests compare the kernel
+against.  The value alone selects the path.
+"""
+from __future__ import annotations
+
+from functools import cache
+from typing import IO, Sequence
+
+import numpy as np
+
+_BLOCK_ROWS = 512
+_TIE = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
+# A value's 28 bytes of parts: 0-15 digits 1-16, 16 digit 0, 17 '.', 18 '0', 19 'e',
+# 20 '-', 21-22 the exponent's two digits, 23 the sign ('-' or absent), 24 the
+# separator, 25-27 absent (0).
+_DOT, _ZERO, _EXP, _SIGN, _SEP, _ABSENT = 17, 18, 19, 23, 24, 25
+_WORD4 = 48 | ord(".") << 8 | ord("0") << 16 | ord("e") << 24
+_MINUS_IN_WORD5 = ord("-") << 24
+
+
+@cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The kernel's constant tables, built on first use so that importing stays cheap, and
+    from Python lists so that building them runs no numpy code the kernel does not:
+
+    - p10: rows hi, lo, hi_hi, hi_lo of 10^k, column k = 16 - E for E in [-99, 16];
+    - digits4: ASCII of 0000-9999, first digit in the low byte of a 32-bit word;
+    - zeros4: the trailing zeros of 0000-9999 (4 for 0000);
+    - word5: by E + 99 for E in [-99, 16], '-' and the exponent's two digits;
+    - form_row: by E + 99, the layout row of E's form with 17 digits;
+    - layouts: per (form, digit count), the 25 byte sources of a slot.
+    """
+    hi = [float(10**k) for k in range(116)]
+    hi_hi = [h * _SPLIT - (h * _SPLIT - h) for h in hi]
+    p10 = np.array([hi, [float(10**k - int(h)) for k, h in enumerate(hi)], hi_hi,
+                    [h - hh for h, hh in zip(hi, hi_hi)]])
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")
+    digits4 = np.empty((100, 100, 2), "<u2")
+    digits4[..., 0] = pairs[:, None]
+    digits4[..., 1] = pairs
+    zeros4 = [0] * 10_000
+    for k, step in enumerate((10, 100, 1000, 10_000), 1):
+        zeros4[::step] = [k] * (10_000 // step)
+    exponents = range(-99, 17)
+    tables = (p10, digits4.view("<u4").ravel(), np.array(zeros4, np.int32),
+              np.frombuffer(b"".join(b"-%02d\0" % abs(e) for e in exponents), "<u4"),
+              np.array([(21 if e < -4 else e + 4) * 17 + 16 for e in exponents]),
+              _layouts())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _layouts() -> np.ndarray:
+    """Byte sources of each (form, digit count), row form * 17 + digits - 1; form E + 4
+    is fixed notation for E in [-4, 16], form 21 is d.ddde-XX.  A slot is the sign, the
+    text as %g lays it out, absent bytes up to 23, then the separator."""
+    digit = [16] + list(range(16))  # part byte of digit j
+    rows = []
+    for form in range(22):
+        e = form - 4
+        for nd in range(1, 18):
+            if form == 21:
+                exponent = list(range(_EXP, _EXP + 4))  # 'e', '-' and two digits
+                text = digit[:1] + ([_DOT] + digit[1:nd] if nd > 1 else []) + exponent
+            elif e < 0:
+                text = [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digit[:nd]
+            else:
+                text = digit[:e + 1] + ([_DOT] + digit[e + 1:nd] if nd > e + 1 else [])
+            rows.append([_SIGN] + text + [_ABSENT] * (23 - len(text)) + [_SEP])
+    return np.array(rows, dtype=np.intp)
+
+
+def format_block(values: np.ndarray) -> str:
+    """The rows of a 2-D array as CSV text, each value exactly ``'%.17g' % v``."""
+    p10, digits4, zeros4, word5, form_row, layouts = _tables()
+    values = np.asarray(values, dtype=np.float64)
+    x = values.ravel()
+    ax = np.abs(x)
+    ok = (ax >= 1e-98) & (ax < 1e16)
+    ax = np.where(ok, ax, 1.0)  # the others' digits are never read
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    # ax 10^(16-e) = p + r: ax hi = p + (r - ax lo) exactly (Dekker); p is an integer past
+    # 2^53, so a product in [1e16, 1e17) keeps its whole fraction in r
+    hi, lo, hh, hl = np.take(p10, 16 - e, axis=1)
+    p = ax * hi
+    ah = ax * _SPLIT
+    ah -= ah - ax
+    al = ax - ah
+    r = ah * hh - p
+    r += ah * hl
+    r += al * hh
+    r += al * hl
+    r += ax * lo
+    f = np.floor(r)
+    frac = r - f
+    ip = p.astype(np.int64) + f.astype(np.int64)
+    d = ip + (frac > 0.5)
+    # left to %: an E one off (log10 rounds near powers of ten), a value that rounds up
+    # into the next decade (or that log10 put a decade low), and a fraction too near 1/2
+    ok &= (ip >= 10**16) & (d < 10**17) & (abs(frac - 0.5) >= _TIE)
+    d[~ok] = 0  # zeros, and the values left to %
+    e[~ok] = 0
+    ok |= x == 0.0
+
+    lead = d // 10**16
+    d -= lead * 10**16
+    upper = d // 10**8
+    lower = (d - upper * 10**8).astype(np.int32)
+    upper = upper.astype(np.int32)
+    groups = np.empty((4, x.size), np.int32)
+    np.floor_divide(upper, 10_000, out=groups[0])
+    np.floor_divide(lower, 10_000, out=groups[2])
+    np.subtract(upper, groups[0] * 10_000, out=groups[1])
+    np.subtract(lower, groups[2] * 10_000, out=groups[3])
+    e += 99
+    parts = np.empty((x.size, 7), "<u4")
+    parts[:, :4] = np.take(digits4, groups).T
+    parts[:, 4] = _WORD4 + lead
+    parts[:, 5] = np.take(word5, e) | np.signbit(x) * np.uint32(_MINUS_IN_WORD5)
+    per_row = parts.reshape(values.shape + (7,))
+    per_row[:, :-1, 6] = ord(",")
+    per_row[:, -1, 6] = ord("\n")
+
+    zeros = np.take(zeros4, groups)
+    tz = zeros[3].copy()
+    run = tz == 4
+    for g in (2, 1, 0):  # a group of zeros passes the count on to the group before it
+        tz += run * zeros[g]
+        run &= zeros[g] == 4
+    src = np.take(layouts, np.take(form_row, e) - tz, axis=0)
+    src += np.arange(0, 28 * x.size, 28)[:, None]
+    out = np.take(parts.view(np.uint8).ravel(), src)
+    for i in np.flatnonzero(~ok):
+        text = ("%.17g" % x[i]).encode()
+        out[i, :24] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _write_rows(stream: IO[str], columns: Sequence[np.ndarray]) -> None:
+    """CSV rows of %.17g values, stacked, formatted and written a fixed block of rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        stream.write(format_block(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])))

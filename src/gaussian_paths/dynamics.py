@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientGrid, _write_rows
+from ._csv import _write_rows
+from .coefficients import CoefficientGrid
 from .gaussian_core import PathPoint, SymmetricCM, _physical, discord
 
 __all__ = [
@@ -442,8 +443,10 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample; values %.17g
-    (17 significant digits, round-trip exact), streamed in fixed row blocks."""
+    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample.
+    Values are the bytes of ``'%.17g' % v``, made in row blocks by the ``_csv`` kernel:
+    digits from a Dekker product exact to 1e-14, and ``%`` itself for near ties (fraction
+    within 1e-6 of 1/2), NaN, inf, subnormals and the values outside the kernel's range."""
     stream.write("t,a,c,mu,lambda,discord,big_gamma,delta_gamma\n")
     _write_rows(stream, (traj.times, traj.a, traj.c, traj.mu, traj.lam,
                          discord(traj.a, traj.c), traj.big_gamma, traj.delta_gamma))

@@ -43,6 +43,11 @@ class SpectralDensity:
         superohmic  j(omega) = omega^2 * omega_c / (omega^2 + omega_c^2)
         white       j(omega) = omega_c
 
+    The coefficient quadrature truncates every spectrum at omega_max, and tapers
+    super-Ohmic and white linearly to 0 over the last decade [omega_max/10,
+    omega_max], so white is white only up to omega_max.  That band limit is why
+    Delta(0+) = 0, as ``CoefficientGrid`` requires: flat to infinity, the cosine
+    kernel of a constant is pi delta(s), and Delta(t) would jump at t = 0.
     Every coefficient is linear in alpha^2 j, so a spectrum scaled by p is the same
     channel at coupling alpha sqrt(p).  ``ir_cutoff`` is the infrared
     regularization frequency used when integrating the white-noise

@@ -1,12 +1,15 @@
 """The CSV writers against a per-row ``%.17g`` reference formatter, byte for byte."""
 import io
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaussian_paths import discord, write_coefficients_csv, write_path_csv, write_trajectory_csv
-from gaussian_paths.coefficients import _BLOCK_ROWS
+from gaussian_paths._csv import _BLOCK_ROWS
 
 # 0.1 is the value whose %.17g (0.10000000000000001) differs from repr
 EDGE_VALUES = [0.0, -0.0, 5e-324, 1e300, 25.0, 0.1]
@@ -27,6 +30,27 @@ def _columns(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 def _edge_columns(k: int) -> list[np.ndarray]:
     return [np.array(np.roll(EDGE_VALUES, i)) for i in range(k)]
+
+
+# exact ties at the 17th digit (18 significant digits, the last a 5), which %.17g rounds
+# half to even; the kernel cannot tell them from near ties and leaves them to %
+TIES = [1234567890123456.75, 1234567890123456.25, 140737488355328.125, 34567890123456.0625,
+        1025 + 2.0**-14, 2.0**-25, 3 * 2.0**-25]
+
+
+def _hard_values() -> np.ndarray:
+    """Ties; 10^k and both neighbours for k past each end of the kernel's window
+    [1e-98, 1e16), which holds %g's switches at 1e-5/1e-4 and 1e16/1e17 and the decades
+    log10 rounds across; doubles that round up into the next decade (the double
+    nearest 1e-14 lies below it); and the negatives of all of these."""
+    for tie in TIES:
+        digits = Decimal(tie).normalize().as_tuple().digits
+        assert (len(digits), digits[-1]) == (18, 5)
+    assert Decimal(1e-14) < Decimal("1e-14") and "%.17g" % 1e-14 == "1e-14"
+    powers = np.array([float(f"1e{k}") for k in range(-100, 18)])
+    values = np.concatenate([TIES, powers, np.nextafter(powers, np.inf),
+                             np.nextafter(powers, 0.0)])
+    return np.concatenate([values, -values])
 
 
 # the writers read only these attributes, so stand-ins can carry any value
@@ -57,15 +81,20 @@ WRITERS = {"coefficients": (_coefficients, 5), "trajectory": (_trajectory, 7),
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
-@pytest.mark.parametrize("table", ["two-blocks-and-a-partial", "one-row", "edge-values"])
+@pytest.mark.parametrize("table", ["two-blocks-and-a-partial", "one-row", "edge-values",
+                                   "hard-cases", "no-rows"])
 def test_writer_matches_per_row_reference(writer, table):
     make, k = WRITERS[writer]
     if table == "two-blocks-and-a-partial":
         cols = _columns(2 * _BLOCK_ROWS + 123, k, seed=7)
     elif table == "one-row":
         cols = _columns(1, k, seed=8)
-    else:
+    elif table == "edge-values":
         cols = _edge_columns(k)
+    elif table == "hard-cases":
+        cols = [np.roll(_hard_values(), 7 * i) for i in range(k)]
+    else:  # the header alone
+        cols = [np.empty(0)] * k
     write, obj, header, expected = make(cols)
     buf = io.StringIO()
     write(obj, buf)
@@ -80,3 +109,14 @@ def test_edge_values_format_as_promised():
     assert first == ["0", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "25",
                      "0.10000000000000001"]
     assert [float(x) for x in first] == EDGE_VALUES
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(5)),
+              elements=st.one_of(st.floats(), st.floats(1e-98, 1e16), st.floats(-1e16, -1e-98))))
+def test_writer_matches_per_row_reference_on_any_doubles(table):
+    # any exponent, +-0, subnormals, NaN and +-inf; the window's values are drawn often
+    write, obj, header, expected = _coefficients(list(table.T))
+    buf = io.StringIO()
+    write(obj, buf)
+    assert buf.getvalue() == reference_csv(header, expected)
