@@ -30,7 +30,7 @@ from .dynamics import (
     evolve_markovian,
     write_trajectory_csv,
 )
-from .gaussian_core import STSParams, UnphysicalStateError, _physical, discord, from_sts, purity
+from .gaussian_core import STSParams, _physical, discord, from_sts, min_symplectic, purity
 from .paths import (
     compare_paths,
     dsep_sweep,
@@ -243,7 +243,8 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
 
 
 def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
-    c0 = traj.initial.c
+    # every map keeps c0's sign, so min_symplectic's c >= 0 rule is checked on c0 alone
+    lam0, c0 = min_symplectic(traj.initial), traj.initial.c
     if c0 == 0:  # an uncorrelated state has nothing to damp: c(t) must stay exactly 0
         damp = float(np.max(np.abs(traj.c)))
     else:
@@ -251,14 +252,8 @@ def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
     checks.append(_check("damping-law-relative-deviation", damp, 1e-10))
     violations = int(np.sum(~_physical(traj.a, traj.c)))
     checks.append(_check("physicality-violations", float(violations), 0.0, direction="=="))
-    # the c >= 0 convention that path_point and min_symplectic apply to each sample
-    if np.any(traj.c < 0):
-        raise UnphysicalStateError("min_symplectic requires the c >= 0 sign convention")
-    d_min = float(np.min(discord(traj.a, traj.c)))
-    if d_min < -1e-12:
-        raise UnphysicalStateError(f"negative discord {d_min} beyond roundoff tolerance")
-    lam_t = math.inf if traj.mode is TrajectoryMode.HIGH_TEMPERATURE else traj.n_T + 0.5
-    com = constant_of_motion(traj, traj.initial.a - c0, purity(traj.initial), lam_t)
+    discord(traj.a, traj.c)  # raises where a sample's D is negative beyond roundoff
+    com = constant_of_motion(traj, lam0, purity(traj.initial), traj.channel.lambda_T)
     if com.degenerate:
         checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))
         return

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -149,12 +148,6 @@ class CoefficientGrid:
                              f"[{float(np.min(t))}, {float(np.max(t))}]")
         return np.interp(t, self.times, values)
 
-    @cached_property
-    def _delta_cumulative(self) -> np.ndarray:  # int_0^t Delta by cumulative trapezoid, once
-        out = _cumtrapz(self.delta, self.times)
-        out.flags.writeable = False
-        return out
-
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
@@ -251,14 +244,6 @@ def _fast_len(n: int) -> int:
     return k
 
 
-def _uniform_step(s: np.ndarray) -> float:
-    """ds of a grid s = m * ds starting at 0; ValueError otherwise."""
-    ds = s[-1] / max(len(s) - 1, 1)
-    if s[0] != 0.0 or np.max(np.abs(s - ds * np.arange(len(s)))) > 1e-12 * abs(s[-1]):
-        raise ValueError("chirp-z kernels need a uniform grid s = m * ds starting at 0")
-    return ds
-
-
 def _phases(o: np.ndarray, ds: float, m: int) -> np.ndarray:
     """exp(i o_k n ds) for n < m, shaped (len(o), m): with n = _PHASE_BLOCK b + r, the
     product of a table over the ceil(m/_PHASE_BLOCK) blocks b and one over the offsets
@@ -288,18 +273,16 @@ def _chirp_sums(a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float, k_ir: float,
-                s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) on a uniform grid s.
+                ds: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) at s = n ds, n < m.
 
     Column k of nodes is o_k + j*width, so its sum is
     exp(i o_k s) * sum_j wt_jk exp(i j width s): a batched chirp-z transform
     over the orders for each weight set, in O(GL_ORDER * (panels + len(s)) log).
     The phase exp(i o_k s) comes from _phases' two small tables and is folded into
     the chirp's post-factor once per order; only Re of the cosine sums and Im of
-    the sine sums is formed.  k_ir is _omega_rule's infrared constant.  Raises
-    ValueError on a non-uniform s.
+    the sine sums is formed.  k_ir is _omega_rule's infrared constant.
     """
-    ds, m = _uniform_step(s), len(s)
     p = len(nodes)
     n = _fast_len(p + m - 1)
     c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
@@ -311,16 +294,16 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float,
     return Kc, Ks
 
 
-def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray,
+def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray, ds: float,
                         rq: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Delta(t), gamma(t) on the uniform grid s from the one panel rule (level 0), with no
+    """Delta(t), gamma(t) on the uniform grid s = n ds from the one panel rule (level 0), with no
     runtime probe: its width bound fixes the accuracy (module docstring for the measured gap
     to level 1, at most 3.8e-6 of max|K|, from the UV taper's kink)."""
     if env.alpha == 0.0:
         z = np.zeros_like(s)
         return z, z.copy()
     a2 = env.alpha**2
-    Kc, Ks = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), s)
+    Kc, Ks = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), ds, len(s))
     d = a2 * _cumtrapz(np.cos(env.omega0 * s) * Kc, s)
     g = a2 * _cumtrapz(np.sin(env.omega0 * s) * Ks, s)
     return d, g
@@ -334,7 +317,7 @@ def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float
     rq = q.resolve(spec, env)
     n = max(1, int(math.ceil(t_max / rq.s_step - 1e-9)))
     times = np.arange(n + 1) * rq.s_step
-    delta, gamma = _coefficient_curves(spec, env, times, rq)
+    delta, gamma = _coefficient_curves(spec, env, times, times[-1] / n, rq)
     big_gamma = _cumtrapz(gamma, times)
     delta_gamma = _effective_diffusion(delta, big_gamma, times)
     return CoefficientGrid(times=times, delta=delta, gamma=gamma,

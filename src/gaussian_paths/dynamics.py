@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csv import _write_rows
-from .coefficients import CoefficientGrid
-from .gaussian_core import PathPoint, SymmetricCM, _physical, discord
+from .coefficients import CoefficientGrid, _cumtrapz
+from .gaussian_core import PathPoint, SymmetricCM, _physical, discord, min_symplectic
 
 __all__ = [
     "TrajectoryMode",
@@ -128,8 +128,8 @@ class Channel:
     """One mode's (Gamma(t), Delta_Gamma(t)) at temperature n_T, the one place that knows what
     each mode means, checked once, when built (ValueError otherwise).  Markovian: gamma_m t and
     (1 - e^{-Gamma})(2 n_T + 1) from a finite gamma_m > 0, no grid.  Non-Markovian: a
-    CoefficientGrid's Gamma and Delta_Gamma; high-T: 0 and the grid's int_0^t Delta; both
-    linear between the grid's knots on [0, grid.t_max], with no gamma_m."""
+    CoefficientGrid's Gamma and Delta_Gamma; high-T: 0 and int_0^t Delta by cumulative
+    trapezoid; both linear between the grid's knots on [0, grid.t_max], with no gamma_m."""
 
     mode: TrajectoryMode
     n_T: float
@@ -157,10 +157,15 @@ class Channel:
                                  f"a Markovian channel covers t >= 0 but was asked for t = {t}")
             big_gamma = self.gamma_m * t
             return big_gamma, -np.expm1(-big_gamma) * (2.0 * self.n_T + 1.0)
-        knots = ((self.grid.big_gamma, self.grid.delta_gamma)
-                 if self.mode is TrajectoryMode.NONMARKOVIAN
-                 else (np.zeros_like(self.grid.times), self.grid._delta_cumulative))
-        return knots if t is None else tuple(self.grid._interp(t, v) for v in knots)
+        grid = self.grid
+        knots = ((grid.big_gamma, grid.delta_gamma) if self.mode is TrajectoryMode.NONMARKOVIAN
+                 else (np.zeros_like(grid.times), _cumtrapz(grid.delta, grid.times)))
+        return knots if t is None else tuple(grid._interp(t, v) for v in knots)
+
+    @property
+    def lambda_T(self) -> float:
+        """lambda's stationary value: n_T + 1/2, or inf in high-T mode, whose c stays frozen."""
+        return math.inf if self.mode is TrajectoryMode.HIGH_TEMPERATURE else self.n_T + 0.5
 
     @property
     def _windows(self):  # this channel's lru window cache: its grid's, or the Markovian one
@@ -188,15 +193,16 @@ class Channel:
                           big_gamma=big_gamma, delta_gamma=delta_gamma, label=label)
 
     def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
-        """(t_sep, Gamma(t_sep)) at which cm0's lambda = a - c first reaches 1/2 by t_max (finite,
-        > 0, on the grid).  Markovian: in closed form, no knots checked, since a completely
+        """(t_sep, Gamma(t_sep)) at which cm0's lambda first reaches 1/2 by t_max (finite, > 0,
+        on the grid).  lambda0 is min_symplectic's, so a c0 < 0 state raises
+        UnphysicalStateError.  Markovian: in closed form, no knots checked, since a completely
         positive map (n_T >= 0) keeps a state physical (Holevo & Werner, PRA 63, 032312); else
         _grid_crossing.  (0, 0) if separable, None if never; InconclusiveThresholdError if not by
-        t_max but later."""
+        t_max while lambda_T lies above 1/2."""
         end = math.inf if self.grid is None else self.grid.t_max * (1 + 1e-12)
         if not 0 < t_max < math.inf or t_max > end:
             raise ValueError(f"t_max must be finite, > 0 and within the grid, got {t_max}")
-        lam0, lam_t = cm0.a - cm0.c, self.n_T + 0.5
+        lam0, lam_t = min_symplectic(cm0), self.lambda_T
         if self.grid is not None:
             crossing = self._grid_crossing(cm0, t_max)
         elif lam0 >= SEPARABILITY_THRESHOLD:
@@ -258,7 +264,7 @@ _MARKOVIAN_WINDOWS = _window_cache(None)
 _GRID_WINDOWS = weakref.WeakKeyDictionary()  # grid -> its window cache, dropped with the grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered states of one initial state under one channel, which gives the mode and
     n_T; the arrays are the channel's shared read-only window except a and c."""
@@ -328,8 +334,8 @@ def separability_time(traj: Trajectory) -> float | None:
     form, the grid modes bisect lambda on the grid's own interpolant (Gamma and Delta_Gamma
     linear between knots) to the first float.
 
-    A grid-mode trajectory that has not crossed by t_max while the asymptote n_T + 1/2 lies
-    above threshold raises InconclusiveThresholdError (too short), distinct from None.
+    A trajectory that has not crossed by t_max while its channel's lambda_T lies above
+    threshold raises InconclusiveThresholdError (too short), distinct from None.
     """
     crossing = traj._crossing
     return None if crossing is None else crossing[0]

@@ -191,7 +191,7 @@ def entropic_h(x: ArrayLike) -> ArrayLike:
 def _discord(a: float, c: float, nu2: float) -> float:
     """Scalar D(a, c) given nu2 = (a - c)(a + c), on the array form's offsets and operations.
     Where all three offsets are > 0, h(1/2 + x) = log1p(x) + x log1p(1/x) is inline; the
-    clamp band [1/2 - eps, 1/2] and the errors below it go through _h."""
+    clamp band [1/2 - eps, 1/2] and the errors below it go through _h; floored as in discord."""
     xa = a - 0.5
     if c == 0.0:  # all three arguments coincide; keep the cancellation exact
         xn = xc = xa
@@ -199,9 +199,15 @@ def _discord(a: float, c: float, nu2: float) -> float:
         q = nu2 - 0.25
         xn, xc = q / (math.sqrt(nu2 if nu2 > 0.0 else 0.0) + 0.5), 2.0 * q / (1.0 + 2.0 * a)
     if xa > 0.0 and xn > 0.0 and xc > 0.0:
-        return ((log1p(xa) + xa * log1p(1.0 / xa)) - 2.0 * (log1p(xn) + xn * log1p(1.0 / xn))
-                + (log1p(xc) + xc * log1p(1.0 / xc)))
-    return _h(xa) - 2.0 * _h(xn) + _h(xc)
+        d = ((log1p(xa) + xa * log1p(1.0 / xa)) - 2.0 * (log1p(xn) + xn * log1p(1.0 / xn))
+             + (log1p(xc) + xc * log1p(1.0 / xc)))
+    else:
+        d = _h(xa) - 2.0 * _h(xn) + _h(xc)
+    if d < 0.0:
+        if d < -1e-12:
+            raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
+        return 0.0
+    return d
 
 
 def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
@@ -213,6 +219,8 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     (3, ...) buffer of these offsets for a single _h_array pass, so an
     UnphysicalStateError names the first bad one in the order a, nu, conditional.
     Scalar (0-d) a and c take the math.log1p branch (_discord) and return a float.
+    D is never negative: in both branches a result in [-1e-12, 0) is roundoff and reads 0,
+    and one below -1e-12 raises UnphysicalStateError.
     """
     if np.ndim(a) == 0 and np.ndim(c) == 0:
         a, c = float(a), float(c)
@@ -230,23 +238,23 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     if (zero := c == 0.0).any():
         np.copyto(x[1:], x[0], where=zero)
     h = _h_array(x)
-    return h[0] - 2.0 * h[1] + h[2]
+    d = h[0] - 2.0 * h[1] + h[2]
+    if d.size and (low := d.min()) < 0.0:
+        if low < -1e-12:
+            raise UnphysicalStateError(f"negative discord {low} beyond roundoff tolerance")
+        np.maximum(d, 0.0, out=d)
+    return d
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
-    """Assemble the (mu, lambda = a - c, D) coordinates of a state (c >= 0) at time t."""
+    """(mu, lambda = a - c, D) of a state (c >= 0) at time t, D the 0-d discord's."""
     a, c = cm
     if type(a) is not float or type(c) is not float:  # np.float64 too: a float subclass
         a, c = float(a), float(c)
     if c < 0:
         raise UnphysicalStateError("path_point requires the c >= 0 sign convention")
     nu2 = (a - c) * (a + c)
-    d = _discord(a, c, nu2)
-    if d < 0.0:
-        if d < -1e-12:
-            raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
-        d = 0.0
-    return tuple.__new__(PathPoint, (1.0 / (4.0 * nu2), a - c, d, t))
+    return tuple.__new__(PathPoint, (1.0 / (4.0 * nu2), a - c, _discord(a, c, nu2), t))
 
 
 def cm_from_mu_lambda(mu: float, lam: float) -> SymmetricCM:

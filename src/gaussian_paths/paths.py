@@ -48,7 +48,7 @@ class PathSource:
     nu0: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicalPath:
     """Ordered path points; consecutive duplicates from static trajectories collapse."""
 
@@ -108,7 +108,7 @@ def extract_path(traj: Trajectory) -> DynamicalPath:
     """Map every trajectory sample through (mu, lambda, D); t is kept as metadata.  If lambda
     moves at every step nothing is dropped or copied: t is the trajectory's read-only times."""
     mu, lam, t = traj.mu, traj.lam, traj.times
-    disc = np.maximum(discord(traj.a, traj.c), 0.0)
+    disc = discord(traj.a, traj.c)
     if not (moved := np.diff(lam) != 0).all():
         keep = np.concatenate(([True], (np.diff(mu) != 0) | moved | (np.diff(disc) != 0)))
         mu, lam, disc, t = mu[keep], lam[keep], disc[keep], t[keep]

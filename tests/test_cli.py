@@ -380,8 +380,20 @@ def test_main_dsep_rejects_an_empty_r0_list(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_long_markovian_simulate_writes_no_negative_discord(tmp_path):
+    # n_T = 0.1, Gamma(t_max) ~ 40: the state relaxes to a near-product thermal state, whose
+    # discord cancels to roundoff; trajectory.csv reads it as discord does, 0 and not -1e-16
+    cfg = parse_config(MINIMAL.replace("n_T = 10", "n_T = 0.1").replace("t_max = 100",
+                                                                        "t_max = 5100"))
+    run_simulate(cfg, tmp_path)
+    for name in ("trajectory.csv", "path.csv"):
+        with (tmp_path / name).open() as fh:
+            column = [float(row["discord"]) for row in csv.DictReader(fh)]
+        assert min(column) >= 0.0 and column.count(0.0) > 100, name
+
+
 def test_common_checks_keep_the_per_sample_guards():
-    # the c >= 0 convention that path_point and min_symplectic enforce per sample
+    # min_symplectic's c >= 0 convention, checked on c0 since every map keeps its sign
     traj = simulate_trajectory(SymmetricCM(1.5, -0.5), mode=TrajectoryMode.MARKOVIAN,
                                t_max=1.0, n_samples=11, gamma_m=1.0, n_T=1.0)
     with pytest.raises(UnphysicalStateError, match="c >= 0"):

@@ -107,23 +107,10 @@ def test_chirp_kernels_match_dense_sums(kind):
         # every panel has the one width, white noise's first included; only it has k_ir
         np.testing.assert_allclose(np.diff(nodes, axis=0), width, rtol=1e-9)
         assert (k_ir != 0.0) == (kind is SpectralKind.WHITE_NOISE)
-        Kc, Ks = _kernels_on(*rule, s)
+        Kc, Ks = _kernels_on(*rule, rq.s_step, m)
         ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
         for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, level)
-
-
-def test_chirp_kernels_reject_non_uniform_grid():
-    for kind in (SpectralKind.OHMIC, SpectralKind.WHITE_NOISE):
-        spec, env = make_spec(kind), make_env()
-        rq = QuadratureConfig().resolve(spec, env)
-        s = np.arange(101) * rq.s_step
-        rule = _omega_rule(spec, env, rq, float(s[-1]), 0)
-        thinned = s[np.r_[np.arange(0, 101, 8), 100]]  # every 8th point plus the last
-        with pytest.raises(ValueError, match="uniform"):
-            _kernels_on(*rule, thinned)
-        with pytest.raises(ValueError, match="uniform"):
-            _kernels_on(*rule, s[1:])
 
 
 def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
@@ -139,9 +126,9 @@ def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
     # (t_max = 40) grids, recorded by a stand-in for the kernel sums
     lengths = []
 
-    def record(nodes, wc, ws, width, k_ir, s):
-        lengths.append(len(nodes) + len(s) - 1)
-        return np.zeros_like(s), np.zeros_like(s)
+    def record(nodes, wc, ws, width, k_ir, ds, m):
+        lengths.append(len(nodes) + m - 1)
+        return np.zeros(m), np.zeros(m)
 
     monkeypatch.setattr(coefficients, "_kernels_on", record)
     for kind in SpectralKind:
@@ -196,7 +183,7 @@ def test_white_noise_kernel_matches_sici_quad_oracle(n_T, ir_cutoff, t_max):
     env = make_env(n_T=n_T)
     rq = QuadratureConfig().resolve(spec, env)
     s = np.arange(int(math.ceil(t_max / rq.s_step - 1e-9)) + 1) * rq.s_step
-    Kc, _ = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), s)
+    Kc, _ = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), rq.s_step, len(s))
     idx = np.unique(np.linspace(1, len(s) - 1, 9).astype(int))
     assert len(idx) == 9
     err = np.max(np.abs(Kc[idx] - white_kc_oracle(spec, env, rq, s[idx])))
@@ -400,7 +387,7 @@ def test_grid_arrays_are_read_only_copies(resonant_grids):
     grid = resonant_grids[SpectralKind.OHMIC][2]
     with pytest.raises(ValueError, match="read-only"):
         grid.big_gamma[:] *= 2
-    for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma", "_delta_cumulative"):
+    for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma"):
         assert not getattr(grid, name).flags.writeable, name
     # the grid copies what it is given: the caller's arrays stay writeable and unshared
     times = np.linspace(0.0, 1.0, 5)
@@ -482,14 +469,17 @@ def test_default_build_runs_one_rule_and_one_transform(monkeypatch, kind):
         rules.append(halvings)
         return _omega_rule(spec, env, rq, s_max, halvings)
 
-    def kernels(*rule_and_s):
-        transforms.append(rule_and_s[-1])
-        return _kernels_on(*rule_and_s)
+    def kernels(*rule_and_step):
+        transforms.append(rule_and_step[-2:])
+        return _kernels_on(*rule_and_step)
 
     monkeypatch.setattr(coefficients, "_omega_rule", rule)
     monkeypatch.setattr(coefficients, "_kernels_on", kernels)
     grid = build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
-    assert rules == [0] and len(transforms) == 1 and np.array_equal(transforms[0], grid.times)
+    # the transform's (ds, m) are the step and length of the grid's own s = n ds
+    n = len(grid.times) - 1
+    assert rules == [0] and transforms == [(grid.times[-1] / n, n + 1)]
+    assert np.max(np.abs(grid.times - np.arange(n + 1) * transforms[0][0])) <= 1e-12 * grid.t_max
 
 
 def test_grid_rule_matches_the_half_width_rule():
@@ -502,8 +492,8 @@ def test_grid_rule_matches_the_half_width_rule():
         scale = max(env.omega0, omega_c)
         rq = QuadratureConfig(omega_max and omega_max * scale).resolve(spec, env)
         s = np.arange(int(math.ceil(t_max / rq.s_step - 1e-9)) + 1) * rq.s_step
-        level0, level1 = (_kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), h), s)
-                          for h in (0, 1))
+        level0, level1 = (_kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), h),
+                                      rq.s_step, len(s)) for h in (0, 1))
         gap = max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(level0, level1))
         bound = 1e-13 if kind is SpectralKind.OHMIC else 1e-5
         assert gap <= bound, (kind, omega_c, n_T, t_max, omega_max, gap)

@@ -26,6 +26,7 @@ from gaussian_paths import (
     evolve_cm,
     evolve_markovian,
     from_sts,
+    log_negativity,
     path_point,
     purity,
     reachable_markovian,
@@ -116,6 +117,12 @@ def test_evolve_markovian_limits_and_consistency():
     direct = evolve_markovian(TWB12, 1.0, 10.0, 0.7)
     assert via_cm.a == pytest.approx(direct.a, rel=1e-12)
     assert via_cm.c == pytest.approx(direct.c, rel=1e-12)
+
+
+def test_evolve_markovian_refuses_negative_time():
+    for t in (-0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^t must be >= 0"):
+            evolve_markovian(TWB12, 1.0, 10.0, t)
 
 
 def test_evolve_markovian_semigroup_and_fixed_point():
@@ -221,6 +228,11 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 1.0
+    # the knots that the crossing maps over (high-T's int_0^t Delta among them) are formed
+    # once per grid and mode, read-only
+    knots = channel._windows(mode, env.n_T, None, None, None)
+    assert knots is channel._windows(mode, env.n_T, None, None, None)
+    assert knots[0] is grid.times and not any(v.flags.writeable for v in knots)
     # bit for bit what the channel and np.exp give at the same times
     times = np.linspace(0.0, 2.5, 41)
     big_gamma, delta_gamma = channel(times)
@@ -570,6 +582,41 @@ def test_crossing_refuses_a_t_max_off_the_channel(resonant_grids):
         assert channel.crossing(TWB12, grid.t_max)[0] > 0.0
 
 
+def test_high_t_crossing_at_zero_temperature_is_inconclusive_before_it_crosses(quad):
+    # the frozen-c map has lambda_T = inf at every n_T: lambda rises with int_0^t Delta, so a
+    # state still below 1/2 at t_max crosses later (r0 = 0.05 at n_T = 0: t ~ 12.75), not never
+    grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(n_T=0.0), 15.0, quad)
+    channel = Channel(TrajectoryMode.HIGH_TEMPERATURE, 0.0, grid=grid)
+    cm0 = from_sts(STSParams(r=0.05, nu_T=0.0))
+    t_sep, big_gamma = channel.crossing(cm0, 15.0)
+    assert 12.7 < t_sep < 12.8 and big_gamma == 0.0
+    with pytest.raises(InconclusiveThresholdError, match="stationary value inf"):
+        channel.crossing(cm0, 1.0)
+    # lambda_T is read-only; the other modes relax to n_T + 1/2
+    assert channel.lambda_T == math.inf
+    with pytest.raises(AttributeError):
+        channel.lambda_T = 0.5
+    assert Channel(TrajectoryMode.NONMARKOVIAN, 0.0, grid=grid).lambda_T == 0.5
+    assert Channel(TrajectoryMode.MARKOVIAN, 2.0, gamma_m=1.0).lambda_T == 2.5
+
+
+def test_crossing_refuses_a_negative_c_as_min_symplectic_does(resonant_grids):
+    # (a, -c) of the r0 = 1.2 vacuum is as entangled as (a, c) (E_N = 2.4), but a - c is not
+    # its lambda: every crossing raises min_symplectic's error rather than "separable at t = 0"
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    flipped = SymmetricCM(TWB12.a, -TWB12.c)
+    assert log_negativity(flipped) == pytest.approx(2.4, rel=1e-12)
+    for channel in (Channel(TrajectoryMode.MARKOVIAN, env.n_T, gamma_m=1.0),
+                    Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
+                    Channel(TrajectoryMode.HIGH_TEMPERATURE, env.n_T, grid=grid)):
+        with pytest.raises(UnphysicalStateError, match="^min_symplectic requires the c >= 0"):
+            channel.crossing(flipped, 10.0)
+        traj = channel.sample(flipped, t_max=10.0, n_samples=11)
+        for reader in (separability_time, dsep_from_trajectory):
+            with pytest.raises(UnphysicalStateError, match="^min_symplectic requires"):
+                reader(traj)
+
+
 @pytest.mark.parametrize("mode", list(TrajectoryMode))
 def test_crossing_is_solved_once_in_either_order(resonant_grids, monkeypatch, mode):
     # dsep_from_trajectory before or after separability_time: the same (t_sep, D_sep), and
@@ -601,6 +648,21 @@ def test_reachable_identity_and_growth():
     grown = SymmetricCM(mixed.a, mixed.c * 1.01)
     dec = reachable_markovian(mixed, grown)
     assert not dec.reachable and dec.violated == "c-growth"
+
+
+def test_reachable_markovian_at_unchanged_correlations_needs_unchanged_a():
+    # c1 = c0 means Gamma = 0: no Markovian time has passed, so a target that keeps c but
+    # moves a is out of reach, either way
+    mixed = from_sts(STSParams(r=0.6, nu_T=0.5))
+    for a1 in (mixed.a + 0.1, mixed.a - 0.1):
+        assert not reachable_markovian(mixed, SymmetricCM(a1, mixed.c)).reachable
+
+
+def test_reachable_secular_refuses_growing_correlations():
+    mixed = from_sts(STSParams(r=0.6, nu_T=0.5))
+    sec = reachable_secular(mixed, SymmetricCM(mixed.a, mixed.c * 1.01))
+    assert not sec.reachable and sec.violated == "c-growth"
+    assert sec.big_gamma is None and sec.delta_gamma is None
 
 
 def test_reachable_excluded_low_purity_target():

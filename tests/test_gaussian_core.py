@@ -24,6 +24,7 @@ from gaussian_paths import (
     purity,
     to_sts,
 )
+from gaussian_paths import gaussian_core
 from gaussian_paths.gaussian_core import _h, _h_array
 
 TWB12 = STSParams(r=1.2, nu_T=0.0)
@@ -242,16 +243,17 @@ def _discord_by_h(a: float, c: float, h=_h) -> float:
 @given(nu=_NU, r=_R, sign=st.sampled_from([1.0, -1.0]))
 def test_scalar_discord_and_entropy_match_array_forms(nu, r, sign):
     a, c = nu * math.cosh(2.0 * r), sign * nu * math.sinh(2.0 * r)
+    # both forms are the h-term sum floored at 0 (roundoff negatives on near-product states)
     d = discord(a, c)
-    assert d == _discord_by_h(a, c)
+    assert d == max(_discord_by_h(a, c), 0.0)
     ref = discord(np.array([a]), np.array([c]))[0]
-    assert ref == _discord_by_h(a, c, h=lambda x: _h_array(np.array([x]))[0])
+    assert ref == max(_discord_by_h(a, c, h=lambda x: _h_array(np.array([x]))[0]), 0.0)
     # D = h(a) - 2 h(nu) + h(cond) cancels terms up to h(a) in size, and
     # math.log and numpy's log differ by an ulp on a few inputs
     assert d == pytest.approx(ref, rel=1e-13, abs=1e-15 * max(1.0, 4.0 * entropic_h(a)))
-    # path_point shares the scalar kernel: its discord is the 0-d discord, clamped at 0,
-    # bit for bit (D is even in c; path_point takes c >= 0)
-    assert path_point(SymmetricCM(a, abs(c)), 0.0).discord == max(discord(a, abs(c)), 0.0)
+    # path_point shares the scalar kernel: its discord is the 0-d discord bit for bit
+    # (D is even in c; path_point takes c >= 0)
+    assert path_point(SymmetricCM(a, abs(c)), 0.0).discord == discord(a, abs(c))
     for x in (a, math.sqrt(max(a * a - c * c, 0.0)), a - 2.0 * c * c / (1.0 + 2.0 * a)):
         assert entropic_h(x) == pytest.approx(entropic_h(np.array([x]))[0],
                                               rel=1e-13, abs=1e-15)
@@ -278,6 +280,31 @@ def test_h_array_guards_still_raise_and_clamp():
     # at offsets <= 1e-300
     assert _h_array(np.array([1.0, -1e-10, 0.0, 1e-301])).tolist()[1:] == [0.0, 0.0, 1e-301]
     assert _h_array(np.array([1.0, 1e-301]))[1] == 1e-301
+
+
+def test_discord_is_never_negative_on_near_product_states():
+    # c/a <= 1e-6: D ~ c^2 cancels down to roundoff, which both forms floor at 0
+    rng = np.random.default_rng(1)
+    nu = rng.uniform(0.5, 5.0, 20_000)
+    c = nu * 10.0 ** rng.uniform(-12.0, -6.0, nu.size)
+    a = np.sqrt(nu * nu + c * c)
+    d = discord(a, c)
+    assert d.min() >= 0.0 and (d == 0.0).any()
+    assert min(discord(x, y) for x, y in zip(a.tolist(), c.tolist())) >= 0.0
+
+
+def test_discord_raises_below_the_roundoff_floor(monkeypatch):
+    # a pure state with offsets (1/8, 0, 0); stand-in h terms (0, low, low) sum to -low:
+    # -1e-13 reads 0, and -1e-9, past the 1e-12 floor, raises, in both forms
+    for low in (1e-13, 1e-9):
+        monkeypatch.setattr(gaussian_core, "_h", lambda xm: 0.0 if xm else low)
+        monkeypatch.setattr(gaussian_core, "_h_array", lambda x: np.where(x != 0.0, 0.0, low))
+        for a, c in ((0.625, 0.375), (np.array([0.625]), np.array([0.375]))):
+            if low < 1e-12:
+                assert np.all(discord(a, c) == 0.0)
+            else:
+                with pytest.raises(UnphysicalStateError, match="^negative discord -1e-09 beyond"):
+                    discord(a, c)
 
 
 def _discord_by_h_arrays(a, c) -> np.ndarray:

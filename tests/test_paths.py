@@ -417,6 +417,15 @@ def test_dsep_sweep_continues_past_inconclusive_rows(resonant_grids):
     assert rows[1].d_sep is not None and rows[1].note == ""
 
 
+def test_trajectory_and_path_compare_by_identity_and_hash():
+    # frozen records over numpy arrays: == is identity (value == would raise on the arrays)
+    traj, path = markovian_path(n=11)
+    twin, twin_path = markovian_path(n=11)
+    for one, other in ((traj, twin), (path, twin_path)):
+        assert one == one and one != other and hash(one) == hash(one)
+        assert len({one, other, one}) == 2
+
+
 # ------------------------------------------------- high-temperature mode
 
 def test_high_t_frozen_correlations(resonant_grids):
@@ -427,8 +436,10 @@ def test_high_t_frozen_correlations(resonant_grids):
     d_traj = discord(traj.a, traj.c)
     d_frozen = discord(traj.lam + TWB12.c, np.full_like(traj.a, TWB12.c))
     assert np.max(np.abs(d_traj - d_frozen)) <= 1e-10
-    # lambda(t) = lambda0 + (1/2) int_0^t Delta
-    half_integral = np.interp(traj.times, grid.times, grid._delta_cumulative) / 2.0
+    # lambda(t) = lambda0 + (1/2) int_0^t Delta, the integral a trapezoid on the grid's knots
+    steps = 0.5 * (grid.delta[1:] + grid.delta[:-1]) * np.diff(grid.times)
+    integral = np.concatenate(([0.0], np.cumsum(steps)))
+    half_integral = np.interp(traj.times, grid.times, integral) / 2.0
     np.testing.assert_allclose(traj.lam, (TWB12.a - TWB12.c) + half_integral, rtol=0, atol=1e-12)
 
 

@@ -139,6 +139,13 @@ def test_thermal_occupation_closed_forms():
     assert thermal_occupation(x, 1.0) == pytest.approx(999.5, rel=1e-4)
 
 
+def test_thermal_occupation_underflows_to_zero_past_beta_omega_700():
+    # 1/expm1(x) is below 1e-304 there; the cut returns 0 rather than a subnormal
+    assert thermal_occupation(1.0, 700.0) == 1.0 / math.expm1(700.0) > 0.0
+    assert thermal_occupation(1.0, 700.5) == 0.0
+    assert thermal_occupation(1e3, 1.0) == 0.0
+
+
 def test_thermal_occupation_validation():
     with pytest.raises(ValueError):
         thermal_occupation(1.0, 0.0)
