@@ -52,7 +52,6 @@ from .gaussian_core import (
 )
 from .paths import (
     DynamicalPath,
-    PathSource,
     SweepRow,
     UniversalityReport,
     compare_paths,

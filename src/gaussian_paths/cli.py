@@ -30,7 +30,7 @@ from .dynamics import (
     evolve_markovian,
     write_trajectory_csv,
 )
-from .gaussian_core import STSParams, _physical, discord, from_sts, min_symplectic, purity
+from .gaussian_core import STSParams, discord, from_sts, min_symplectic, purity
 from .paths import (
     compare_paths,
     dsep_sweep,
@@ -243,15 +243,14 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
 
 
 def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
-    # every map keeps c0's sign, so min_symplectic's c >= 0 rule is checked on c0 alone
+    # no per-sample guard: traj's samples are physical (its channel raised otherwise) and
+    # c0 >= 0 is SymmetricCM's rule, so lambda0 = a0 - c0
     lam0, c0 = min_symplectic(traj.initial), traj.initial.c
     if c0 == 0:  # an uncorrelated state has nothing to damp: c(t) must stay exactly 0
         damp = float(np.max(np.abs(traj.c)))
     else:
         damp = float(np.max(np.abs(traj.c / c0 - np.exp(-traj.big_gamma))))
     checks.append(_check("damping-law-relative-deviation", damp, 1e-10))
-    violations = int(np.sum(~_physical(traj.a, traj.c)))
-    checks.append(_check("physicality-violations", float(violations), 0.0, direction="=="))
     discord(traj.a, traj.c)  # raises where a sample's D is negative beyond roundoff
     com = constant_of_motion(traj, lam0, purity(traj.initial), traj.channel.lambda_T)
     if com.degenerate:

@@ -129,7 +129,9 @@ class Channel:
     each mode means, checked once, when built (ValueError otherwise).  Markovian: gamma_m t and
     (1 - e^{-Gamma})(2 n_T + 1) from a finite gamma_m > 0, no grid.  Non-Markovian: a
     CoefficientGrid's Gamma and Delta_Gamma; high-T: 0 and int_0^t Delta by cumulative
-    trapezoid; both linear between the grid's knots on [0, grid.t_max], with no gamma_m."""
+    trapezoid; both linear between the grid's knots on [0, grid.t_max], with no gamma_m.  A grid
+    channel's n_T must be the bath n_T its grid was built with: it is not checked against the
+    grid, and it sets lambda_T, so the crossing's "never" and "inconclusive" read it."""
 
     mode: TrajectoryMode
     n_T: float
@@ -194,8 +196,7 @@ class Channel:
 
     def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
         """(t_sep, Gamma(t_sep)) at which cm0's lambda first reaches 1/2 by t_max (finite, > 0,
-        on the grid).  lambda0 is min_symplectic's, so a c0 < 0 state raises
-        UnphysicalStateError.  Markovian: in closed form, no knots checked, since a completely
+        on the grid).  Markovian: in closed form, no knots checked, since a completely
         positive map (n_T >= 0) keeps a state physical (Holevo & Werner, PRA 63, 032312); else
         _grid_crossing.  (0, 0) if separable, None if never; InconclusiveThresholdError if not by
         t_max while lambda_T lies above 1/2."""
@@ -302,10 +303,12 @@ class Trajectory:
 
     @property
     def points(self) -> list[tuple[float, SymmetricCM]]:
-        """(t, SymmetricCM) per sample, checked at once by the constructor's rule; if one
-        fails, all go through the constructor, which raises at the first bad sample."""
+        """(t, SymmetricCM) per sample, checked at once by the constructor's rules (finite,
+        c >= 0, physical); if one fails, all go through the constructor, which raises at the
+        first bad sample."""
         with np.errstate(invalid="ignore", over="ignore"):
-            ok = np.all(np.isfinite(self.a) & np.isfinite(self.c) & _physical(self.a, self.c))
+            ok = np.all(np.isfinite(self.a) & np.isfinite(self.c) & (self.c >= 0)
+                        & _physical(self.a, self.c))
         pairs = zip(self.a.tolist(), self.c.tolist())
         cms = map(tuple.__new__, repeat(SymmetricCM), pairs) if ok else starmap(SymmetricCM, pairs)
         return list(zip(self.times.tolist(), cms))
@@ -376,7 +379,8 @@ def reachable_markovian(cm0: SymmetricCM, cm1: SymmetricCM) -> ReachabilityDecis
     if x >= 1 - 1e-15:
         if abs(cm1.a - cm0.a) <= 1e-12 * max(1.0, cm0.a):
             return ReachabilityDecision(reachable=True, gamma_m_t=0.0, n_T=None)
-        return ReachabilityDecision(reachable=False, violated="c-growth")
+        # c kept means gamma_M t = 0, where a Markovian map cannot move a either
+        return ReachabilityDecision(reachable=False, violated="diffusion-without-damping")
     n_T = dg / (2.0 * (1.0 - x)) - 0.5
     if n_T < -1e-12:
         return ReachabilityDecision(reachable=False, violated="negative-temperature")

@@ -2,18 +2,21 @@
 
 A symmetric state is fixed by two numbers (a, c): its covariance matrix
 is sigma = a*I_4 + c*(sigma_1 x sigma_3), i.e. equal local blocks a*I_2
-and correlation blocks c*diag(1, -1).  The measures used as path
-coordinates are the purity mu = 1/(4(a^2-c^2)), the minimum symplectic
-eigenvalue of the partial transpose lambda = a - c (separable iff
-lambda >= 1/2) and the Gaussian discord D(a, c).
+and correlation blocks c*diag(1, -1).  c >= 0 is the two-mode squeezed
+sign convention; (a, -c) is the same state up to a local phase flip, and
+SymmetricCM holds only c >= 0.  The measures used as path coordinates are
+the purity mu = 1/(4(a^2-c^2)), the minimum symplectic eigenvalue of the
+partial transpose lambda = a - c (separable iff lambda >= 1/2) and the
+Gaussian discord D(a, c).
 
 Physicality (the uncertainty relation) is sqrt(a^2 - c^2) >= 1/2: the
 symplectic eigenvalues of sigma itself are both sqrt(a^2 - c^2).  Note
-a - |c| >= 1/2 is the separability threshold, not the uncertainty bound;
+a - c >= 1/2 is the separability threshold, not the uncertainty bound;
 entangled states sit below it.
 
 SymmetricCM and PathPoint are NamedTuples, cheaper than dataclasses to build once per
-sample; SymmetricCM checks its pair on every path (new, _make, _replace, copy, pickle).
+sample; SymmetricCM checks its pair, c >= 0 included, on every path (new, _make,
+_replace, copy, pickle), so the readers of a state check nothing again.
 
 The discord has one float kernel, _discord, behind both the 0-d discord and path_point:
 h(1/2 + x) = log1p(x) + x log1p(1/x) is written out on math.log1p for its three offsets.
@@ -68,13 +71,17 @@ def _physical(a, c):
 
 
 class SymmetricCM(NamedTuple("_SymmetricCMFields", [("a", float), ("c", float)])):
-    """The (a, c) pair of a symmetric two-mode covariance matrix."""
+    """The (a, c) pair of a symmetric two-mode covariance matrix: finite, c >= 0 and
+    physical, else UnphysicalStateError."""
 
     __slots__ = ()
 
     def __new__(cls, a: float, c: float):
         if not (math.isfinite(a) and math.isfinite(c)):
             raise UnphysicalStateError(f"a and c must be finite, got ({a}, {c})")
+        if c < 0:
+            raise UnphysicalStateError(f"SymmetricCM holds the c >= 0 sign convention, got "
+                                       f"c = {c}; (a, -c) is the same state")
         if not _physical(a, c):
             raise UnphysicalStateError(f"uncertainty relation violated: a = {a}, "
                                        f"a^2 - c^2 = {(a - c) * (a + c)} < 1/4")
@@ -123,10 +130,8 @@ def from_sts(p: STSParams) -> SymmetricCM:
 
 
 def to_sts(cm: SymmetricCM) -> STSParams:
-    """Invert from_sts: nu_T + 1/2 = sqrt(a^2 - c^2), tanh(2r) = c/a.  SymmetricCM
-    guarantees physicality, so only the c >= 0 convention is checked."""
-    if cm.c < 0:
-        raise UnphysicalStateError("to_sts requires the c >= 0 sign convention")
+    """Invert from_sts: nu_T + 1/2 = sqrt(a^2 - c^2), tanh(2r) = c/a; SymmetricCM's c >= 0
+    and physicality make r and nu_T >= 0."""
     nu = math.sqrt(max(cm.nu_squared, 0.25))
     return STSParams(r=0.5 * math.atanh(min(cm.c / cm.a, 1.0)), nu_T=nu - 0.5)
 
@@ -142,16 +147,13 @@ def purity(cm: SymmetricCM) -> float:
 
 
 def min_symplectic(cm: SymmetricCM) -> float:
-    """lambda = a - c, the minimum symplectic eigenvalue of the partial transpose."""
-    if cm.c < 0:
-        raise UnphysicalStateError("min_symplectic requires the c >= 0 sign convention")
+    """lambda = a - c, the minimum symplectic eigenvalue of the partial transpose (c >= 0)."""
     return cm.a - cm.c
 
 
 def log_negativity(cm: SymmetricCM) -> float:
-    """E_N = max(0, -ln(2 lambda))."""
-    lam = cm.a - abs(cm.c)
-    return max(0.0, -math.log(2.0 * lam))
+    """E_N = max(0, -ln(2 lambda)), lambda min_symplectic's."""
+    return max(0.0, -math.log(2.0 * min_symplectic(cm)))
 
 
 def _h(xm: float) -> float:
@@ -247,20 +249,23 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
 
 
 def path_point(cm: SymmetricCM, t: float) -> PathPoint:
-    """(mu, lambda = a - c, D) of a state (c >= 0) at time t, D the 0-d discord's."""
+    """(mu, lambda = a - c, D) of a state at time t, D the 0-d discord's."""
     a, c = cm
     if type(a) is not float or type(c) is not float:  # np.float64 too: a float subclass
         a, c = float(a), float(c)
-    if c < 0:
-        raise UnphysicalStateError("path_point requires the c >= 0 sign convention")
     nu2 = (a - c) * (a + c)
     return tuple.__new__(PathPoint, (1.0 / (4.0 * nu2), a - c, _discord(a, c, nu2), t))
 
 
 def cm_from_mu_lambda(mu: float, lam: float) -> SymmetricCM:
-    """Invert (mu, lambda) -> (a, c) via a = (lam + v)/2, c = (v - lam)/2, v = 1/(4 mu lam)."""
+    """Invert (mu, lambda) -> (a, c) via a = (lam + v)/2, c = (v - lam)/2, v = 1/(4 mu lam).
+
+    The domain is 4 mu lam^2 <= 1 (c >= 0): SymmetricCM refuses a point past it with
+    UnphysicalStateError.  A c within 4 eps lam below 0 is v's roundoff on the boundary
+    (a c = 0 state's own mu and lambda land there) and reads 0."""
     for name, x in (("mu", mu), ("lam", lam)):
         if not 0 < x < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {x}")
     v = 1.0 / (4.0 * mu * lam)
-    return SymmetricCM(a=0.5 * (lam + v), c=0.5 * (v - lam))
+    c = 0.5 * (v - lam)
+    return SymmetricCM(a=0.5 * (lam + v), c=0.0 if -4.0 * _EPS * lam <= c < 0.0 else c)

@@ -19,10 +19,9 @@ import numpy as np
 
 from ._csv import _write_rows
 from .dynamics import Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory
-from .gaussian_core import _EPS, STSParams, SymmetricCM, discord, from_sts, to_sts
+from .gaussian_core import _EPS, STSParams, SymmetricCM, discord, from_sts
 
 __all__ = [
-    "PathSource",
     "DynamicalPath",
     "UniversalityReport",
     "extract_path",
@@ -37,26 +36,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathSource:
-    """Provenance of a path: spectrum label, temperature, mode, initial state."""
-
-    spectrum: str
-    n_T: float
-    mode: str
-    r0: float
-    nu0: float
-
-
 @dataclass(frozen=True, eq=False)
 class DynamicalPath:
-    """Ordered path points; consecutive duplicates from static trajectories collapse."""
+    """Ordered path points; consecutive duplicates from static trajectories collapse.
+    trajectory is the Trajectory the path was extracted from, its origin (initial state,
+    channel, label), or None for a path built from bare arrays."""
 
     mu: np.ndarray
     lam: np.ndarray
     discord: np.ndarray
     t: np.ndarray
-    source: PathSource | None = None
+    trajectory: Trajectory | None = None
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -84,8 +74,6 @@ class DynamicalPath:
 class UniversalityReport:
     """Pointwise distance between a candidate path and a reference at matched lambda."""
 
-    reference: PathSource | None
-    candidate: PathSource | None
     max_deviation: float
     matched_fraction: float
     max_discord_deviation: float
@@ -98,21 +86,16 @@ class UniversalityReport:
         return self.deviation_defined and self.max_deviation <= self.tol
 
 
-def _source_of(traj: Trajectory) -> PathSource:
-    sts = to_sts(traj.initial)
-    return PathSource(spectrum=traj.label or traj.mode.value, n_T=traj.n_T,
-                      mode=traj.mode.value, r0=sts.r, nu0=sts.nu_T)
-
-
 def extract_path(traj: Trajectory) -> DynamicalPath:
-    """Map every trajectory sample through (mu, lambda, D); t is kept as metadata.  If lambda
-    moves at every step nothing is dropped or copied: t is the trajectory's read-only times."""
+    """Map every trajectory sample through (mu, lambda, D); t is kept as metadata, and traj by
+    reference as the path's trajectory.  If lambda moves at every step nothing is dropped or
+    copied: t is the trajectory's read-only times."""
     mu, lam, t = traj.mu, traj.lam, traj.times
     disc = discord(traj.a, traj.c)
     if not (moved := np.diff(lam) != 0).all():
         keep = np.concatenate(([True], (np.diff(mu) != 0) | moved | (np.diff(disc) != 0)))
         mu, lam, disc, t = mu[keep], lam[keep], disc[keep], t[keep]
-    return DynamicalPath(mu=mu, lam=lam, discord=disc, t=t, source=_source_of(traj))
+    return DynamicalPath(mu=mu, lam=lam, discord=disc, t=t, trajectory=traj)
 
 
 def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
@@ -125,16 +108,13 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
     damping rates differ by pure roundoff.  Candidate points are matched independently, which
     handles non-monotone (oscillating) candidates segment by segment; points outside the
     reference lambda range are skipped and accounted for in matched_fraction.  A reference is
-    prepared once (DynamicalPath._reference).
+    prepared once (DynamicalPath._reference).  Two paths that both carry a trajectory must
+    share its initial state and n_T exactly (ValueError otherwise).
     """
-    if reference.source is not None and candidate.source is not None:
-        same = (
-            math.isclose(reference.source.n_T, candidate.source.n_T, rel_tol=1e-9, abs_tol=1e-12)
-            and math.isclose(reference.source.r0, candidate.source.r0, rel_tol=1e-9, abs_tol=1e-12)
-            and math.isclose(reference.source.nu0, candidate.source.nu0, rel_tol=1e-9, abs_tol=1e-12)
-        )
-        if not same:
-            raise ValueError("paths stem from different initial states or temperatures")
+    ref, cand = reference.trajectory, candidate.trajectory
+    if ref is not None and cand is not None and (ref.initial != cand.initial
+                                                 or ref.n_T != cand.n_T):
+        raise ValueError("paths stem from different initial states or temperatures")
     lam_r, mu_r, d_r, v_r = reference._reference
     lam_c = candidate.lam
     lo, hi = lam_r[0], lam_r[-1]
@@ -146,8 +126,7 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
         overlap = max(0.0, min(hi, float(np.max(lam_c))) - max(lo, float(np.min(lam_c))))
         frac = overlap / span
     if not np.any(matched):
-        return UniversalityReport(reference=reference.source, candidate=candidate.source,
-                                  max_deviation=math.nan, matched_fraction=0.0,
+        return UniversalityReport(max_deviation=math.nan, matched_fraction=0.0,
                                   max_discord_deviation=math.nan,
                                   max_purity_deviation=math.nan, tol=tol,
                                   deviation_defined=False)
@@ -166,8 +145,6 @@ def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
     d_dev = np.abs(candidate.discord[matched] - d_ref)
     mu_dev = np.abs(candidate.mu[matched] - mu_ref)
     return UniversalityReport(
-        reference=reference.source,
-        candidate=candidate.source,
         max_deviation=float(np.max(d_dev + mu_dev)),
         matched_fraction=frac,
         max_discord_deviation=float(np.max(d_dev)),

@@ -2,7 +2,7 @@
 
 Runs ``coefficients`` once per spectrum, and ``simulate``, ``verify`` and
 ``dsep-sweep`` for each of the three spectra in each of the three modes,
-plus ``dsep-sweep`` with ``spectrum = all`` in each mode: 37 in-process
+plus ``dsep-sweep`` with ``spectrum = all`` in each mode: 33 in-process
 runs at the resonant defaults (omega0 = omega_c = 1, alpha = 0.1,
 n_T = 10, r0 = 1.2, t_max = 25, r0 list 0.5,1.2,2.5) that write 42
 artifacts.  A compact summary of them (exit codes, CSV headers and row

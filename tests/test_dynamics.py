@@ -26,7 +26,6 @@ from gaussian_paths import (
     evolve_cm,
     evolve_markovian,
     from_sts,
-    log_negativity,
     path_point,
     purity,
     reachable_markovian,
@@ -600,23 +599,6 @@ def test_high_t_crossing_at_zero_temperature_is_inconclusive_before_it_crosses(q
     assert Channel(TrajectoryMode.MARKOVIAN, 2.0, gamma_m=1.0).lambda_T == 2.5
 
 
-def test_crossing_refuses_a_negative_c_as_min_symplectic_does(resonant_grids):
-    # (a, -c) of the r0 = 1.2 vacuum is as entangled as (a, c) (E_N = 2.4), but a - c is not
-    # its lambda: every crossing raises min_symplectic's error rather than "separable at t = 0"
-    _, env, grid = resonant_grids[SpectralKind.OHMIC]
-    flipped = SymmetricCM(TWB12.a, -TWB12.c)
-    assert log_negativity(flipped) == pytest.approx(2.4, rel=1e-12)
-    for channel in (Channel(TrajectoryMode.MARKOVIAN, env.n_T, gamma_m=1.0),
-                    Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
-                    Channel(TrajectoryMode.HIGH_TEMPERATURE, env.n_T, grid=grid)):
-        with pytest.raises(UnphysicalStateError, match="^min_symplectic requires the c >= 0"):
-            channel.crossing(flipped, 10.0)
-        traj = channel.sample(flipped, t_max=10.0, n_samples=11)
-        for reader in (separability_time, dsep_from_trajectory):
-            with pytest.raises(UnphysicalStateError, match="^min_symplectic requires"):
-                reader(traj)
-
-
 @pytest.mark.parametrize("mode", list(TrajectoryMode))
 def test_crossing_is_solved_once_in_either_order(resonant_grids, monkeypatch, mode):
     # dsep_from_trajectory before or after separability_time: the same (t_sep, D_sep), and
@@ -655,7 +637,8 @@ def test_reachable_markovian_at_unchanged_correlations_needs_unchanged_a():
     # moves a is out of reach, either way
     mixed = from_sts(STSParams(r=0.6, nu_T=0.5))
     for a1 in (mixed.a + 0.1, mixed.a - 0.1):
-        assert not reachable_markovian(mixed, SymmetricCM(a1, mixed.c)).reachable
+        dec = reachable_markovian(mixed, SymmetricCM(a1, mixed.c))
+        assert not dec.reachable and dec.violated == "diffusion-without-damping"
 
 
 def test_reachable_secular_refuses_growing_correlations():
@@ -708,13 +691,13 @@ def test_reachable_roundtrip_recovery():
 def test_reachable_markovian_is_the_excluded_region_oracle():
     # a Markovian channel reaches cm1 from cm0 exactly when the correlations decay, 0 < x =
     # c1/c0 <= 1, and a1 lies on or above the zero-temperature image a0 x + (1 - x)/2; the
-    # targets are physical, scattered on both sides of both bounds
+    # targets are physical, scattered on both sides of both bounds (c1 >= 0, as every state)
     rng = np.random.default_rng(7)
     reached = 0
     for _ in range(20_000):
         cm0 = from_sts(STSParams(r=float(rng.uniform(0.05, 2.5)),
                                  nu_T=float(rng.uniform(0.0, 2.0))))
-        u = float(rng.uniform(-0.25, 1.25))
+        u = float(rng.uniform(0.0, 1.25))
         # a1 from the physical floor to twice the floor's distance from the zero-T line
         floor, line = math.hypot(cm0.c * u, 0.5), cm0.a * u + 0.5 * (1 - u)
         cm1 = SymmetricCM(floor + abs(line - floor) * float(rng.uniform(0.0, 2.0)), cm0.c * u)
@@ -793,18 +776,22 @@ def test_constant_of_motion_array_matches_point_loop(resonant_grids):
 
 
 @pytest.mark.parametrize("bad, message", [((math.nan, 0.0), "must be finite"),
-                                          ((0.1, 0.0), "uncertainty relation violated")])
+                                          ((0.1, 0.0), "uncertainty relation violated"),
+                                          ((1.5, -0.5), "c >= 0 sign convention")])
 def test_points_raise_the_constructor_error_at_the_first_bad_sample(bad, message):
     traj = markovian_traj(n=11)
-    a, c = traj.a.copy(), traj.c.copy()
-    (a[4], c[4]), (a[7], c[7]) = bad, (math.inf, 1.0)
-    hand_built = Trajectory(channel=traj.channel, initial=traj.initial, times=traj.times, a=a,
-                            c=c, big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma)
     with pytest.raises(UnphysicalStateError) as caught:
         SymmetricCM(*bad)
     assert message in str(caught.value)
-    with pytest.raises(UnphysicalStateError, match=f"^{re.escape(str(caught.value))}$"):
-        hand_built.points
+    for later in ((math.inf, 1.0), None):  # a later bad sample, or the one bad sample alone
+        a, c = traj.a.copy(), traj.c.copy()
+        a[4], c[4] = bad
+        if later:
+            a[7], c[7] = later
+        hand_built = Trajectory(channel=traj.channel, initial=traj.initial, times=traj.times,
+                                a=a, c=c, big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma)
+        with pytest.raises(UnphysicalStateError, match=f"^{re.escape(str(caught.value))}$"):
+            hand_built.points
     assert [cm for _, cm in traj.points] == list(map(SymmetricCM, traj.a, traj.c))
 
 

@@ -85,9 +85,22 @@ def test_physicality_constructor():
     assert cm.a - cm.c < 0.5
 
 
+def test_symmetric_cm_holds_only_the_nonnegative_c_convention():
+    # (a, -c) of the r0 = 1.2 vacuum is the same state up to a local phase flip (E_N = 2.4,
+    # lambda = a - |c| = 0.045), but a - (-c) = 5.51 is not its lambda: the constructor
+    # refuses it, so no channel samples it and no crossing, log_negativity or trajectory.csv
+    # reads it (every other construction path goes through the constructor)
+    cm = from_sts(TWB12)
+    assert log_negativity(cm) == pytest.approx(2.4, rel=1e-12)
+    assert cm.a + cm.c == pytest.approx(5.51, rel=1e-3)
+    with pytest.raises(UnphysicalStateError, match="c >= 0 sign convention"):
+        SymmetricCM(cm.a, -cm.c)
+    assert SymmetricCM(0.5, -0.0).c == 0.0  # -0.0 is not below 0
+
+
 def test_every_construction_path_checks_the_state():
     cm = SymmetricCM(a=1.0, c=0.5)
-    for a, c in ((1.0, math.nan), (0.1, 0.5), (1.0, 0.9)):
+    for a, c in ((1.0, math.nan), (0.1, 0.5), (1.0, 0.9), (1.0, -0.5)):
         for build in (lambda: SymmetricCM(a, c), lambda: SymmetricCM(a=a, c=c),
                       lambda: SymmetricCM._make((a, c)), lambda: cm._replace(a=a, c=c)):
             with pytest.raises(UnphysicalStateError):
@@ -430,7 +443,8 @@ def test_path_point_converts_numpy_and_int_members_to_floats():
 
 
 def test_path_point_requires_nonnegative_c():
-    # (a, -c) is the same state up to a local phase flip, held in the other sign convention
+    # (a, -c) is the same state up to a local phase flip, held in the other sign convention:
+    # SymmetricCM refuses it before path_point can read a - c as its lambda
     with pytest.raises(UnphysicalStateError, match="c >= 0 sign convention"):
         path_point(SymmetricCM(1.5, -0.5), 0.0)
 
@@ -442,3 +456,36 @@ def test_path_point_constraint_surface():
         assert pp.mu <= 1.0 / (4.0 * pp.lam**2) + 1e-12
         rebuilt = cm_from_mu_lambda(pp.mu, pp.lam)
         assert discord(rebuilt.a, rebuilt.c) == pytest.approx(pp.discord, abs=1e-8)
+
+
+# ------------------------------------------------ the (mu, lambda) <-> (a, c) map
+
+# canonical states from_sts(r, nu_T): r = 0 puts them on the c = 0 boundary of the map's
+# domain 4 mu lambda^2 <= 1, large nu_T and r make a from 1/2 to ~1e10
+_CANONICAL = st.builds(STSParams, r=_R, nu_T=st.one_of(st.just(0.0), st.floats(0.0, 50.0),
+                                                         st.floats(1e6, 1e7)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_CANONICAL)
+def test_mu_lambda_map_returns_a_canonical_state(p):
+    cm = from_sts(p)
+    back = cm_from_mu_lambda(purity(cm), min_symplectic(cm))
+    # rel 1e-12 of the matrix's scale a: c = (v - lambda)/2 carries v's roundoff at that scale
+    assert max(abs(back.a - cm.a), abs(back.c - cm.c)) <= 1e-12 * cm.a
+    assert log_negativity(cm) == max(0.0, -math.log(2.0 * min_symplectic(cm)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(1e-3, 1e3), excess=st.floats(1e-12, 1e6))
+def test_mu_lambda_map_refuses_points_past_its_domain(lam, excess):
+    # 4 mu lambda^2 > 1 makes c = (v - lambda)/2 negative
+    with pytest.raises(UnphysicalStateError, match="c >= 0 sign convention"):
+        cm_from_mu_lambda((1.0 + excess) / (4.0 * lam * lam), lam)
+
+
+def test_mu_lambda_map_refuses_mu_0_05_at_lambda_3():
+    # 4 mu lambda^2 = 1.8: (a, c) = (2.333, -0.667) has a - |c| = 1.667, not the lambda = 3
+    # asked for
+    with pytest.raises(UnphysicalStateError, match="c >= 0 sign convention"):
+        cm_from_mu_lambda(0.05, 3.0)

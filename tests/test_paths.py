@@ -47,8 +47,9 @@ def test_extract_path_deduplicates_constant_trajectory(quad):
                                n_samples=50, grid=grid, n_T=10.0)
     path = extract_path(traj)
     assert len(path) == 1
-    assert path.source.mode == "nonmarkovian"
-    assert path.source.r0 == pytest.approx(1.2, rel=1e-12)
+    # the path's origin is its trajectory, held by reference
+    assert path.trajectory is traj and path.trajectory.initial is TWB12
+    assert path.trajectory.mode is TrajectoryMode.NONMARKOVIAN
 
 
 def test_extract_path_zero_temperature_endpoint():
@@ -76,7 +77,7 @@ def test_extract_path_uncopied_branch_equals_copying_branch():
     copied = extract_path(twin)
     for name in ("mu", "lam", "discord", "t"):
         assert getattr(copied, name).tobytes() == getattr(path, name).tobytes()
-    assert copied.source == path.source
+    assert path.trajectory is traj and copied.trajectory is twin
 
 
 def test_extract_path_static_trajectory_is_one_point():
@@ -112,6 +113,17 @@ def test_compare_rejects_mismatched_sources():
     _, p0 = markovian_path(n_T=0.0)
     with pytest.raises(ValueError):
         compare_paths(p10, p0)
+
+
+def test_compare_refuses_initial_states_that_differ_at_all():
+    # r0 values 1e-10 apart are two states: the paths' trajectories must share the initial
+    # state exactly, not to a relative tolerance
+    near = from_sts(STSParams(r=1.2 * (1 + 1e-10), nu_T=0.0))
+    assert near != TWB12
+    _, ref = markovian_path()
+    _, cand = markovian_path(cm0=near)
+    with pytest.raises(ValueError, match="different initial states"):
+        compare_paths(ref, cand)
 
 
 def test_temperature_families_diverge():
@@ -163,7 +175,7 @@ def test_repeated_comparisons_against_one_reference_agree():
     assert rep.max_deviation == 0.0 and rep.matched_fraction == 1.0
     # a descending reference is prepared ascending, once
     desc = DynamicalPath(mu=ref.mu[::-1], lam=ref.lam[::-1], discord=ref.discord[::-1],
-                         t=ref.t, source=ref.source)
+                         t=ref.t, trajectory=ref.trajectory)
     assert compare_paths(desc, fast, tol=1e-10) == first[0]
 
 
