@@ -355,14 +355,17 @@ class ReachabilityDecision:
 
 
 def _secular_inverse(cm0: SymmetricCM, cm1: SymmetricCM, caller: str):
-    """(x, Delta_Gamma) = (c1/c0, 2(a1 - a0 x)) of the secular map taking cm0 to cm1,
-    x = e^{-Gamma}; (None, None) when the correlations would have to grow (x <= 0 or x > 1)."""
+    """(x, Delta_Gamma, violated) = (c1/c0, 2(a1 - a0 x), None) of the secular map taking cm0
+    to cm1, x = e^{-Gamma}; (None, None, label) where no finite Gamma >= 0 gives x: label
+    "infinite-damping" for c1 = 0 (x = 0, c decayed fully) and "c-growth" for x > 1."""
     if cm0.c <= 0:
         raise DegenerateInputError(f"{caller} requires c0 > 0")
     x = cm1.c / cm0.c
-    if x <= 0 or x > 1 + 1e-12:
-        return None, None
-    return x, 2.0 * (cm1.a - cm0.a * x)
+    if x == 0.0:  # c1 >= 0, as every SymmetricCM
+        return None, None, "infinite-damping"
+    if x > 1 + 1e-12:
+        return None, None, "c-growth"
+    return x, 2.0 * (cm1.a - cm0.a * x), None
 
 
 def reachable_markovian(cm0: SymmetricCM, cm1: SymmetricCM) -> ReachabilityDecision:
@@ -373,9 +376,9 @@ def reachable_markovian(cm0: SymmetricCM, cm1: SymmetricCM) -> ReachabilityDecis
     and n_T must be a temperature, i.e. n_T >= 0.  States failing either
     constraint are in the excluded region of cm0.
     """
-    x, dg = _secular_inverse(cm0, cm1, "reachable_markovian")
-    if x is None:
-        return ReachabilityDecision(reachable=False, violated="c-growth")
+    x, dg, violated = _secular_inverse(cm0, cm1, "reachable_markovian")
+    if violated:
+        return ReachabilityDecision(reachable=False, violated=violated)
     if x >= 1 - 1e-15:
         if abs(cm1.a - cm0.a) <= 1e-12 * max(1.0, cm0.a):
             return ReachabilityDecision(reachable=True, gamma_m_t=0.0, n_T=None)
@@ -399,9 +402,9 @@ class SecularReachability:
 
 def reachable_secular(cm0: SymmetricCM, cm1: SymmetricCM) -> SecularReachability:
     """The secular inverse alone: free Gamma >= 0 and Delta_Gamma >= 0, no temperature."""
-    x, dg = _secular_inverse(cm0, cm1, "reachable_secular")
-    if x is None:
-        return SecularReachability(reachable=False, violated="c-growth")
+    x, dg, violated = _secular_inverse(cm0, cm1, "reachable_secular")
+    if violated:
+        return SecularReachability(reachable=False, violated=violated)
     if dg < -1e-12:
         return SecularReachability(reachable=False, violated="negative-diffusion")
     return SecularReachability(reachable=True, big_gamma=-math.log(min(x, 1.0)),

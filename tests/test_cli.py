@@ -391,9 +391,13 @@ def test_long_markovian_simulate_writes_no_negative_discord(tmp_path):
 def test_cli_import_leaves_out_scipy():
     # nor numpy.polynomial, whose leggauss the Gauss-Legendre literals replace.  scipy is
     # installed with the test extra but stays a test-only reference: importing it, or
-    # numpy.polynomial for 16 Gauss-Legendre constants, costs milliseconds of every cold start
+    # numpy.polynomial for 16 Gauss-Legendre constants, costs milliseconds of every cold start.
+    # The default Ohmic grid is built first, so that no lazy import at call time (a sine
+    # integral from scipy.special, say) slips past
     src = str(Path(gaussian_paths.__file__).resolve().parents[1])
-    code = ("import sys, gaussian_paths.cli; print([m for m in sys.modules if m == 'scipy' "
+    code = ("import sys, gaussian_paths.cli; from gaussian_paths import *; "
+            "build_coefficient_grid(SpectralDensity('ohmic', 1.0), Environment(1.0, 0.1, 10.0), "
+            "25.0, QuadratureConfig()); print([m for m in sys.modules if m == 'scipy' "
             "or m.startswith(('scipy.', 'numpy.polynomial'))])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)

@@ -36,7 +36,10 @@ def brute_force_curves(spec, env, times, n_omega=20001, omega_max=50.0):
     (2/beta) * j(w)/w.  The s integral is exact: with k = w -/+ omega0,
     int_0^t cos(k s) ds = t sinc(k t / pi), so
     int_0^t cos(w s) cos(omega0 s) ds = (t/2) [sinc((w - w0) t/pi) + sinc((w + w0) t/pi)]
-    and the sine product takes the difference.
+    and the sine product takes the difference.  The Ohmic gamma adds the tail
+    j ~ wc^2/w beyond omega_max = W, as the grid does; by partial fractions in w its
+    double integral is (wc^2 / 2 w0) [pi - Si((W - w0) t) - Si((W + w0) t)
+    - 2 cos(w0 t) (pi/2 - Si(W t))] (scipy sici).  Delta stays band-limited, as on the grid.
     """
     w = np.linspace(0.0, omega_max, n_omega)
     beta = env.beta
@@ -60,6 +63,12 @@ def brute_force_curves(spec, env, times, n_omega=20001, omega_max=50.0):
     a2 = env.alpha**2
     delta = a2 * np.trapezoid(gc * 0.5 * (minus + plus), w, axis=1)
     gamma = a2 * np.trapezoid(j * 0.5 * (minus - plus), w, axis=1)
+    if spec.kind is SpectralKind.OHMIC:
+        si = pytest.importorskip("scipy.special").sici
+        t, w0 = t[:, 0], env.omega0
+        gamma += a2 * spec.omega_c**2 / (2.0 * w0) * (
+            math.pi - si((omega_max - w0) * t)[0] - si((omega_max + w0) * t)[0]
+            - 2.0 * np.cos(w0 * t) * (0.5 * math.pi - si(omega_max * t)[0]))
     return delta, gamma
 
 
@@ -191,15 +200,64 @@ def test_white_noise_kernel_matches_sici_quad_oracle(n_T, ir_cutoff, t_max):
     assert err <= bound * np.max(np.abs(Kc))
 
 
-def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
-    # gamma(t) = alpha^2 (pi/2) wc^2 [w0 - e^{-wc t}(wc sin w0 t + w0 cos w0 t)] / (wc^2 + w0^2);
-    # the residual is the 1/omega tail cut at omega_max, not the kernel evaluation
-    spec, env, grid = resonant_grids[SpectralKind.OHMIC]
+def ohmic_gamma_residual(grid, spec, env):
+    """max |gamma - closed form| on the grid, the closed form (Maniscalco et al. 2004)
+    gamma(t) = alpha^2 (pi/2) wc^2 [w0 - e^{-wc t}(wc sin w0 t + w0 cos w0 t)] / (wc^2 + w0^2)."""
     t, wc, w0 = grid.times, spec.omega_c, env.omega0
     closed = (env.alpha**2 * 0.5 * math.pi * wc**2
               * (w0 - np.exp(-wc * t) * (wc * np.sin(w0 * t) + w0 * np.cos(w0 * t)))
               / (wc**2 + w0**2))
-    assert np.max(np.abs(grid.gamma - closed)) <= 3.9e-6
+    return float(np.max(np.abs(grid.gamma - closed)))
+
+
+def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
+    # the 1/omega tail beyond omega_max is in K_s in closed form (3.9e-6 without it); the
+    # residual, 6.3e-8, is the s step's (test_ohmic_gamma_residual_is_the_s_steps)
+    spec, env, grid = resonant_grids[SpectralKind.OHMIC]
+    assert ohmic_gamma_residual(grid, spec, env) <= 1e-7
+
+
+@pytest.mark.parametrize("omega_c, alpha, n_T, t_max, omega_max, bound", [
+    (0.1, 0.01, 10.0, 40.0, None, 3e-11),  # 3.9e-10 band-limited, 9.0e-12 with the tail
+    (3.0, 0.1, 1.0, 10.0, None, 1e-7),  # 3.9e-6, 6.1e-8
+    (1.0, 0.1, 10.0, 25.0, 10.0, 4e-6),  # omega_max = 10 x scale: 8.8e-5, 2.2e-6
+])
+def test_ohmic_grid_matches_closed_form_gamma(omega_c, alpha, n_T, t_max, omega_max, bound):
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T, alpha=alpha)
+    grid = build_coefficient_grid(spec, env, t_max, QuadratureConfig(omega_max))
+    assert ohmic_gamma_residual(grid, spec, env) <= bound
+
+
+def test_ohmic_gamma_residual_is_the_s_steps():
+    # with the UV tail in closed form and the panel rule at roundoff (level 0 against
+    # level 1), neither quadrature nor UV truncation is left in the gamma residual: halving
+    # s_step at fixed omega_max cuts it by >= 3x (6.3e-8, 1.7e-8, 5.0e-9)
+    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+    step = QuadratureConfig().resolve(spec, env).s_step
+    residuals = [ohmic_gamma_residual(build_coefficient_grid(
+        spec, env, T_MAX_RESONANT, QuadratureConfig(s_step=step / h)), spec, env)
+        for h in (1, 2, 4)]
+    assert residuals[1] <= residuals[0] / 3 and residuals[2] <= residuals[1] / 3, residuals
+
+
+def test_si_matches_scipy_sici():
+    # the series below x = 4 and the auxiliary-function rationals above it, dense on
+    # [0, 2000] and on both sides of the branch edge
+    sici = pytest.importorskip("scipy.special").sici
+    edge = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)]
+    x = np.concatenate([np.linspace(0.0, 2000.0, 2_000_001), edge])
+    assert np.max(np.abs(coefficients._si(x) - sici(x)[0])) <= 2e-15
+    assert coefficients._si(np.zeros(1))[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_only_the_ohmic_build_evaluates_si(monkeypatch, resonant_grids, kind):
+    # the tapered spectra have no UV tail: their grids are the band-limited rule alone
+    calls = []
+    monkeypatch.setattr(coefficients, "_si", lambda x: calls.append(len(x)) or np.zeros_like(x))
+    spec, env, grid = resonant_grids[kind]
+    build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    assert calls == ([len(grid.times) - 1] if kind is SpectralKind.OHMIC else [])
 
 
 @pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])

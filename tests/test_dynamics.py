@@ -648,6 +648,19 @@ def test_reachable_secular_refuses_growing_correlations():
     assert sec.big_gamma is None and sec.delta_gamma is None
 
 
+@pytest.mark.parametrize("a1", [0.5, 1.0, 10.5, TWB12.a])
+def test_reachable_names_a_fully_decayed_target_infinite_damping(a1):
+    # c1 = 0 needs e^{-Gamma} = 0, which no finite Gamma gives: out of reach for both
+    # decisions, as for the excluded-region oracle's 0 < x, yet c decayed and did not grow.
+    # a1 = 10.5 is the thermal state at n_T = 10 (a1 = n_T + 1/2), the t -> inf limit
+    dec = reachable_markovian(TWB12, SymmetricCM(a1, 0.0))
+    assert not dec.reachable and dec.violated == "infinite-damping"
+    assert dec.gamma_m_t is None and dec.n_T is None
+    sec = reachable_secular(TWB12, SymmetricCM(a1, 0.0))
+    assert not sec.reachable and sec.violated == "infinite-damping"
+    assert sec.big_gamma is None and sec.delta_gamma is None
+
+
 def test_reachable_excluded_low_purity_target():
     # lower purity and entanglement than the source, yet Markovian-excluded:
     # the implied bath occupation comes out at n_T + 1/2 = 0.4 < 1/2
