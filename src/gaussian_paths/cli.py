@@ -25,6 +25,7 @@ from .coefficients import (
 )
 from .dynamics import (
     Channel,
+    Trajectory,
     TrajectoryMode,
     constant_of_motion,
     evolve_markovian,
@@ -152,12 +153,12 @@ def _coefficients_for(cfg: RunConfig, kind: str | None = None) -> Channel:
     if cfg.mode == TrajectoryMode.MARKOVIAN.value:
         return Channel(cfg.mode, cfg.n_T,
                        gamma_m=gamma_markov(cfg.spectral_density(kind), cfg.environment()))
-    return Channel(cfg.mode, cfg.n_T, grid=_grid_for(cfg, kind))
+    return Channel(cfg.mode, grid=_grid_for(cfg, kind))
 
 
 def _trajectory_for(cfg: RunConfig):
-    return _coefficients_for(cfg).sample(cfg.initial_state(), t_max=cfg.t_max,
-                                         n_samples=cfg.n_samples, label=cfg.spectrum)
+    return Trajectory(_coefficients_for(cfg), cfg.initial_state(), cfg.t_max, cfg.n_samples,
+                      cfg.spectrum)
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
@@ -200,8 +201,7 @@ def run_dsep(cfg: RunConfig, r0_values: list[float], out_dir: Path) -> list[Path
 def _verify_markovian(cfg: RunConfig, checks: list[dict]) -> None:
     channel = _coefficients_for(cfg)
     gamma_m, cm0, tau_max = channel.gamma_m, cfg.initial_state(), 5.0
-    traj = channel.sample(cm0, t_max=tau_max / gamma_m, n_samples=cfg.n_samples,
-                          label=cfg.spectrum)
+    traj = Trajectory(channel, cm0, tau_max / gamma_m, cfg.n_samples, cfg.spectrum)
     _common_checks(traj, checks, drift_tol=1e-8)
     # semigroup property at two split points
     mid = evolve_markovian(cm0, gamma_m, cfg.n_T, 0.3 / gamma_m)
@@ -211,8 +211,8 @@ def _verify_markovian(cfg: RunConfig, checks: list[dict]) -> None:
     checks.append(_check("semigroup-composition", semi, 1e-12))
     # same path at doubled damping: pure speed change
     ref = extract_path(traj)
-    fast = extract_path(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=2 * gamma_m).sample(
-        cm0, t_max=0.5 * tau_max / gamma_m, n_samples=cfg.n_samples, label=cfg.spectrum))
+    fast = extract_path(Trajectory(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=2 * gamma_m),
+                                   cm0, 0.5 * tau_max / gamma_m, cfg.n_samples, cfg.spectrum))
     rep = compare_paths(ref, fast, tol=1e-10)
     checks.append(_check("markovian-reparametrization-deviation", rep.max_deviation, 1e-10))
 
@@ -228,8 +228,8 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
         # universality against the Markovian path at n_T: the straight segment from (lambda0,
         # v0) to the thermal state, exact in compare_paths' (lambda, v) interpolation from its
         # two ends, at t = 0 and at Gamma = 40, where e^{-Gamma} < 2^-53
-        ref = extract_path(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=1.0).sample(
-            traj.initial, t_max=40.0, n_samples=2, label=cfg.spectrum))
+        ref = extract_path(Trajectory(Channel(TrajectoryMode.MARKOVIAN, cfg.n_T, gamma_m=1.0),
+                                      traj.initial, 40.0, 2, cfg.spectrum))
         rep = compare_paths(ref, extract_path(traj), tol=1e-2)
         checks.append(_check("universality-max-deviation", rep.max_deviation, 1e-2))
         checks.append(_check("universality-matched-fraction", rep.matched_fraction, 0.95,

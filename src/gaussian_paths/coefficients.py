@@ -31,8 +31,9 @@ j ~ omega_c^2/w, whose sine integral is omega_c^2 (pi/2 - Si(omega_max s)) for
 s > 0, added in closed form.  That takes the default grid's gamma to within
 6.3e-8 of its closed form, a residual now set by the s step (3.9e-6 band-limited,
 falling only as omega_max^-2).  The Ohmic K_c stays band-limited: its tail carries
-coth(beta w/2) and a log singularity at s = 0 that the s trapezoid cannot sample;
-added, it would move Delta(25) on the default grid by 5.0e-6 (3e-5 relative).
+coth(beta w/2) and a log singularity at s = 0 that the s trapezoid cannot sample.  On the
+default grid its Delta misses the Matsubara closed form by up to 1.2e-4 near t = 2-4 s steps;
+added with the grid's trapezoid, the tail moves Delta(25) by -9.0e-7 (ROADMAP item 12).
 Super-Ohmic and white noise are tapered to 0 at omega_max and have no tail.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
@@ -136,13 +137,15 @@ class QuadratureConfig:
 @dataclass(frozen=True, eq=False)
 class CoefficientGrid:
     """Sampled Delta, gamma, Gamma and Delta_Gamma on a uniform time grid, kept as read-only
-    float copies so that nothing derived from them can go stale; compared by identity."""
+    float copies so that nothing derived from them can go stale, and the bath n_T they were
+    built for, which a grid Channel reads; compared by identity."""
 
     times: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
     big_gamma: np.ndarray
     delta_gamma: np.ndarray
+    n_T: float
 
     def __post_init__(self):
         for name in ("times", "delta", "gamma", "big_gamma", "delta_gamma"):
@@ -374,7 +377,7 @@ def build_coefficient_grid(spec: SpectralDensity, env: Environment, t_max: float
     big_gamma = _cumtrapz(gamma, times)
     delta_gamma = _effective_diffusion(delta, big_gamma, times)
     return CoefficientGrid(times=times, delta=delta, gamma=gamma,
-                           big_gamma=big_gamma, delta_gamma=delta_gamma)
+                           big_gamma=big_gamma, delta_gamma=delta_gamma, n_T=env.n_T)
 
 
 def gamma_markov(spec: SpectralDensity, env: Environment) -> float:

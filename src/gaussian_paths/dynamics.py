@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import repeat, starmap
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -127,19 +127,24 @@ def evolve_markovian(cm0: SymmetricCM, gamma_m: float, n_T: float, t: float) -> 
 class Channel:
     """One mode's (Gamma(t), Delta_Gamma(t)) at temperature n_T, the one place that knows what
     each mode means, checked once, when built (ValueError otherwise).  Markovian: gamma_m t and
-    (1 - e^{-Gamma})(2 n_T + 1) from a finite gamma_m > 0, no grid.  Non-Markovian: a
+    (1 - e^{-Gamma})(2 n_T + 1) from a finite gamma_m > 0 and n_T, no grid.  Non-Markovian: a
     CoefficientGrid's Gamma and Delta_Gamma; high-T: 0 and int_0^t Delta by cumulative
     trapezoid; both linear between the grid's knots on [0, grid.t_max], with no gamma_m.  A grid
-    channel's n_T must be the bath n_T its grid was built with: it is not checked against the
-    grid, and it sets lambda_T, so the crossing's "never" and "inconclusive" read it."""
+    channel, Channel(mode, grid=grid), reads n_T (so lambda_T) from its grid, the bath the grid
+    was built for, and refuses an n_T of its own."""
 
     mode: TrajectoryMode
-    n_T: float
+    n_T: float | None = None
     gamma_m: float | None = None
     grid: CoefficientGrid | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mode", mode := TrajectoryMode(self.mode))
+        if self.grid is not None:
+            if self.n_T is not None:
+                raise ValueError(f"a grid channel reads n_T = {self.grid.n_T} from its grid, "
+                                 f"got n_T = {self.n_T}")
+            object.__setattr__(self, "n_T", self.grid.n_T)
         if self.n_T is None or not 0 <= self.n_T < math.inf:
             raise ValueError(f"n_T must be finite and >= 0, got {self.n_T}")
         object.__setattr__(self, "n_T", float(self.n_T))
@@ -184,15 +189,6 @@ class Channel:
         if not 0 < t_max < math.inf:
             raise ValueError(f"t_max must be finite and > 0, got {t_max}")
         return self._windows(self.mode, self.n_T, self.gamma_m, t_max, operator.index(n_samples))
-
-    def sample(self, cm0: SymmetricCM, *, t_max: float, n_samples: int,
-               label: str = "") -> "Trajectory":
-        """cm0's trajectory at n_samples uniform times on [0, t_max]: the channel's shared
-        read-only window through the secular map, with only a and c per state."""
-        times, big_gamma, delta_gamma, decay = self.window(t_max, n_samples)
-        a, c = _secular_map(cm0, decay, delta_gamma, times)
-        return Trajectory(channel=self, initial=cm0, times=times, a=a, c=c,
-                          big_gamma=big_gamma, delta_gamma=delta_gamma, label=label)
 
     def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
         """(t_sep, Gamma(t_sep)) at which cm0's lambda first reaches 1/2 by t_max (finite, > 0,
@@ -251,7 +247,8 @@ def _window_cache(grid_ref):
     None at a grid's knots; a grid's holds its grid only by the weak grid_ref, so dies with it."""
     @lru_cache(maxsize=CHANNEL_WINDOWS)
     def sample_window(mode, n_T, gamma_m, t_max, n_samples):
-        channel = Channel(mode, n_T, gamma_m, grid_ref and grid_ref())
+        grid = grid_ref and grid_ref()
+        channel = Channel(mode, None if grid else n_T, gamma_m, grid)
         times = channel.grid.times if t_max is None else np.linspace(0.0, t_max, n_samples)
         big_gamma, delta_gamma = channel(None if t_max is None else times)
         window = (times, big_gamma, delta_gamma, np.exp(-big_gamma))
@@ -267,27 +264,26 @@ _GRID_WINDOWS = weakref.WeakKeyDictionary()  # grid -> its window cache, dropped
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered states of one initial state under one channel, which gives the mode and
-    n_T; the arrays are the channel's shared read-only window except a and c."""
+    """The states of initial under channel, which gives the mode and n_T, at n_samples >= 2
+    uniform times on [0, t_max] (finite, > 0): the channel's shared read-only window (times,
+    big_gamma, delta_gamma) through the secular map, which checks every sample
+    (MapUnphysicalError) and makes only a and c per state."""
 
     channel: Channel
     initial: SymmetricCM
-    times: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    big_gamma: np.ndarray
-    delta_gamma: np.ndarray
+    t_max: float
+    n_samples: int
     label: str = ""
+    times: np.ndarray = field(init=False)
+    big_gamma: np.ndarray = field(init=False)
+    delta_gamma: np.ndarray = field(init=False)
+    a: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = len(self.times)
-        if n < 2 or self.times[0] != 0.0:  # the crossing is read by the last sample time
-            raise ValueError("trajectory must start at t = 0 and hold at least 2 samples")
-        for name in ("a", "c", "big_gamma", "delta_gamma"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length differs from times")
-        if self.a[0] != self.initial.a or self.c[0] != self.initial.c:
-            raise ValueError("a[0], c[0] must equal the initial state")
+        times, big_gamma, delta_gamma, decay = self.channel.window(self.t_max, self.n_samples)
+        a, c = _secular_map(self.initial, decay, delta_gamma, times)
+        vars(self).update(times=times, big_gamma=big_gamma, delta_gamma=delta_gamma, a=a, c=c)
 
     mode = property(lambda self: self.channel.mode)
     n_T = property(lambda self: self.channel.n_T)
@@ -303,32 +299,29 @@ class Trajectory:
 
     @property
     def points(self) -> list[tuple[float, SymmetricCM]]:
-        """(t, SymmetricCM) per sample, checked at once by the constructor's rules (finite,
-        c >= 0, physical); if one fails, all go through the constructor, which raises at the
-        first bad sample."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            ok = np.all(np.isfinite(self.a) & np.isfinite(self.c) & (self.c >= 0)
-                        & _physical(self.a, self.c))
-        pairs = zip(self.a.tolist(), self.c.tolist())
-        cms = map(tuple.__new__, repeat(SymmetricCM), pairs) if ok else starmap(SymmetricCM, pairs)
+        """(t, SymmetricCM) per sample, unchecked: the map made each finite, c >= 0 and
+        physical."""
+        cms = map(tuple.__new__, repeat(SymmetricCM), zip(self.a.tolist(), self.c.tolist()))
         return list(zip(self.times.tolist(), cms))
 
     @cached_property
     def _crossing(self) -> tuple[float, float] | None:
-        """The channel's crossing from the initial state by the last sample time, solved once;
+        """The channel's crossing from the initial state by t_max, solved once;
         InconclusiveThresholdError is raised, not stored, so it raises on every call."""
-        return self.channel.crossing(self.initial, self.times[-1])
+        return self.channel.crossing(self.initial, self.t_max)
 
 
 def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                         n_samples: int, grid: CoefficientGrid | None = None,
                         gamma_m: float | None = None, n_T: float | None = None,
                         label: str = "") -> Trajectory:
-    """Sample the evolution of cm0 at n_samples uniform times on [0, t_max], by keywords:
-    Channel(mode, n_T, gamma_m, grid).sample(cm0, t_max=t_max, n_samples=n_samples).  Markovian
-    mode needs gamma_m and no grid, the grid modes a grid that covers [0, t_max] and no gamma_m."""
-    return Channel(mode, n_T, gamma_m, grid).sample(cm0, t_max=t_max, n_samples=n_samples,
-                                                    label=label)
+    """Trajectory(Channel(mode, n_T, gamma_m, grid), cm0, t_max, n_samples, label) by keywords.
+    Markovian mode needs gamma_m, n_T and no grid, the grid modes a grid that covers [0, t_max]
+    and no gamma_m; an n_T given with a grid must equal the grid's (ValueError otherwise)."""
+    if grid is not None and n_T is not None and n_T != grid.n_T:
+        raise ValueError(f"n_T = {n_T} differs from the grid's n_T = {grid.n_T}")
+    return Trajectory(Channel(mode, None if grid else n_T, gamma_m, grid), cm0, t_max,
+                      n_samples, label)
 
 
 def separability_time(traj: Trajectory) -> float | None:

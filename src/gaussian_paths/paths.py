@@ -39,8 +39,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class DynamicalPath:
     """Ordered path points; consecutive duplicates from static trajectories collapse.
-    trajectory is the Trajectory the path was extracted from, its origin (initial state,
-    channel, label), or None for a path built from bare arrays."""
+    trajectory is the Trajectory the path was extracted from, its origin (channel, initial
+    state, sampling, label), or None for a path built from bare arrays."""
 
     mu: np.ndarray
     lam: np.ndarray

@@ -78,7 +78,7 @@ def test_criterion_2_threshold_discord_all_spectra(resonant_grids):
         t0 = time.perf_counter()
         for kind in SpectralKind:
             spec, env, grid = resonant_grids[kind]
-            rows = dsep_sweep(R0_SET, Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
+            rows = dsep_sweep(R0_SET, Channel(TrajectoryMode.NONMARKOVIAN, grid=grid),
                               t_max=grid.t_max, label=spec.kind.value)
             for row in rows:
                 assert row.d_sep is not None, (kind, row)

@@ -385,14 +385,14 @@ def test_grid_rejects_non_finite_arrays(name):
         arrays[name] = arrays[name].copy()
         arrays[name][-1] = bad
         with pytest.raises(ValueError, match=f"^{name} has non-finite values"):
-            CoefficientGrid(**arrays)
+            CoefficientGrid(**arrays, n_T=0.0)
 
 
 def test_grid_rejects_inconsistent_arrays():
     def grid(**changes):
         arrays = {k: np.zeros(5) for k in ("delta", "gamma", "big_gamma", "delta_gamma")}
         arrays["times"] = np.linspace(0.0, 1.0, 5)
-        return CoefficientGrid(**{**arrays, **changes})
+        return CoefficientGrid(**{**arrays, **changes}, n_T=0.0)
 
     for times in (np.linspace(0.5, 1.0, 5), np.array([0.0, 0.5, 0.5, 0.75, 1.0])):
         with pytest.raises(ValueError, match="^times must start at 0 and be strictly increasing"):
@@ -425,7 +425,7 @@ def test_grid_convergence_under_step_halving():
 
 def test_grid_interpolators_and_coverage(resonant_grids):
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
-    full, high_t = (Channel(mode, env.n_T, grid=grid)
+    full, high_t = (Channel(mode, grid=grid)
                     for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE))
     # a grid channel answers on [0, t_max] and names the grid's range one step outside it
     t_max, step = grid.t_max, float(grid.times[1] - grid.times[0])
@@ -450,7 +450,7 @@ def test_grid_arrays_are_read_only_copies(resonant_grids):
     # the grid copies what it is given: the caller's arrays stay writeable and unshared
     times = np.linspace(0.0, 1.0, 5)
     mine = CoefficientGrid(times=times, delta=np.zeros(5), gamma=np.zeros(5),
-                           big_gamma=np.zeros(5), delta_gamma=np.zeros(5))
+                           big_gamma=np.zeros(5), delta_gamma=np.zeros(5), n_T=0.0)
     times[1] = 0.3
     assert times.flags.writeable and mine.times[1] == 0.25
 

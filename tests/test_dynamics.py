@@ -101,7 +101,7 @@ def test_simulate_trajectory_rejects_unphysical_grid():
     # pure damping without diffusion shrinks the uncertainty product
     times = np.array([0.0, 1.0, 2.0])
     grid = CoefficientGrid(times=times, delta=np.zeros(3), gamma=np.array([0.0, 1.0, 1.0]),
-                           big_gamma=np.array([0.0, 0.5, 1.5]), delta_gamma=np.zeros(3))
+                           big_gamma=np.array([0.0, 0.5, 1.5]), delta_gamma=np.zeros(3), n_T=0.0)
     with pytest.raises(MapUnphysicalError, match="t = "):
         simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=2.0,
                             n_samples=5, grid=grid, n_T=0.0)
@@ -194,11 +194,32 @@ def test_trajectory_validation_errors(resonant_grids):
     # is not ignored
     with pytest.raises(ValueError, match="no grid"):
         simulate_trajectory(TWB12, mode=TrajectoryMode.MARKOVIAN, t_max=1.0, n_samples=10,
-                            gamma_m=1.0, grid=grid, n_T=1.0)
+                            gamma_m=1.0, grid=grid, n_T=env.n_T)
     for mode in (TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE):
         with pytest.raises(ValueError, match="no gamma_m"):
             simulate_trajectory(TWB12, mode=mode, t_max=1.0, n_samples=10, grid=grid,
-                                gamma_m=1.0, n_T=1.0)
+                                gamma_m=1.0, n_T=env.n_T)
+
+
+def test_a_grid_channel_reads_n_T_from_its_grid(resonant_grids):
+    # the r0 = 2 vacuum on the n_T = 10 grid crosses at t = 6.09: by t_max = 0.5 that is
+    # inconclusive, which an n_T = 0 channel (lambda_T = 1/2) would have read as never
+    _, env, grid = resonant_grids[SpectralKind.OHMIC]
+    channel = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)
+    assert grid.n_T == channel.n_T == env.n_T == 10.0 and channel.lambda_T == 10.5
+    vacuum = from_sts(STSParams(r=2.0, nu_T=0.0))
+    with pytest.raises(InconclusiveThresholdError):
+        channel.crossing(vacuum, 0.5)
+    assert channel.crossing(vacuum, 25.0)[0] == pytest.approx(6.09, abs=0.005)
+    for n_T in (0.0, math.nan):
+        with pytest.raises(ValueError, match=f"n_T = {n_T} differs from the grid's n_T = 10.0"):
+            simulate_trajectory(vacuum, mode=TrajectoryMode.NONMARKOVIAN, t_max=0.5,
+                                n_samples=2, grid=grid, n_T=n_T)
+    with pytest.raises(ValueError, match="reads n_T = 10.0 from its grid, got n_T = 10.0"):
+        Channel(TrajectoryMode.NONMARKOVIAN, 10.0, grid=grid)
+    traj = simulate_trajectory(vacuum, mode=TrajectoryMode.NONMARKOVIAN, t_max=0.5,
+                               n_samples=2, grid=grid, n_T=10.0)  # an equal n_T is dropped
+    assert traj.n_T == 10.0 and traj.channel.grid is grid
 
 
 # --------------------------------------------------------- channel windows
@@ -217,7 +238,7 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
                                    n_T=env.n_T)
 
     first, second = run(TWB12), run(from_sts(STSParams(r=0.4, nu_T=0.3)))
-    channel = Channel(mode, env.n_T, grid=grid)
+    channel = Channel(mode, grid=grid)
     window = channel.window(2.5, 41)
     assert len(window) == 4
     for traj in (first, second):
@@ -251,7 +272,7 @@ def test_grid_window_is_sampled_once_and_shared_read_only(quad, mode):
 def test_grid_window_too_short_raises_every_time_and_caps_the_windows(quad):
     env = make_env()
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), env, 3.0, quad)
-    windows = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)._windows
+    windows = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)._windows
     for _ in range(2):
         with pytest.raises(ValueError, match=r"grid covers \[0, "):
             simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=4.0,
@@ -305,7 +326,7 @@ def test_grid_windows_shared_across_threads(quad):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    info = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)._windows.cache_info()
+    info = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)._windows.cache_info()
     assert 0 < info.currsize <= info.maxsize == dynamics.CHANNEL_WINDOWS
 
 
@@ -346,11 +367,11 @@ def test_markovian_window_per_rate_temperature_and_sampling():
 
 
 def test_window_refuses_a_bad_span_or_sample_count(quad):
-    # the checks sample() relies on live in window(), so direct callers get them too and
+    # the checks a Trajectory relies on live in window(), so direct callers get them too and
     # nothing bad reaches the window cache
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(), 3.0, quad)
     markovian = Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0)
-    on_grid = Channel(TrajectoryMode.NONMARKOVIAN, 10.0, grid=grid)
+    on_grid = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)
     for channel in (markovian, on_grid):
         for t_max, n, message in ((-1.0, 5, "t_max must be finite and > 0"),
                                   (math.inf, 3, "t_max must be finite and > 0"),
@@ -475,7 +496,7 @@ def test_grid_crossing_is_the_channels_first():
     delta_gamma = np.zeros(12)
     delta_gamma[5], delta_gamma[-2:] = 0.6, 1.0
     grid = CoefficientGrid(times=np.arange(12.0), delta=np.zeros(12), gamma=np.zeros(12),
-                           big_gamma=np.zeros(12), delta_gamma=delta_gamma)
+                           big_gamma=np.zeros(12), delta_gamma=delta_gamma, n_T=1.0)
     cm0 = SymmetricCM(0.6, 0.3)  # lambda0 = 0.3
     found = set()
     for t_max, lam in ((10.0, [0.3, 0.6, 0.8]), (11.0, [0.3, 0.45, 0.8]), (5.3, [0.3, 0.51]),
@@ -526,7 +547,7 @@ def test_separability_markovian_closed_form():
     big_gamma = times.copy()
     grid = CoefficientGrid(times=times, delta=np.zeros_like(times), gamma=np.zeros_like(times),
                            big_gamma=big_gamma,
-                           delta_gamma=-np.expm1(-big_gamma) * (2.0 * n_T + 1.0))
+                           delta_gamma=-np.expm1(-big_gamma) * (2.0 * n_T + 1.0), n_T=n_T)
     as_grid = simulate_trajectory(TWB12, mode=TrajectoryMode.NONMARKOVIAN, t_max=1.0,
                                   n_samples=101, grid=grid, n_T=n_T)
     # Gamma is linear, so only Delta_Gamma's chords err: they lie below the concave
@@ -573,8 +594,8 @@ def test_crossing_refuses_a_t_max_off_the_channel(resonant_grids):
     # a grid covers [0, 25]: t_max = 100 is a ValueError, not an inconclusive threshold
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
     for channel, past in ((Channel(TrajectoryMode.MARKOVIAN, env.n_T, gamma_m=1.0), math.inf),
-                          (Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid), 100.0),
-                          (Channel(TrajectoryMode.HIGH_TEMPERATURE, env.n_T, grid=grid), 26.0)):
+                          (Channel(TrajectoryMode.NONMARKOVIAN, grid=grid), 100.0),
+                          (Channel(TrajectoryMode.HIGH_TEMPERATURE, grid=grid), 26.0)):
         for t_max in (past, math.nan, -1.0, 0.0):
             with pytest.raises(ValueError, match="^t_max must be finite, > 0"):
                 channel.crossing(TWB12, t_max)
@@ -585,7 +606,7 @@ def test_high_t_crossing_at_zero_temperature_is_inconclusive_before_it_crosses(q
     # the frozen-c map has lambda_T = inf at every n_T: lambda rises with int_0^t Delta, so a
     # state still below 1/2 at t_max crosses later (r0 = 0.05 at n_T = 0: t ~ 12.75), not never
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(n_T=0.0), 15.0, quad)
-    channel = Channel(TrajectoryMode.HIGH_TEMPERATURE, 0.0, grid=grid)
+    channel = Channel(TrajectoryMode.HIGH_TEMPERATURE, grid=grid)
     cm0 = from_sts(STSParams(r=0.05, nu_T=0.0))
     t_sep, big_gamma = channel.crossing(cm0, 15.0)
     assert 12.7 < t_sep < 12.8 and big_gamma == 0.0
@@ -595,7 +616,7 @@ def test_high_t_crossing_at_zero_temperature_is_inconclusive_before_it_crosses(q
     assert channel.lambda_T == math.inf
     with pytest.raises(AttributeError):
         channel.lambda_T = 0.5
-    assert Channel(TrajectoryMode.NONMARKOVIAN, 0.0, grid=grid).lambda_T == 0.5
+    assert Channel(TrajectoryMode.NONMARKOVIAN, grid=grid).lambda_T == 0.5
     assert Channel(TrajectoryMode.MARKOVIAN, 2.0, gamma_m=1.0).lambda_T == 2.5
 
 
@@ -792,38 +813,24 @@ def test_constant_of_motion_array_matches_point_loop(resonant_grids):
                                           ((0.1, 0.0), "uncertainty relation violated"),
                                           ((1.5, -0.5), "c >= 0 sign convention")])
 def test_points_raise_the_constructor_error_at_the_first_bad_sample(bad, message):
+    # points build their states unchecked: a sample the constructor would refuse (these
+    # pairs) is one the map never makes, since it checks every sample
     traj = markovian_traj(n=11)
-    with pytest.raises(UnphysicalStateError) as caught:
+    with pytest.raises(UnphysicalStateError, match=re.escape(message)):
         SymmetricCM(*bad)
-    assert message in str(caught.value)
-    for later in ((math.inf, 1.0), None):  # a later bad sample, or the one bad sample alone
-        a, c = traj.a.copy(), traj.c.copy()
-        a[4], c[4] = bad
-        if later:
-            a[7], c[7] = later
-        hand_built = Trajectory(channel=traj.channel, initial=traj.initial, times=traj.times,
-                                a=a, c=c, big_gamma=traj.big_gamma, delta_gamma=traj.delta_gamma)
-        with pytest.raises(UnphysicalStateError, match=f"^{re.escape(str(caught.value))}$"):
-            hand_built.points
     assert [cm for _, cm in traj.points] == list(map(SymmetricCM, traj.a, traj.c))
 
 
-def test_trajectory_rejects_inconsistent_samples():
-    traj = markovian_traj(n=11)
-    fields = {"channel": traj.channel, "initial": traj.initial, "times": traj.times, "a": traj.a,
-              "c": traj.c, "big_gamma": traj.big_gamma, "delta_gamma": traj.delta_gamma}
-    with pytest.raises(ValueError, match="^trajectory must start at t = 0"):
-        Trajectory(**{**fields, "times": traj.times + 0.1})
-    one = {k: v[:1] if isinstance(v, np.ndarray) else v for k, v in fields.items()}
-    with pytest.raises(ValueError, match="hold at least 2 samples"):
-        Trajectory(**one)
-    with pytest.raises(ValueError, match="^delta_gamma length differs from times"):
-        Trajectory(**{**fields, "delta_gamma": traj.delta_gamma[:-1]})
-    for name in ("a", "c"):
-        moved = getattr(traj, name).copy()
-        moved[0] *= 1.0 + 1e-15
-        with pytest.raises(ValueError, match=r"^a\[0\], c\[0\] must equal the initial state"):
-            Trajectory(**{**fields, name: moved})
+def test_trajectory_is_made_from_its_channel_alone():
+    # (channel, initial, t_max, n_samples, label) define a trajectory; its arrays are derived
+    channel = Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0)
+    traj = Trajectory(channel, TWB12, 5.0, 11, "mk")
+    times, big_gamma, delta_gamma, decay = channel.window(5.0, 11)
+    assert traj.times is times and traj.big_gamma is big_gamma and traj.delta_gamma is delta_gamma
+    assert _bits(traj.c) == _bits(TWB12.c * decay) and (traj.a[0], traj.c[0]) == TWB12
+    for derived in ({"a": traj.a, "c": traj.c}, {"times": traj.times}):
+        with pytest.raises(TypeError):
+            Trajectory(channel, TWB12, 5.0, 11, **derived)
 
 
 def test_lambda_and_v_relax_identically(resonant_grids):

@@ -67,14 +67,16 @@ def test_extract_path_high_t_crosses_threshold_with_discord():
 
 
 def test_extract_path_uncopied_branch_equals_copying_branch():
-    traj, path = markovian_path(n=401)
+    # at gamma_m t = 0, 1, ..., 38 lambda moves at every step; on to t = 801, past the
+    # underflow of e^{-Gamma}, mu, lambda and D repeat: the twin's path drops that tail
+    channel = Channel(TrajectoryMode.MARKOVIAN, 1.0, gamma_m=1.0)
+    traj = Trajectory(channel, TWB12, 38.0, 39)
+    path = extract_path(traj)
     assert path.t is traj.times and not path.t.flags.writeable
-    # the same samples with the last one repeated go through the dropping branch
-    twin = Trajectory(channel=traj.channel, initial=traj.initial,
-                      **{k: np.append(v, v[-1]) for k, v in (
-                          ("times", traj.times), ("a", traj.a), ("c", traj.c),
-                          ("big_gamma", traj.big_gamma), ("delta_gamma", traj.delta_gamma))})
+    twin = Trajectory(channel, TWB12, 801.0, 802)
+    assert twin.c[-1] == 0.0 and twin.times[:39].tobytes() == traj.times.tobytes()
     copied = extract_path(twin)
+    assert copied.t is not twin.times
     for name in ("mu", "lam", "discord", "t"):
         assert getattr(copied, name).tobytes() == getattr(path, name).tobytes()
     assert path.trajectory is traj and copied.trajectory is twin
@@ -187,12 +189,11 @@ def test_two_sample_markovian_reference_equals_a_sampled_one(resonant_grids, kin
     _, env, grid = resonant_grids[kind]
     for r0 in (0.5, 1.2, 2.5):
         cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
-        traj = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid).sample(
-            cm0, t_max=25.0, n_samples=2001)
+        traj = Trajectory(Channel(TrajectoryMode.NONMARKOVIAN, grid=grid), cm0, 25.0, 2001)
         assert np.max(traj.lam) < env.n_T + 0.5
-        reference, candidate = markovian(env.n_T).sample, extract_path(traj)
-        two = compare_paths(extract_path(reference(cm0, t_max=40.0, n_samples=2)), candidate)
-        sampled = compare_paths(extract_path(reference(cm0, t_max=12.0, n_samples=2001)),
+        reference, candidate = markovian(env.n_T), extract_path(traj)
+        two = compare_paths(extract_path(Trajectory(reference, cm0, 40.0, 2)), candidate)
+        sampled = compare_paths(extract_path(Trajectory(reference, cm0, 12.0, 2001)),
                                 candidate)
         assert two.max_deviation > 0.0
         assert two.max_deviation == pytest.approx(sampled.max_deviation, rel=1e-13, abs=0.0)
@@ -201,7 +202,7 @@ def test_two_sample_markovian_reference_equals_a_sampled_one(resonant_grids, kin
         # 2,001 samples up to Gamma = 40 reach the thermal end, where lambda reverses by an ulp
         # (dropped as roundoff); their coarser spacing moves v by an ulp at matched lambda, and
         # D by a few 1e-15
-        far = compare_paths(extract_path(reference(cm0, t_max=40.0, n_samples=2001)), candidate)
+        far = compare_paths(extract_path(Trajectory(reference, cm0, 40.0, 2001)), candidate)
         assert far.max_deviation == pytest.approx(two.max_deviation, rel=0.0, abs=1e-14)
         assert far.matched_fraction == pytest.approx(two.matched_fraction, rel=1e-13, abs=0.0)
 
@@ -265,12 +266,12 @@ def test_dsep_from_trajectory_is_the_segment_crossing(resonant_grids, r0):
     # e^{-Gamma})), since the secular map keeps lambda and v on the segment to it
     cm0 = from_sts(STSParams(r=r0, nu_T=0.0))
     for n_T in (0.1, 1.0, 10.0):
-        traj = markovian(n_T).sample(cm0, t_max=5.0, n_samples=101)
+        traj = Trajectory(markovian(n_T), cm0, 5.0, 101)
         assert dsep_from_trajectory(traj) == pytest.approx(_dsep_on_segment(cm0, n_T + 0.5),
                                                            rel=0.0, abs=1e-12)
     for kind, (_, env, grid) in resonant_grids.items():
-        channel = Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid)
-        traj = channel.sample(cm0, t_max=25.0, n_samples=101)
+        channel = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)
+        traj = Trajectory(channel, cm0, 25.0, 101)
         (big_gamma,), (delta_gamma,) = channel(separability_time(traj))
         lam_eff = delta_gamma / (-2.0 * math.expm1(-big_gamma))
         assert dsep_from_trajectory(traj) == pytest.approx(_dsep_on_segment(cm0, lam_eff),
@@ -382,25 +383,24 @@ def test_dsep_sweep_requires_grid_or_rate(resonant_grids):
     with pytest.raises(ValueError, match="gamma_m"):
         Channel(TrajectoryMode.MARKOVIAN, 10.0)
     with pytest.raises(ValueError, match="gamma_m"):
-        Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0, grid=grid)
+        Channel(TrajectoryMode.MARKOVIAN, gamma_m=1.0, grid=grid)
     with pytest.raises(ValueError, match="grid"):
         Channel(TrajectoryMode.NONMARKOVIAN, 10.0)
     with pytest.raises(ValueError, match="grid"):
-        Channel(TrajectoryMode.HIGH_TEMPERATURE, 10.0, gamma_m=1.0, grid=grid)
+        Channel(TrajectoryMode.HIGH_TEMPERATURE, gamma_m=1.0, grid=grid)
 
 
 @pytest.mark.parametrize("mode", [TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE])
 def test_dsep_sweep_rows_are_the_channels_crossings(resonant_grids, mode):
     # a row is (state, channel, t_max) alone: what a trajectory of any sampling reads
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
-    channel = Channel(mode, env.n_T, grid=grid)
+    channel = Channel(mode, grid=grid)
     rows = dsep_sweep([0.0, 0.5, 1.2, 2.5], channel, t_max=25.0, nu0=0.3)
     assert rows[0].t_sep == 0.0 and rows[0].d_sep == 0.0  # separable at t = 0, uncorrelated
     for row in rows:
         assert row.d_sep is not None and row.note == ""
         for n in (2, 2001):
-            traj = channel.sample(from_sts(STSParams(r=row.r0, nu_T=0.3)), t_max=25.0,
-                                  n_samples=n)
+            traj = Trajectory(channel, from_sts(STSParams(r=row.r0, nu_T=0.3)), 25.0, n)
             assert (separability_time(traj), dsep_from_trajectory(traj)) == (row.t_sep,
                                                                              row.d_sep)
 
@@ -410,12 +410,12 @@ def test_dsep_sweep_rows_are_empty_where_the_map_is_unphysical_on_the_knots(quad
     # not at the two samples t = 0 and 10, so no row crosses, the separable r0 = 0 included
     grid = build_coefficient_grid(make_spec(SpectralKind.WHITE_NOISE, omega_c=3.0),
                                   make_env(n_T=0.01), 10.0, quad)
-    channel = Channel(TrajectoryMode.NONMARKOVIAN, 0.01, grid=grid)
+    channel = Channel(TrajectoryMode.NONMARKOVIAN, grid=grid)
     rows = dsep_sweep([0.0, 0.05], channel, t_max=10.0)
     for row in rows:
         assert row.t_sep is None and row.d_sep is None
         assert row.note.startswith("MapUnphysicalError: unphysical sample at t = ")
-        traj = channel.sample(from_sts(STSParams(r=row.r0, nu_T=0.0)), t_max=10.0, n_samples=2)
+        traj = Trajectory(channel, from_sts(STSParams(r=row.r0, nu_T=0.0)), 10.0, 2)
         with pytest.raises(MapUnphysicalError):
             separability_time(traj)
 
@@ -423,7 +423,7 @@ def test_dsep_sweep_rows_are_empty_where_the_map_is_unphysical_on_the_knots(quad
 def test_dsep_sweep_continues_past_inconclusive_rows(resonant_grids):
     spec, env, grid = resonant_grids[SpectralKind.OHMIC]
     # r0 = 2.5 cannot cross within 3 time units; the sweep marks it and moves on
-    rows = dsep_sweep([2.5, 0.05], Channel(TrajectoryMode.NONMARKOVIAN, env.n_T, grid=grid),
+    rows = dsep_sweep([2.5, 0.05], Channel(TrajectoryMode.NONMARKOVIAN, grid=grid),
                       t_max=3.0)
     assert rows[0].d_sep is None and "Inconclusive" in rows[0].note
     assert rows[1].d_sep is not None and rows[1].note == ""
