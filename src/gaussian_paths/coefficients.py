@@ -26,15 +26,15 @@ starts its panels at the infrared cutoff w_ir, where j coth(w beta/2) ~
 first part smooth (w s <= pi/4 there by the width bound) and the second
 independent of s, so the rule's whole error on it is the constant
 k_ir = (2 j(w_ir)/beta) [log1p(W/w_ir) - sum_k wt_k/w_k], added to K_c.
-The Ohmic sine kernel K_s is infinite-band: beyond omega_max its
-j ~ omega_c^2/w, whose sine integral is omega_c^2 (pi/2 - Si(omega_max s)) for
-s > 0, added in closed form.  That takes the default grid's gamma to within
-6.3e-8 of its closed form, a residual now set by the s step (3.9e-6 band-limited,
-falling only as omega_max^-2).  The Ohmic K_c stays band-limited: its tail carries
-coth(beta w/2) and a log singularity at s = 0 that the s trapezoid cannot sample.  On the
-default grid its Delta misses the Matsubara closed form by up to 1.2e-4 near t = 2-4 s steps;
-added with the grid's trapezoid, the tail moves Delta(25) by -9.0e-7 (ROADMAP item 12).
-Super-Ohmic and white noise are tapered to 0 at omega_max and have no tail.
+The Ohmic j = w omega_c^2/(w^2 + omega_c^2) is odd in w, so its sine kernel
+needs no quadrature: K_s(s) = (pi/2) omega_c^2 e^{-omega_c s} exactly for s > 0, at every
+temperature, and the Ohmic build forms no sine sums.  That puts the default grid's gamma
+within 6.2e-8 of its closed form, a residual set by the s step alone and independent of
+omega_max.  The Ohmic K_c stays band-limited: its tail carries coth(beta w/2) and a log
+singularity at s = 0 that the s trapezoid cannot sample.  On the default grid its Delta
+misses the Matsubara closed form by up to 1.2e-4 near t = 2-4 s steps; added with the grid's
+trapezoid, the tail moves Delta(25) by -9.0e-7 (ROADMAP item 12).  Super-Ohmic and white
+noise are tapered to 0 at omega_max and stay band-limited in both kernels.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
@@ -74,26 +74,6 @@ _GL_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.1012285
 GL_NODES, GL_WEIGHTS = np.array([[-x for x in reversed(_GL_X)] + [*_GL_X], _GL_W[::-1] + _GL_W])
 _PHASE_BLOCK = 64  # samples per entry of _phases' coarse table
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
-
-# Si(x) = int_0^x sin(u)/u du by its Maclaurin series below x = 4 (17 terms; the first left out
-# is 3.3e-21 at x = 4), and above it as pi/2 - F(t) cos(x)/x - G(t) sin(x)/x^2, t = 16/x^2 in
-# (0, 1], with F = x f and G = x^2 g from the auxiliary functions f, g.  F and G are degree-10
-# rationals P/Q in t, fitted at 50 digits with mpmath by iteratively reweighted least squares of
-# the relative error on 160 Chebyshev nodes in t: 1.6e-17 (F) and 1.3e-16 (G) relative.  Every
-# coefficient is positive, so Horner's rule on t >= 0 cancels nothing.
-_SI_SERIES = tuple((-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(17))
-_SI_FP = (1.0, 58.00352187744834, 1217.9459224939742, 12022.020559090002, 60711.34334276802,
-          160213.8244567153, 216755.5864972677, 141492.40025910106, 39322.62598511919,
-          3557.1323828824497, 45.96725982191466)
-_SI_FQ = (1.0, 58.128521877448264, 1225.118237728708, 12169.88657111495, 62127.3270015913,
-          167021.8640710132, 233367.01757473222, 161342.3192257082, 49948.66936486908,
-          5675.505298834962, 146.12016356945162)
-_SI_GP = (0.9999999999999999, 64.76935995528964, 1523.747009086653, 16895.64155267198,
-          95984.13126885016, 284796.2010094157, 431631.98246641306, 312789.84676847083,
-          94579.45752570555, 8813.190281573845, 79.51100521606537)
-_SI_GQ = (1.0, 65.144359955289, 1547.7073940703967, 17446.72587530969, 101875.78664803237,
-          316403.2270209856, 517535.71733443416, 426896.5261235869, 162443.83588684024,
-          23931.406710483105, 902.0642455289048)
 
 
 class ConfigError(ValueError):
@@ -212,27 +192,6 @@ def _effective_diffusion(delta: np.ndarray, big_gamma: np.ndarray,
     return out
 
 
-def _polyval(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] t^k by Horner's rule."""
-    acc = np.full_like(t, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= t
-        acc += c
-    return acc
-
-
-def _si(x: np.ndarray) -> np.ndarray:
-    """The sine integral Si(x) for x >= 0, within 1.2e-15 of scipy.special.sici on [0, 2000]."""
-    out = np.empty_like(x)
-    low = x < 4.0
-    xl, xh = x[low], x[~low]
-    out[low] = xl * _polyval(_SI_SERIES, xl * xl)
-    t = 16.0 / (xh * xh)
-    out[~low] = 0.5 * math.pi - (_polyval(_SI_FP, t) / _polyval(_SI_FQ, t) * np.cos(xh)
-                                 + _polyval(_SI_GP, t) / _polyval(_SI_GQ, t) * np.sin(xh) / xh) / xh
-    return out
-
-
 def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
                  s_max: float, halvings: int) -> np.ndarray:
     """Uniform composite panel edges on [w_ir or 0, omega_max].
@@ -324,9 +283,10 @@ def _chirp_sums(a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
     return np.multiply(post, sums, out=sums)
 
 
-def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float, k_ir: float,
-                ds: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) at s = n ds, n < m.
+def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray | None, width: float,
+                k_ir: float, ds: float, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) at s = n ds, n < m; K_s is
+    None where ws is, and no sine sums are formed.
 
     Column k of nodes is o_k + j*width, so its sum is
     exp(i o_k s) * sum_j wt_jk exp(i j width s): a batched chirp-z transform
@@ -342,7 +302,7 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray, width: float,
     post = _phases(nodes[0], ds, m)
     post *= c[:m]
     Kc = _chirp_sums(wc.T, c, spectrum, post).real.sum(axis=0) + k_ir
-    Ks = _chirp_sums(ws.T, c, spectrum, post).imag.sum(axis=0)
+    Ks = None if ws is None else _chirp_sums(ws.T, c, spectrum, post).imag.sum(axis=0)
     return Kc, Ks
 
 
@@ -350,16 +310,19 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray, 
                         rq: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Delta(t), gamma(t) on the uniform grid s = n ds from the one panel rule (level 0), with no
     runtime probe: its width bound fixes the accuracy (module docstring for the measured gap
-    to level 1, at most 3.8e-6 of max|K|, from the UV taper's kink).  The Ohmic K_s gains its
-    tail beyond omega_max, omega_c^2 (pi/2 - Si(omega_max s)), 0 at s = 0; K_c and the tapered
-    spectra stay band-limited."""
+    to level 1, at most 3.8e-6 of max|K|, from the UV taper's kink).  The Ohmic K_s is exact,
+    (pi/2) omega_c^2 e^{-omega_c s} for s > 0 and 0 at s = 0; K_c and the tapered spectra
+    stay band-limited."""
     if env.alpha == 0.0:
         z = np.zeros_like(s)
         return z, z.copy()
     a2 = env.alpha**2
-    Kc, Ks = _kernels_on(*_omega_rule(spec, env, rq, float(s[-1]), 0), ds, len(s))
-    if spec.kind is SpectralKind.OHMIC:
-        Ks[1:] += spec.omega_c**2 * (0.5 * math.pi - _si(rq.omega_max * s[1:]))
+    nodes, wc, ws, width, k_ir = _omega_rule(spec, env, rq, float(s[-1]), 0)
+    ohmic = spec.kind is SpectralKind.OHMIC
+    Kc, Ks = _kernels_on(nodes, wc, None if ohmic else ws, width, k_ir, ds, len(s))
+    if ohmic:  # j is odd in w, so K_s is one exponential
+        Ks = np.zeros_like(s)
+        Ks[1:] = 0.5 * math.pi * spec.omega_c**2 * np.exp(-spec.omega_c * s[1:])
     d = a2 * _cumtrapz(np.cos(env.omega0 * s) * Kc, s)
     g = a2 * _cumtrapz(np.sin(env.omega0 * s) * Ks, s)
     return d, g

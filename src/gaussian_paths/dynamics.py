@@ -108,14 +108,15 @@ def evolve_cm(cm0: SymmetricCM, big_gamma: float, delta_gamma: float) -> Symmetr
 
 
 def evolve_markovian(cm0: SymmetricCM, gamma_m: float, n_T: float, t: float) -> SymmetricCM:
-    """Closed-form Markovian relaxation toward the thermal state (n_T + 1/2) I."""
+    """Closed-form Markovian relaxation toward the thermal state (n_T + 1/2) I; cm0 itself at
+    t = 0 or gamma_m = 0, where nothing moves."""
     if not 0 <= gamma_m < math.inf:
         raise ValueError(f"gamma_m must be finite and >= 0, got {gamma_m}")
     if not 0 <= n_T < math.inf:
         raise ValueError(f"n_T must be finite and >= 0, got {n_T}")
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
+    if t == 0 or gamma_m == 0:
         return cm0
     x = math.exp(-gamma_m * t)
     lam_t = n_T + 0.5

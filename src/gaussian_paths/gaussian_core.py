@@ -22,7 +22,8 @@ The discord has one float kernel, _discord, behind both the 0-d discord and path
 h(1/2 + x) = log1p(x) + x log1p(1/x) is written out on math.log1p for its three offsets.
 Arrays take one _h_array pass over a (3, n) buffer of the same offsets.  The two forms
 agree to an ulp of each h term, not bit for bit: math.log1p and numpy's log1p round
-differently on a few percent of arguments.
+differently on a few percent of arguments.  On the separability threshold lambda = 1/2,
+_threshold_discord takes D from c alone, accurate where 1/2 + c would round c away.
 """
 from __future__ import annotations
 
@@ -205,11 +206,22 @@ def _discord(a: float, c: float, nu2: float) -> float:
              + (log1p(xc) + xc * log1p(1.0 / xc)))
     else:
         d = _h(xa) - 2.0 * _h(xn) + _h(xc)
-    if d < 0.0:
-        if d < -1e-12:
-            raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
-        return 0.0
-    return d
+    return _negative_discord(d) if d < 0.0 else d
+
+
+def _negative_discord(d: float) -> float:
+    """What a computed D < 0 reads: 0 if it is roundoff, in [-1e-12, 0); lower raises."""
+    if d < -1e-12:
+        raise UnphysicalStateError(f"negative discord {d} beyond roundoff tolerance")
+    return 0.0
+
+
+def _threshold_discord(c: float) -> float:
+    """D(1/2 + c, c), the discord on the separability threshold lambda = 1/2, from c >= 0 alone.
+    There nu^2 - 1/4 = c, so discord's three offsets are c, c/(sqrt(1/4 + c) + 1/2) and
+    c/(1 + c): no 1/2 + c is formed, which rounds away c's low bits, and above 2^52 the 1/2."""
+    d = _h(c) - 2.0 * _h(c / (math.sqrt(0.25 + c) + 0.5)) + _h(c / (1.0 + c))
+    return _negative_discord(d) if d < 0.0 else d
 
 
 def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
@@ -242,8 +254,7 @@ def discord(a: ArrayLike, c: ArrayLike) -> ArrayLike:
     h = _h_array(x)
     d = h[0] - 2.0 * h[1] + h[2]
     if d.size and (low := d.min()) < 0.0:
-        if low < -1e-12:
-            raise UnphysicalStateError(f"negative discord {low} beyond roundoff tolerance")
+        _negative_discord(low)
         np.maximum(d, 0.0, out=d)
     return d
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._csv import _write_rows
 from .dynamics import Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory
-from .gaussian_core import _EPS, STSParams, SymmetricCM, discord, from_sts
+from .gaussian_core import _EPS, STSParams, SymmetricCM, _threshold_discord, discord, from_sts
 
 __all__ = [
     "DynamicalPath",
@@ -158,12 +158,11 @@ def dsep_universal(r0: float) -> float:
 
     D evaluated at the frozen-correlation crossing state
     a = (1 + sinh 2r0)/2, c = sinh(2r0)/2, a universal function of the
-    initial squeezing alone.
+    initial squeezing alone, formed from c (_threshold_discord).
     """
     if not 0 <= r0 < math.inf:
         raise ValueError(f"r0 must be finite and >= 0, got {r0}")
-    c = 0.5 * math.sinh(2.0 * r0)
-    return discord(0.5 + c, c)
+    return _threshold_discord(0.5 * math.sinh(2.0 * r0))
 
 
 def d_star() -> float:
@@ -173,14 +172,14 @@ def d_star() -> float:
 
 def _dsep_at(cm0: SymmetricCM, crossing: tuple[float, float] | None) -> float | None:
     """D(1/2 + c*, c*) at the crossing (t_sep, Gamma(t_sep)) from cm0, with c* = c0 e^{-Gamma}
-    (c0 in high-T mode): lambda = 1/2 there exactly; cm0's own discord at t_sep = 0."""
+    (c0 in high-T mode), from c* alone: lambda = 1/2 there exactly; cm0's own discord at
+    t_sep = 0."""
     if crossing is None:
         return None
     t_sep, big_gamma = crossing
     if t_sep == 0.0:
         return discord(cm0.a, cm0.c)
-    c_sep = cm0.c * np.exp(-big_gamma).item()
-    return discord(0.5 + c_sep, c_sep)
+    return _threshold_discord(cm0.c * np.exp(-big_gamma).item())
 
 
 def dsep_from_trajectory(traj: Trajectory) -> float | None:

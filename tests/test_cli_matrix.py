@@ -13,10 +13,14 @@ every ``verify`` report value) is compared with the pinned
 would tie the suite to one CPU: scalar and array ``log1p`` round
 differently across SIMD paths.
 
-After a deliberate change of output, regenerate the summary and state
-every moved value:
+After a deliberate change of output, merge a fresh summary into the pinned
+one and state every moved value:
 
     PYTHONPATH=src python tests/test_cli_matrix.py
+
+It keeps each pinned value that the comparison accepts, so entries a change
+does not touch keep their bits on any CPU, and replaces and prints only the
+values that the comparison rejects.
 """
 from __future__ import annotations
 
@@ -109,6 +113,19 @@ def _differences(got, want, where: str = "") -> list[str]:
     return [] if got == want else [f"{where}: {got!r} != {want!r}"]
 
 
+def _merged(got, want, where: str, moved: list[str]):
+    """got, keeping each leaf of want that _differences accepts; the paths of the others (and of
+    any subtree whose keys or length changed) are appended to moved."""
+    if isinstance(want, dict) and isinstance(got, dict) and set(got) == set(want):
+        return {k: _merged(got[k], want[k], f"{where}/{k}", moved) for k in want}
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [_merged(g, w, f"{where}[{i}]", moved) for i, (g, w) in enumerate(zip(got, want))]
+    if _differences(got, want, where):
+        moved.append(where)
+        return got
+    return want
+
+
 def test_cli_matrix_matches_the_pinned_summary(tmp_path):
     exits = run_matrix(tmp_path)
     assert sum(len(list((tmp_path / name).glob("*"))) for name in exits) == 42
@@ -121,6 +138,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         summary = summarize(Path(tmp), run_matrix(Path(tmp)))
+    moved: list[str] = []
+    summary = _merged(summary, json.loads(PINNED.read_text()) if PINNED.exists() else None,
+                      "", moved)
     PINNED.parent.mkdir(exist_ok=True)
     PINNED.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {PINNED}\n")
+    sys.stdout.write("".join(f"{path}\n" for path in moved)
+                     + f"replaced {len(moved)} values in {PINNED}\n")

@@ -37,7 +37,7 @@ def brute_force_curves(spec, env, times, n_omega=20001, omega_max=50.0):
     int_0^t cos(k s) ds = t sinc(k t / pi), so
     int_0^t cos(w s) cos(omega0 s) ds = (t/2) [sinc((w - w0) t/pi) + sinc((w + w0) t/pi)]
     and the sine product takes the difference.  The Ohmic gamma adds the tail
-    j ~ wc^2/w beyond omega_max = W, as the grid does; by partial fractions in w its
+    j ~ wc^2/w beyond omega_max = W, which the grid's exact K_s holds; by partial fractions in w its
     double integral is (wc^2 / 2 w0) [pi - Si((W - w0) t) - Si((W + w0) t)
     - 2 cos(w0 t) (pi/2 - Si(W t))] (scipy sici).  Delta stays band-limited, as on the grid.
     """
@@ -211,16 +211,16 @@ def ohmic_gamma_residual(grid, spec, env):
 
 
 def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
-    # the 1/omega tail beyond omega_max is in K_s in closed form (3.9e-6 without it); the
-    # residual, 6.3e-8, is the s step's (test_ohmic_gamma_residual_is_the_s_steps)
+    # K_s is the exact exponential (3.9e-6 band-limited, 6.3e-8 with its Si tail); the
+    # residual, 6.2e-8, is the s step's (test_ohmic_gamma_residual_is_the_s_steps)
     spec, env, grid = resonant_grids[SpectralKind.OHMIC]
     assert ohmic_gamma_residual(grid, spec, env) <= 1e-7
 
 
 @pytest.mark.parametrize("omega_c, alpha, n_T, t_max, omega_max, bound", [
-    (0.1, 0.01, 10.0, 40.0, None, 3e-11),  # 3.9e-10 band-limited, 9.0e-12 with the tail
-    (3.0, 0.1, 1.0, 10.0, None, 1e-7),  # 3.9e-6, 6.1e-8
-    (1.0, 0.1, 10.0, 25.0, 10.0, 4e-6),  # omega_max = 10 x scale: 8.8e-5, 2.2e-6
+    (0.1, 0.01, 10.0, 40.0, None, 3e-11),  # 3.9e-10 band-limited, 9.0e-12 with K_s exact
+    (3.0, 0.1, 1.0, 10.0, None, 1e-7),  # 3.9e-6, 5.9e-8
+    (1.0, 0.1, 10.0, 25.0, 10.0, 2e-6),  # omega_max = 10 x scale: 8.8e-5, 1.56e-6
 ])
 def test_ohmic_grid_matches_closed_form_gamma(omega_c, alpha, n_T, t_max, omega_max, bound):
     spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T, alpha=alpha)
@@ -229,9 +229,8 @@ def test_ohmic_grid_matches_closed_form_gamma(omega_c, alpha, n_T, t_max, omega_
 
 
 def test_ohmic_gamma_residual_is_the_s_steps():
-    # with the UV tail in closed form and the panel rule at roundoff (level 0 against
-    # level 1), neither quadrature nor UV truncation is left in the gamma residual: halving
-    # s_step at fixed omega_max cuts it by >= 3x (6.3e-8, 1.7e-8, 5.0e-9)
+    # with K_s exact, neither quadrature nor UV truncation is left in the gamma residual:
+    # halving s_step cuts it by >= 3x (6.2e-8, 1.6e-8, 3.9e-9)
     spec, env = make_spec(SpectralKind.OHMIC), make_env()
     step = QuadratureConfig().resolve(spec, env).s_step
     residuals = [ohmic_gamma_residual(build_coefficient_grid(
@@ -240,24 +239,24 @@ def test_ohmic_gamma_residual_is_the_s_steps():
     assert residuals[1] <= residuals[0] / 3 and residuals[2] <= residuals[1] / 3, residuals
 
 
-def test_si_matches_scipy_sici():
-    # the series below x = 4 and the auxiliary-function rationals above it, dense on
-    # [0, 2000] and on both sides of the branch edge
-    sici = pytest.importorskip("scipy.special").sici
-    edge = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)]
-    x = np.concatenate([np.linspace(0.0, 2000.0, 2_000_001), edge])
-    assert np.max(np.abs(coefficients._si(x) - sici(x)[0])) <= 2e-15
-    assert coefficients._si(np.zeros(1))[0] == 0.0
+def test_ohmic_gamma_is_independent_of_omega_max():
+    # K_s is the exact exponential, so at one s_step the band edge reaches only K_c (Delta)
+    spec, env = make_spec(SpectralKind.OHMIC), make_env()
+    step = QuadratureConfig().resolve(spec, env).s_step
+    grids = [build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig(om, step))
+             for om in (10.0, 50.0)]
+    for name in ("gamma", "big_gamma"):
+        assert getattr(grids[0], name).tobytes() == getattr(grids[1], name).tobytes(), name
 
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
-def test_only_the_ohmic_build_evaluates_si(monkeypatch, resonant_grids, kind):
-    # the tapered spectra have no UV tail: their grids are the band-limited rule alone
-    calls = []
-    monkeypatch.setattr(coefficients, "_si", lambda x: calls.append(len(x)) or np.zeros_like(x))
-    spec, env, grid = resonant_grids[kind]
-    build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
-    assert calls == ([len(grid.times) - 1] if kind is SpectralKind.OHMIC else [])
+def test_only_the_tapered_spectra_form_sine_sums(monkeypatch, kind):
+    # the Ohmic build transforms its cosine weights alone; the tapered spectra add the sine ones
+    calls, chirp_sums = [], coefficients._chirp_sums
+    monkeypatch.setattr(coefficients, "_chirp_sums",
+                        lambda *args: calls.append(1) or chirp_sums(*args))
+    build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
+    assert len(calls) == (1 if kind is SpectralKind.OHMIC else 2)
 
 
 @pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])

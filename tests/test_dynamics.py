@@ -118,6 +118,12 @@ def test_evolve_markovian_limits_and_consistency():
     assert via_cm.c == pytest.approx(direct.c, rel=1e-12)
 
 
+def test_evolve_markovian_without_damping_is_the_identity():
+    # gamma_m = 0 moves nothing, also at t = inf, where exp(-0 * inf) would be NaN
+    for t in (0.0, 1.0, math.inf):
+        assert evolve_markovian(TWB12, 0.0, 10.0, t) is TWB12
+
+
 def test_evolve_markovian_refuses_negative_time():
     for t in (-0.5, -math.inf, math.nan):
         with pytest.raises(ValueError, match="^t must be >= 0"):

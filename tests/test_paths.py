@@ -226,6 +226,44 @@ def test_dsep_universal_monotone_and_bounded():
     assert np.all(d <= d_star() + 1e-12)
 
 
+def _threshold_discord_mp(c: float) -> float:
+    """D(1/2 + c, c) of the exact double c by mpmath, at enough digits that a^2 - c^2 = 1/4 + c
+    keeps 80 of them at any c."""
+    mpmath = pytest.importorskip("mpmath")
+    c = mpmath.mpf(c)
+    with mpmath.workdps(80 + 2 * int(mpmath.log10(c + 1))):
+        half = mpmath.mpf(1) / 2
+        a = half + c
+
+        def h(x):
+            return (x + half) * mpmath.log(x + half) - (
+                (x - half) * mpmath.log(x - half) if x > half else 0)
+
+        return float(h(a) - 2 * h(mpmath.sqrt(a * a - c * c)) + h(a - 2 * c * c / (1 + 2 * a)))
+
+
+def test_dsep_universal_against_mpmath_up_to_large_squeezing():
+    # c = sinh(2 r0)/2 passes 2^52 near r0 = 18.7, where 1/2 + c used to drop the 1/2: r0 = 19
+    # read 0.2164 and r0 >= 20 raised.  What is left is a rounding of h(1/2 + c) ~ ln c, one
+    # of the three h terms that cancel to D (worst 1.12 ulp of it at r0 = 255.9)
+    for r0 in np.r_[0.0:350.5:2.5, 1e-6, 0.01, 18.7, 19.0, 25.0, 33.5, 100.0, 255.9].tolist():
+        c = 0.5 * math.sinh(2.0 * r0)
+        err = abs(dsep_universal(r0) - _threshold_discord_mp(c))
+        assert err <= 2.0 * np.finfo(float).eps * max(1.0, entropic_h(0.5 + c)), (r0, err)
+    assert dsep_universal(19.0) == d_star()
+
+
+def test_sweep_dsep_at_large_squeezing_against_mpmath():
+    # the crossing's c* = c0 e^{-Gamma} is as large: the sweep's D_sep reads the threshold
+    # discord from c* alone, where D(1/2 + c*, c*) raised and ended the sweep
+    channel = Channel(TrajectoryMode.MARKOVIAN, 10.0, gamma_m=1.0)
+    rows = dsep_sweep([19.0, 20.0, 25.0], channel, t_max=100.0)
+    for row in rows:
+        cm0 = from_sts(STSParams(r=row.r0, nu_T=0.0))
+        c_sep = cm0.c * math.exp(-channel.crossing(cm0, 100.0)[1])
+        assert row.d_sep == pytest.approx(_threshold_discord_mp(c_sep), rel=0.0, abs=1e-13)
+
+
 def test_d_star_closed_forms():
     assert d_star() == pytest.approx(0.3862943611198906, rel=1e-15)
     assert d_star() == pytest.approx(entropic_h(1.5) - 1.0, rel=1e-14)
