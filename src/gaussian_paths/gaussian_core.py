@@ -125,9 +125,14 @@ class PathPoint(NamedTuple):
 
 
 def from_sts(p: STSParams) -> SymmetricCM:
-    """a = (nu_T + 1/2) cosh(2r),  c = (nu_T + 1/2) sinh(2r)."""
+    """a = (nu_T + 1/2) cosh(2r),  c = (nu_T + 1/2) sinh(2r); UnphysicalStateError where they
+    overflow, as SymmetricCM raises for a non-finite pair."""
     nu = p.nu_T + 0.5
-    return SymmetricCM(a=nu * math.cosh(2.0 * p.r), c=nu * math.sinh(2.0 * p.r))
+    try:
+        a, c = nu * math.cosh(2.0 * p.r), nu * math.sinh(2.0 * p.r)
+    except OverflowError:
+        raise UnphysicalStateError(f"a and c overflow at r = {p.r}") from None
+    return SymmetricCM(a=a, c=c)
 
 
 def to_sts(cm: SymmetricCM) -> STSParams:
@@ -218,9 +223,16 @@ def _negative_discord(d: float) -> float:
 
 def _threshold_discord(c: float) -> float:
     """D(1/2 + c, c), the discord on the separability threshold lambda = 1/2, from c >= 0 alone.
-    There nu^2 - 1/4 = c, so discord's three offsets are c, c/(sqrt(1/4 + c) + 1/2) and
-    c/(1 + c): no 1/2 + c is formed, which rounds away c's low bits, and above 2^52 the 1/2."""
-    d = _h(c) - 2.0 * _h(c / (math.sqrt(0.25 + c) + 0.5)) + _h(c / (1.0 + c))
+    There nu^2 - 1/4 = c, so discord's three offsets are c, x_n = c/(sqrt(1/4 + c) + 1/2) and
+    c/(1 + c): no 1/2 + c is formed, which rounds away c's low bits, and above 2^52 the 1/2.
+    The two large logs, each ~ln c, are taken as one: (1 + x_n)^2 = c + 1/2 + sqrt(1/4 + c), so
+    log1p(c) - 2 log1p(x_n) = log1p(-x_n/(c + 1/2 + sqrt(1/4 + c))) exactly."""
+    if c == 0.0:
+        return 0.0
+    root = math.sqrt(0.25 + c)
+    xn = c / (root + 0.5)
+    d = (log1p(-xn / (c + 0.5 + root)) + c * log1p(1.0 / c) - 2.0 * xn * log1p(1.0 / xn)
+         + _h(c / (1.0 + c)))
     return _negative_discord(d) if d < 0.0 else d
 
 

@@ -158,11 +158,16 @@ def dsep_universal(r0: float) -> float:
 
     D evaluated at the frozen-correlation crossing state
     a = (1 + sinh 2r0)/2, c = sinh(2r0)/2, a universal function of the
-    initial squeezing alone, formed from c (_threshold_discord).
+    initial squeezing alone, formed from c (_threshold_discord).  Where sinh(2 r0) overflows
+    (r0 > 355.3) it is d_star(), its value to double precision from r0 ~ 19 on.
     """
     if not 0 <= r0 < math.inf:
         raise ValueError(f"r0 must be finite and >= 0, got {r0}")
-    return _threshold_discord(0.5 * math.sinh(2.0 * r0))
+    try:
+        c = 0.5 * math.sinh(2.0 * r0)
+    except OverflowError:
+        return d_star()
+    return _threshold_discord(c)
 
 
 def d_star() -> float:

@@ -23,7 +23,7 @@ from gaussian_paths import (
 from gaussian_paths import coefficients
 from gaussian_paths.coefficients import _fast_len, _kernels_on, _omega_rule
 
-from conftest import T_MAX_RESONANT, make_env, make_spec
+from conftest import NT_HIGH, T_MAX_RESONANT, make_env, make_spec
 
 
 # ---------------------------------------------------------------- oracle
@@ -39,7 +39,8 @@ def brute_force_curves(spec, env, times, n_omega=20001, omega_max=50.0):
     and the sine product takes the difference.  The Ohmic gamma adds the tail
     j ~ wc^2/w beyond omega_max = W, which the grid's exact K_s holds; by partial fractions in w its
     double integral is (wc^2 / 2 w0) [pi - Si((W - w0) t) - Si((W + w0) t)
-    - 2 cos(w0 t) (pi/2 - Si(W t))] (scipy sici).  Delta stays band-limited, as on the grid.
+    - 2 cos(w0 t) (pi/2 - Si(W t))] (scipy sici).  Delta stays band-limited, which the grid's
+    Ohmic Delta at n_T > 0 no longer is (test_ohmic_delta_matches_quad_of_the_matsubara_kernel).
     """
     w = np.linspace(0.0, omega_max, n_omega)
     beta = env.beta
@@ -100,6 +101,9 @@ def test_gauss_legendre_literals_are_leggauss_to_the_bit():
     nodes, weights = np.polynomial.legendre.leggauss(coefficients.GL_ORDER)
     assert coefficients.GL_NODES.tobytes() == nodes.tobytes()
     assert coefficients.GL_WEIGHTS.tobytes() == weights.tobytes()
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert coefficients._GL4_NODES.tobytes() == nodes.tobytes()
+    assert coefficients._GL4_WEIGHTS.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
@@ -132,7 +136,8 @@ def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
         smooth = [s * p**k for s in smooth for k in range(16) if s * p**k <= 50_000]
     ns = set(range(1, 5_001)) | {n for s in smooth for n in range(max(s - 2, 1), s + 3)}
     # the chirp-z length panels + samples - 1 of the resonant (t_max = 25) and off-resonant
-    # (t_max = 40) grids, recorded by a stand-in for the kernel sums
+    # (t_max = 40) grids, recorded by a stand-in for the kernel sums; at n_T = 0, where the
+    # Ohmic Delta still takes the cosine rule
     lengths = []
 
     def record(nodes, wc, ws, width, k_ir, ds, m):
@@ -142,8 +147,8 @@ def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
     monkeypatch.setattr(coefficients, "_kernels_on", record)
     for kind in SpectralKind:
         for omega_c, alpha, t_max in ((1.0, 0.1, 25.0), (0.1, 0.01, 40.0)):
-            build_coefficient_grid(make_spec(kind, omega_c), make_env(alpha=alpha), t_max,
-                                   QuadratureConfig())
+            build_coefficient_grid(make_spec(kind, omega_c), make_env(n_T=0.0, alpha=alpha),
+                                   t_max, QuadratureConfig())
     assert len(lengths) == 6 and min(lengths) > 1_500
     # log-uniform: a step costs ~1 us and the gaps between 11-smooth numbers grow with n
     rng = np.random.default_rng(20_260_918)
@@ -211,10 +216,9 @@ def ohmic_gamma_residual(grid, spec, env):
 
 
 def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
-    # K_s is the exact exponential (3.9e-6 band-limited, 6.3e-8 with its Si tail); the
-    # residual, 6.2e-8, is the s step's (test_ohmic_gamma_residual_is_the_s_steps)
+    # gamma is the closed form itself; the cumulative trapezoid of the exact K_s was 6.2e-8 off
     spec, env, grid = resonant_grids[SpectralKind.OHMIC]
-    assert ohmic_gamma_residual(grid, spec, env) <= 1e-7
+    assert ohmic_gamma_residual(grid, spec, env) <= 1e-15
 
 
 @pytest.mark.parametrize("omega_c, alpha, n_T, t_max, omega_max, bound", [
@@ -223,20 +227,32 @@ def test_default_ohmic_grid_matches_closed_form_gamma(resonant_grids):
     (1.0, 0.1, 10.0, 25.0, 10.0, 2e-6),  # omega_max = 10 x scale: 8.8e-5, 1.56e-6
 ])
 def test_ohmic_grid_matches_closed_form_gamma(omega_c, alpha, n_T, t_max, omega_max, bound):
+    # the bounds are those of the s trapezoid over the exact K_s (the second figure of each
+    # comment); gamma is now its closed form, test_ohmic_gamma_and_big_gamma_are_exact
     spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T, alpha=alpha)
     grid = build_coefficient_grid(spec, env, t_max, QuadratureConfig(omega_max))
     assert ohmic_gamma_residual(grid, spec, env) <= bound
 
 
-def test_ohmic_gamma_residual_is_the_s_steps():
-    # with K_s exact, neither quadrature nor UV truncation is left in the gamma residual:
-    # halving s_step cuts it by >= 3x (6.2e-8, 1.6e-8, 3.9e-9)
-    spec, env = make_spec(SpectralKind.OHMIC), make_env()
-    step = QuadratureConfig().resolve(spec, env).s_step
-    residuals = [ohmic_gamma_residual(build_coefficient_grid(
-        spec, env, T_MAX_RESONANT, QuadratureConfig(s_step=step / h)), spec, env)
-        for h in (1, 2, 4)]
-    assert residuals[1] <= residuals[0] / 3 and residuals[2] <= residuals[1] / 3, residuals
+@pytest.mark.parametrize("n_T", [0.0, 10.0])
+@pytest.mark.parametrize("omega_c, halvings", [(1.0, 0), (1.0, 2), (0.1, 0), (3.0, 0)])
+def test_ohmic_gamma_and_big_gamma_are_exact(n_T, omega_c, halvings):
+    # gamma is the closed form, and Gamma its integral, at every temperature and s step: gamma
+    # to roundoff and Gamma against mpmath quad of that gamma at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    step = QuadratureConfig().resolve(spec, env).s_step / 2**halvings
+    grid = build_coefficient_grid(spec, env, 10.0, QuadratureConfig(s_step=step))
+    assert ohmic_gamma_residual(grid, spec, env) <= 1e-15
+    idx = np.unique(np.geomspace(1, len(grid.times) - 1, 12).astype(int))
+    with mpmath.workdps(30):
+        wc, w0 = mpmath.mpf(omega_c), mpmath.mpf(env.omega0)
+        scale = mpmath.mpf(env.alpha) ** 2 * mpmath.pi / 2 * wc**2 / (wc**2 + w0**2)
+        closed = [float(mpmath.quad(lambda u: scale * (w0 - mpmath.exp(-wc * u) * (
+            wc * mpmath.sin(w0 * u) + w0 * mpmath.cos(w0 * u))), [0, mpmath.mpf(float(t))]))
+            for t in grid.times[idx]]
+    assert grid.big_gamma[0] == 0.0
+    assert np.max(np.abs(grid.big_gamma[idx] - closed)) <= 1e-15 * max(1.0, closed[-1])
 
 
 def test_ohmic_gamma_is_independent_of_omega_max():
@@ -251,12 +267,157 @@ def test_ohmic_gamma_is_independent_of_omega_max():
 
 @pytest.mark.parametrize("kind", list(SpectralKind))
 def test_only_the_tapered_spectra_form_sine_sums(monkeypatch, kind):
-    # the Ohmic build transforms its cosine weights alone; the tapered spectra add the sine ones
+    # the Ohmic build transforms its cosine weights alone, and only at n_T = 0 (at n_T > 0 its
+    # Delta is the Matsubara closed form); the tapered spectra add the sine ones
     calls, chirp_sums = [], coefficients._chirp_sums
     monkeypatch.setattr(coefficients, "_chirp_sums",
                         lambda *args: calls.append(1) or chirp_sums(*args))
-    build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
-    assert len(calls) == (1 if kind is SpectralKind.OHMIC else 2)
+    for n_T in (0.0, NT_HIGH):
+        build_coefficient_grid(make_spec(kind), make_env(n_T=n_T), T_MAX_RESONANT,
+                               QuadratureConfig())
+    assert len(calls) == (1 if kind is SpectralKind.OHMIC else 4)
+
+
+def test_si_matches_scipy_sici():
+    # the series below x = 4 and the auxiliary-function rationals above it, dense on
+    # [0, 2000] and on both sides of the branch edge
+    sici = pytest.importorskip("scipy.special").sici
+    edge = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0)]
+    x = np.concatenate([np.linspace(0.0, 2000.0, 2_000_001), edge])
+    assert np.max(np.abs(coefficients._si(x) - sici(x)[0])) <= 2e-15
+    assert coefficients._si(np.zeros(1))[0] == 0.0
+
+
+# ------------------------------------------------- Ohmic Delta by Matsubara poles
+
+def matsubara_kc(spec, env, s, n_poles=4000):
+    """The Ohmic K_c(s) at n_T > 0 by its Matsubara form with n_poles poles,
+    (pi/2) wc^2 cot(beta wc/2) e^{-wc s} - wc^2 ln(1 - e^{-nu_1 s})
+    + nu_1 wc^4 sum_k e^{-nu_k s}/(nu_k (nu_k^2 - wc^2)), nu_k = 2 pi k/beta, summed directly
+    (so not at a resonance nu_k = wc)."""
+    wc, beta = spec.omega_c, env.beta
+    nu = 2.0 * math.pi / beta
+    mu = np.arange(1, n_poles + 1) * nu
+    s = np.atleast_1d(np.asarray(s, float))
+    return (0.5 * math.pi * wc**2 / math.tan(0.5 * beta * wc) * np.exp(-wc * s)
+            - wc**2 * np.log(-np.expm1(-nu * s))
+            + np.exp(-np.outer(s, mu)) @ (nu * wc**4 / (mu * (mu**2 - wc**2))))
+
+
+def qawf_kc(spec, env, s):
+    """K_c(s) = int_0^inf j(w) coth(beta w/2) cos(w s) dw by scipy: quad(weight='cos') on [0, W]
+    and QAWF on [W, inf), W = max(10, 20 wc, 40/beta); the w = 0 node is the limit 2/beta."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    wc, beta = spec.omega_c, env.beta
+
+    def f(w):
+        return 2.0 / beta if w == 0.0 else float(evaluate_j(spec, w)) / math.tanh(0.5 * beta * w)
+
+    top = max(10.0, 20.0 * wc, 40.0 / beta)
+    return (quad(f, 0.0, top, weight="cos", wvar=s, limit=2000, epsabs=1e-12, epsrel=1e-12)[0]
+            + quad(f, top, math.inf, weight="cos", wvar=s, limlst=500, epsabs=1e-12)[0])
+
+
+def matsubara_delta_quad(spec, env, t):
+    """alpha^2 int_0^t K_c(s) cos(omega0 s) ds for ascending t, by scipy quad of matsubara_kc."""
+    quad = pytest.importorskip("scipy.integrate").quad
+
+    def f(s):
+        return matsubara_kc(spec, env, s)[0] * math.cos(env.omega0 * s)
+
+    edges = np.concatenate([[0.0], t]).tolist()
+    return env.alpha**2 * np.cumsum([quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                                     for lo, hi in zip(edges, edges[1:])])
+
+
+@pytest.mark.parametrize("omega_c", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("n_T", [0.01, 0.1, 1.0, 10.0])
+def test_matsubara_kernel_matches_qawf(n_T, omega_c):
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    s = np.array([0.01, 0.1, 1.0, 5.0])
+    ref = np.array([qawf_kc(spec, env, x) for x in s])
+    err = np.abs(matsubara_kc(spec, env, s) - ref) / np.maximum(1.0, np.abs(ref))
+    assert np.max(err) <= 1e-13, err
+
+
+@pytest.mark.parametrize("n_T, omega_c", [(10.0, 1.0), (10.0, 0.1), (1.0, 3.0), (0.1, 3.0),
+                                          (0.01, 3.0), (0.01, 0.1)])
+def test_ohmic_delta_matches_quad_of_the_matsubara_kernel(n_T, omega_c):
+    # every sample from the first: the band-limited Delta missed this by 1.2e-4 near t = 0.01
+    # on the default grid (n_T = 10, omega_c = 1); the closed form is within 2.4e-13 there and
+    # 1.7e-12 at n_T = 0.01, omega_c = 3, where the 4000 poles of the reference leave ~2e-12 out
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    grid = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    idx = np.unique(np.geomspace(1, len(grid.times) - 1, 12).astype(int))
+    assert idx[0] == 1 and idx[-1] == len(grid.times) - 1
+    ref = matsubara_delta_quad(spec, env, grid.times[idx])
+    assert np.max(np.abs(grid.delta[idx] - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("omega_c, m", [(3.0, 1), (3.0, 2), (1.0, 1)])
+def test_ohmic_delta_is_smooth_through_a_matsubara_resonance(monkeypatch, omega_c, m):
+    # beta omega_c = 2 pi m, n_T = 1/(e^{2 pi m/omega_c} - 1) at omega0 = 1: the cot pole and
+    # pole m cancel.  At n_T (1 -+ e, 1, 1 + e) the second difference of Delta is roundoff while
+    # the first is not; 1e-2 away the direct sums of matsubara_kc hold
+    monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums throughout
+    spec = make_spec(SpectralKind.OHMIC, omega_c)
+    n_res = 1.0 / math.expm1(2.0 * math.pi * m / omega_c)
+    assert make_env(n_T=n_res).beta * omega_c == pytest.approx(2.0 * math.pi * m, rel=1e-15)
+
+    def grid(n_T):
+        return build_coefficient_grid(spec, make_env(n_T=n_T), T_MAX_RESONANT, QuadratureConfig())
+
+    below, at, above = (grid(n_res * (1.0 + e)).delta for e in (-1e-6, 0.0, 1e-6))
+    assert np.max(np.abs(above + below - 2.0 * at)) <= 1e-14
+    assert np.max(np.abs(above - below)) >= 1e-11
+    for e in (-1e-2, 1e-2):
+        env = make_env(n_T=n_res * (1.0 + e))
+        near = grid(env.n_T)
+        idx = np.unique(np.geomspace(1, len(near.times) - 1, 8).astype(int))
+        ref = matsubara_delta_quad(spec, env, near.times[idx])
+        assert np.max(np.abs(near.delta[idx] - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("n_T, omega_c", [(10.0, 1.0), (1.0, 3.0), (0.1, 1.0)])
+def test_ohmic_delta_pole_count_keeps_its_tail_bound(monkeypatch, n_T, omega_c):
+    # the poles left out and each kept pole's cut prefix move Delta by at most
+    # 2 _TAIL_TOL Delta(inf): checked against the sums at a 1000x smaller tolerance
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    grid = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    counts = []
+    monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums, both times
+    pole_transients = coefficients._pole_transients
+    monkeypatch.setattr(coefficients, "_pole_transients",
+                        lambda mu, *rest: counts.append(len(mu)) or pole_transients(mu, *rest))
+    monkeypatch.setattr(coefficients, "_TAIL_TOL", 1e-3 * coefficients._TAIL_TOL)
+    fine = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    d_inf = gamma_markov(spec, env) * (2.0 * n_T + 1.0)
+    assert counts and np.max(np.abs(grid.delta - fine.delta)) <= 2e-10 * d_inf
+
+
+@pytest.mark.parametrize("n_T, omega_c, transforms", [
+    (0.0, 1.0, 1), (0.0, 3.0, 1),  # no Matsubara form: K_c needs exponential integrals
+    (1e-10, 3.0, 1), (1e-6, 1.0, 1),  # poles crowded past the chirp-z buffer's size
+    (1e-6, 0.1, 0), (0.01, 3.0, 0), (NT_HIGH, 1.0, 0)])
+def test_ohmic_delta_takes_the_cosine_rule_only_without_matsubara_sums(monkeypatch, n_T,
+                                                                       omega_c, transforms):
+    # where the cosine rule runs, Delta is its cumulative trapezoid bit for bit
+    calls = []
+
+    def kernels(*rule_and_step):
+        calls.append(1)
+        return _kernels_on(*rule_and_step)
+
+    monkeypatch.setattr(coefficients, "_kernels_on", kernels)
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    grid = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    assert len(calls) == transforms
+    if transforms:
+        s, rq = grid.times, QuadratureConfig().resolve(spec, env)
+        nodes, wc, _, width, k_ir = _omega_rule(spec, env, rq, float(s[-1]), 0)
+        kc, _ = _kernels_on(nodes, wc, None, width, k_ir, s[-1] / (len(s) - 1), len(s))
+        delta = env.alpha**2 * coefficients._cumtrapz(np.cos(env.omega0 * s) * kc, s)
+        assert grid.delta.tobytes() == delta.tobytes()
 
 
 @pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])
@@ -532,7 +693,12 @@ def test_default_build_runs_one_rule_and_one_transform(monkeypatch, kind):
 
     monkeypatch.setattr(coefficients, "_omega_rule", rule)
     monkeypatch.setattr(coefficients, "_kernels_on", kernels)
-    grid = build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
+    # the Ohmic Delta takes the rule at n_T = 0 only (its Matsubara sums at n_T > 0 run neither)
+    if kind is SpectralKind.OHMIC:
+        build_coefficient_grid(make_spec(kind), make_env(), T_MAX_RESONANT, QuadratureConfig())
+        assert rules == transforms == []
+    env = make_env(n_T=0.0 if kind is SpectralKind.OHMIC else NT_HIGH)
+    grid = build_coefficient_grid(make_spec(kind), env, T_MAX_RESONANT, QuadratureConfig())
     # the transform's (ds, m) are the step and length of the grid's own s = n ds
     n = len(grid.times) - 1
     assert rules == [0] and transforms == [(grid.times[-1] / n, n + 1)]

@@ -54,6 +54,16 @@ def test_from_sts_closed_forms():
     assert (thermal.a, thermal.c) == (1.5, 0.0)
 
 
+def test_from_sts_names_an_overflow_as_unphysical():
+    # cosh/sinh(2r) overflow past r = 355.3; a finite product that overflows is refused as well
+    for p in (STSParams(r=356.0, nu_T=0.0), STSParams(r=355.5, nu_T=3.0)):
+        with pytest.raises(UnphysicalStateError, match="overflow"):
+            from_sts(p)
+    with pytest.raises(UnphysicalStateError, match="must be finite"):
+        from_sts(STSParams(r=300.0, nu_T=1e300))
+    assert math.isfinite(from_sts(STSParams(r=355.0, nu_T=0.0)).c)
+
+
 def test_to_sts_closed_forms_and_roundtrip():
     assert to_sts(SymmetricCM(0.5, 0.0)) == STSParams(0.0, 0.0)
     assert to_sts(SymmetricCM(1.5, 0.0)).nu_T == pytest.approx(1.0, rel=1e-14)

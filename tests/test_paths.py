@@ -26,7 +26,7 @@ from gaussian_paths import (
     write_sweep_csv,
 )
 from gaussian_paths.dynamics import Trajectory
-from gaussian_paths.gaussian_core import SymmetricCM, discord
+from gaussian_paths.gaussian_core import SymmetricCM, _threshold_discord, discord
 
 from conftest import make_env, make_spec
 
@@ -196,12 +196,14 @@ def test_two_sample_markovian_reference_equals_a_sampled_one(resonant_grids, kin
         sampled = compare_paths(extract_path(Trajectory(reference, cm0, 12.0, 2001)),
                                 candidate)
         assert two.max_deviation > 0.0
-        assert two.max_deviation == pytest.approx(sampled.max_deviation, rel=1e-13, abs=0.0)
+        # a sampled node's v carries its own rounding, so at a matched lambda the sampled
+        # reference's v may sit an ulp from the segment's, which moves D by a few 1e-15 (2.9e-15
+        # on the Ohmic grid at r0 = 1.2)
+        assert two.max_deviation == pytest.approx(sampled.max_deviation, rel=0.0, abs=1e-14)
         assert two.matched_fraction == pytest.approx(sampled.matched_fraction, rel=1e-13,
                                                      abs=0.0)
         # 2,001 samples up to Gamma = 40 reach the thermal end, where lambda reverses by an ulp
-        # (dropped as roundoff); their coarser spacing moves v by an ulp at matched lambda, and
-        # D by a few 1e-15
+        # (dropped as roundoff); their coarser spacing moves v by an ulp at matched lambda too
         far = compare_paths(extract_path(Trajectory(reference, cm0, 40.0, 2001)), candidate)
         assert far.max_deviation == pytest.approx(two.max_deviation, rel=0.0, abs=1e-14)
         assert far.matched_fraction == pytest.approx(two.matched_fraction, rel=1e-13, abs=0.0)
@@ -227,11 +229,11 @@ def test_dsep_universal_monotone_and_bounded():
 
 
 def _threshold_discord_mp(c: float) -> float:
-    """D(1/2 + c, c) of the exact double c by mpmath, at enough digits that a^2 - c^2 = 1/4 + c
-    keeps 80 of them at any c."""
+    """D(1/2 + c, c) of the exact double c by mpmath, at 400 digits or enough that
+    a^2 - c^2 = 1/4 + c keeps 80 of them at any c (50 lose the cancellation at large c)."""
     mpmath = pytest.importorskip("mpmath")
     c = mpmath.mpf(c)
-    with mpmath.workdps(80 + 2 * int(mpmath.log10(c + 1))):
+    with mpmath.workdps(max(400, 80 + 2 * int(mpmath.log10(c + 1)))):
         half = mpmath.mpf(1) / 2
         a = half + c
 
@@ -244,13 +246,25 @@ def _threshold_discord_mp(c: float) -> float:
 
 def test_dsep_universal_against_mpmath_up_to_large_squeezing():
     # c = sinh(2 r0)/2 passes 2^52 near r0 = 18.7, where 1/2 + c used to drop the 1/2: r0 = 19
-    # read 0.2164 and r0 >= 20 raised.  What is left is a rounding of h(1/2 + c) ~ ln c, one
-    # of the three h terms that cancel to D (worst 1.12 ulp of it at r0 = 255.9)
+    # read 0.2164 and r0 >= 20 raised.  Past r0 = 355.3, where sinh(2 r0) overflows, D is d_star
     for r0 in np.r_[0.0:350.5:2.5, 1e-6, 0.01, 18.7, 19.0, 25.0, 33.5, 100.0, 255.9].tolist():
         c = 0.5 * math.sinh(2.0 * r0)
         err = abs(dsep_universal(r0) - _threshold_discord_mp(c))
         assert err <= 2.0 * np.finfo(float).eps * max(1.0, entropic_h(0.5 + c)), (r0, err)
-    assert dsep_universal(19.0) == d_star()
+    assert dsep_universal(19.0) == pytest.approx(d_star(), rel=2.0 * np.finfo(float).eps)
+    with pytest.raises(OverflowError):
+        math.sinh(2.0 * 355.5)
+    for r0 in (355.5, 1e300):
+        assert dsep_universal(r0) == d_star()
+
+
+def test_threshold_discord_against_mpmath_dense():
+    # D's two ~ln c logs are one log1p, so nothing cancels to D ~ 0.386 but O(1) terms: within
+    # 5.0e-16 of mpmath here (5.7e-14 at r0 = 255.9 while they were apart)
+    r0 = np.linspace(0.0, 354.0, 1181)
+    c = 0.5 * np.sinh(2.0 * r0)
+    err = [abs(_threshold_discord(x) - _threshold_discord_mp(x)) for x in c.tolist()]
+    assert max(err) <= 1e-14, r0[int(np.argmax(err))]
 
 
 def test_sweep_dsep_at_large_squeezing_against_mpmath():
@@ -350,7 +364,9 @@ def test_dsep_from_trajectory_window_on_grid_crossing(resonant_grids):
     # high-T mode freezes c: D_sep is D(1/2 + c0, c0), the universal value, exactly
     frozen = simulate_trajectory(TWB12, mode=TrajectoryMode.HIGH_TEMPERATURE, t_max=25.0,
                                  n_samples=2001, grid=grid, n_T=env.n_T)
-    assert dsep_from_trajectory(frozen) == dsep_universal(1.2) == _channel_dsep(0.0)
+    assert dsep_from_trajectory(frozen) == dsep_universal(1.2)
+    # the threshold form and the general discord round differently, each within 5e-16 of D
+    assert dsep_universal(1.2) == pytest.approx(_channel_dsep(0.0), rel=0.0, abs=1e-15)
 
 
 def test_dsep_already_separable_initial_state():
