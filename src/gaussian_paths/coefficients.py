@@ -20,7 +20,8 @@ max(omega0, omega_c)) and by 1.1e-8 at the default omega_max and 3.8e-6 at
 11 times that scale on the super-Ohmic and white-noise spectra, whose UV
 taper has a kink at omega_max/10.  Each order's phase e^{i o_k s} is the
 product of two small tables, one entry per 64-sample block and one per
-offset within a block, so no exponential is taken per sample.  White noise
+offset within a block, so no exponential is taken per sample.  The orders
+stream through one transform buffer: a build holds one order's sums at a time.  White noise
 starts its panels at the infrared cutoff w_ir, where j coth(w beta/2) ~
 2 j/(beta w): on the first panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the
 first part smooth (w s <= pi/4 there by the width bound) and the second
@@ -43,9 +44,9 @@ pole or the log term moves Delta only while nu t < 40 (e^{-40} < 5e-18), so each
 its own prefix of samples and is a constant past it, and the pole count is fixed a priori by a
 bound on the tail's share of Delta (_matsubara_delta).  On the default grid that is 10 poles,
 and Delta lies within 3e-13 of scipy quad of a 4000-pole K_c; the band-limited Delta missed it
-by up to 1.2e-4 near t = 2-4 s steps.  At very low n_T the poles crowd (nu_1 -> 0) and their
-sums would outgrow the chirp-z transform they replace; there, and at n_T = 0, whose K_c needs
-exponential integrals, the Ohmic Delta keeps the band-limited cosine rule.  Super-Ohmic and
+by up to 1.2e-4 near t = 2-4 s steps.  At very low n_T the poles crowd (nu_1 -> 0); where their
+flat array would pass a fixed cap, GL_ORDER times the chirp-z length, and at n_T = 0, whose K_c
+needs exponential integrals, the Ohmic Delta keeps the band-limited cosine rule.  Super-Ohmic and
 white noise are tapered to 0 at omega_max and stay band-limited in both kernels.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma (the Ohmic one in closed form) and the effective diffusion
@@ -89,7 +90,7 @@ _GL4_X = (0.33998104358485626, 0.8611363115940526)
 _GL4_W = (0.6521451548625464, 0.34785484513745357)
 _GL4_NODES, _GL4_WEIGHTS = np.array([[-x for x in reversed(_GL4_X)] + [*_GL4_X],
                                      _GL4_W[::-1] + _GL4_W])
-_PHASE_BLOCK = 64  # samples per entry of _phases' coarse table
+_PHASE_BLOCK = 64  # samples per entry of _phases' block table, entries of its offset table
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 _POLE_SPAN = 40.0  # past mu s = 40 a pole's e^{-mu s} < 5e-18: it is its constant
 _TAIL_TOL = 1e-10  # bound on the dropped Matsubara poles' part of Delta, relative to Delta(inf)
@@ -293,14 +294,15 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
     # linearly damp the last decade of the range to suppress truncation ringing
     if spec.kind in (SpectralKind.SUPER_OHMIC, SpectralKind.WHITE_NOISE):
         start = rq.omega_max / 10.0
-        g = g * np.clip((rq.omega_max - nodes) / (rq.omega_max - start), 0.0, 1.0)
+        g *= np.clip((rq.omega_max - nodes) / (rq.omega_max - start), 0.0, 1.0)
     therm = thermal_weight(env, nodes)
     width = (edges[-1] - edges[0]) / (len(edges) - 1)
     k_ir = 0.0
     if spec.kind is SpectralKind.WHITE_NOISE and math.isfinite(env.beta):
         k_ir = 2.0 * evaluate_j(spec, edges[0]) / env.beta * (
             math.log1p(width / edges[0]) - np.sum(wts[0] / nodes[0]))
-    return nodes, wts * g * therm, wts * g, width, k_ir
+    ws = wts * g
+    return nodes, ws * therm, ws, width, k_ir
 
 
 def _fast_len(n: int) -> int:
@@ -315,54 +317,50 @@ def _fast_len(n: int) -> int:
     return k
 
 
-def _phases(o: np.ndarray, ds: float, m: int) -> np.ndarray:
-    """exp(i o_k n ds) for n < m, shaped (len(o), m): with n = _PHASE_BLOCK b + r, the
-    product of a table over the ceil(m/_PHASE_BLOCK) blocks b and one over the offsets
-    r, so an order costs m/_PHASE_BLOCK + _PHASE_BLOCK exponentials rather than m, none
-    with an argument beyond o_k (m - 1) ds."""
-    blocks = np.exp(1j * (_PHASE_BLOCK * ds) * np.outer(o, np.arange(-(-m // _PHASE_BLOCK))))
-    offsets = np.exp(1j * ds * np.outer(o, np.arange(_PHASE_BLOCK)))
-    return (blocks[:, :, None] * offsets[:, None, :]).reshape(len(o), -1)[:, :m]
-
-
-def _chirp_sums(a: np.ndarray, c: np.ndarray, spectrum: np.ndarray,
-                post: np.ndarray) -> np.ndarray:
-    """post[k, n] * sum_j a[k, j] exp(i j width n ds) for n < m = post.shape[1]: as
-    j n = (j^2 + n^2 - (n - j)^2) / 2, a convolution with the chirp
-    c_j = exp(i width ds j^2 / 2), done by FFT (Bluestein chirp-z) in O((P + m) log).
-    spectrum is the transform of the conjugate chirp's zero-padded window, and post
-    carries the chirp's c_n."""
-    p, m = a.shape[-1], post.shape[-1]
-    # one zero-padded buffer transformed in place: allocating a fresh (rows, n)
-    # array for each step costs about as much as a transform
-    buf = np.zeros(a.shape[:-1] + spectrum.shape, complex)
-    np.multiply(a, c[:p], out=buf[..., :p])
-    fft(buf, out=buf)
-    buf *= spectrum
-    sums = ifft(buf, out=buf)[..., :m]
-    return np.multiply(post, sums, out=sums)
+def _phases(o: float, ds: float, m: int) -> np.ndarray:
+    """exp(i o n ds) for n < m: with n = _PHASE_BLOCK b + r, the product of a table over the
+    ceil(m/_PHASE_BLOCK) blocks b and one over the offsets r, so an order costs
+    m/_PHASE_BLOCK + _PHASE_BLOCK exponentials rather than m, none with an argument beyond
+    o (m - 1) ds."""
+    blocks = np.exp(1j * (_PHASE_BLOCK * ds) * (o * np.arange(-(-m // _PHASE_BLOCK))))
+    offsets = np.exp(1j * ds * (o * np.arange(_PHASE_BLOCK)))
+    return np.multiply.outer(blocks, offsets).ravel()[:m]
 
 
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray | None, width: float,
                 k_ir: float, ds: float, m: int) -> tuple[np.ndarray, np.ndarray | None]:
     """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) at s = n ds, n < m; K_s is
-    None where ws is, and no sine sums are formed.
+    None where ws is, and no sine sums are formed; k_ir is _omega_rule's infrared constant.
 
-    Column k of nodes is o_k + j*width, so its sum is
-    exp(i o_k s) * sum_j wt_jk exp(i j width s): a batched chirp-z transform
-    over the orders for each weight set, in O(GL_ORDER * (panels + len(s)) log).
-    The phase exp(i o_k s) comes from _phases' two small tables and is folded into
-    the chirp's post-factor once per order; only Re of the cosine sums and Im of
-    the sine sums is formed.  k_ir is _omega_rule's infrared constant.
+    Column k of nodes is o_k + j*width, so its sum is exp(i o_k s) sum_j wt_jk exp(i j width s),
+    and as j n = (j^2 + n^2 - (n - j)^2)/2 the j sum is a convolution with the chirp
+    c_j = exp(i width ds j^2/2), done by FFT (Bluestein chirp-z) in O((panels + m) log); spectrum
+    is the transform of the conjugate chirp's zero-padded window.  The orders stream through one
+    buffer transformed in place (a cosine row and, with ws, a sine row); each order's phase row
+    (_phases) times c_n post-multiplies its sums, whose Re and Im add up in order index.
     """
     p = len(nodes)
     n = _fast_len(p + m - 1)
     c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
     spectrum = fft(np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj())
-    post = _phases(nodes[0], ds, m)
-    post *= c[:m]
-    Kc = _chirp_sums(wc.T, c, spectrum, post).real.sum(axis=0) + k_ir
-    Ks = None if ws is None else _chirp_sums(ws.T, c, spectrum, post).imag.sum(axis=0)
+    weights = (wc,) if ws is None else (wc, ws)
+    buf = np.empty((len(weights), n), complex)
+    # -0.0 + x is x, signed zeros included, so the sums add as sum(axis=0) adds from order 0
+    Kc, Ks = np.full(m, -0.0), None if ws is None else np.full(m, -0.0)
+    for k in range(GL_ORDER):
+        for row, w in zip(buf, weights):
+            np.multiply(w[:, k], c[:p], out=row[:p])
+        buf[:, p:] = 0.0
+        fft(buf, out=buf)
+        buf *= spectrum
+        sums = ifft(buf, out=buf)[:, :m]
+        post = _phases(nodes[0, k], ds, m)
+        post *= c[:m]
+        np.multiply(post, sums, out=sums)
+        Kc += sums[0].real
+        if Ks is not None:
+            Ks += sums[1].imag
+    Kc += k_ir
     return Kc, Ks
 
 
@@ -508,7 +506,7 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray, 
     if ohmic:
         gamma, big_gamma = _ohmic_damping(spec, env, s)
         if env.n_T > 0.0:
-            # the Matsubara sums while their flat pole array is no larger than the chirp-z buffer
+            # the Matsubara sums while their flat pole array is within a cap that grows with t_max
             panels = len(_panel_edges(spec, env, rq, float(s[-1]), 0)) - 1
             d = _matsubara_delta(spec, env, s, ds, GL_ORDER * _fast_len(panels + len(s) - 1))
             if d is not None:

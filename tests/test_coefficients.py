@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,48 @@ def test_chirp_kernels_match_dense_sums(kind):
         ref_c, ref_s = dense_kernels(nodes, wc, ws, s)
         for got, ref in ((Kc, ref_c + k_ir), (Ks, ref_s)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, level)
+
+
+def batched_chirp_kernels(nodes, wc, ws, width, k_ir, ds, m):
+    """_kernels_on's sums with every Gauss-Legendre order in one batched chirp-z transform: a
+    (GL_ORDER, transform length) buffer per weight set, a (GL_ORDER, m) phase table, and the
+    orders summed by .real.sum(axis=0) / .imag.sum(axis=0)."""
+    p = len(nodes)
+    n = _fast_len(p + m - 1)
+    c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
+    spectrum = np.fft.fft(np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj())
+    o, block = nodes[0], coefficients._PHASE_BLOCK
+    blocks = np.exp(1j * (block * ds) * np.outer(o, np.arange(-(-m // block))))
+    offsets = np.exp(1j * ds * np.outer(o, np.arange(block)))
+    post = (blocks[:, :, None] * offsets[:, None, :]).reshape(len(o), -1)[:, :m]
+    post *= c[:m]
+
+    def chirp_sums(a):
+        buf = np.zeros(a.shape[:-1] + spectrum.shape, complex)
+        np.multiply(a, c[:p], out=buf[..., :p])
+        np.fft.fft(buf, out=buf)
+        buf *= spectrum
+        sums = np.fft.ifft(buf, out=buf)[..., :m]
+        return np.multiply(post, sums, out=sums)
+
+    Kc = chirp_sums(wc.T).real.sum(axis=0) + k_ir
+    return Kc, None if ws is None else chirp_sums(ws.T).imag.sum(axis=0)
+
+
+@pytest.mark.parametrize("n_T", [0.0, NT_HIGH])
+@pytest.mark.parametrize("kind", list(SpectralKind))
+def test_streamed_kernels_equal_the_batched_transform_bit_for_bit(kind, n_T):
+    # one order at a time through one buffer, against all orders in one batch, with and
+    # without sine sums, on m at the edges of the 64-sample phase blocks
+    spec, env = make_spec(kind), make_env(n_T=n_T)
+    rq = QuadratureConfig().resolve(spec, env)
+    for m in (2, 64, 65, 1201):
+        nodes, wc, ws, width, k_ir = _omega_rule(spec, env, rq, (m - 1) * rq.s_step, 0)
+        for sines in (ws, None):
+            got = _kernels_on(nodes, wc, sines, width, k_ir, rq.s_step, m)
+            ref = batched_chirp_kernels(nodes, wc, sines, width, k_ir, rq.s_step, m)
+            assert got[0].tobytes() == ref[0].tobytes(), m
+            assert (got[1] is None and ref[1] is None) or got[1].tobytes() == ref[1].tobytes(), m
 
 
 def test_fast_len_matches_scipy_next_fast_len(monkeypatch):
@@ -268,14 +311,29 @@ def test_ohmic_gamma_is_independent_of_omega_max():
 @pytest.mark.parametrize("kind", list(SpectralKind))
 def test_only_the_tapered_spectra_form_sine_sums(monkeypatch, kind):
     # the Ohmic build transforms its cosine weights alone, and only at n_T = 0 (at n_T > 0 its
-    # Delta is the Matsubara closed form); the tapered spectra add the sine ones
-    calls, chirp_sums = [], coefficients._chirp_sums
-    monkeypatch.setattr(coefficients, "_chirp_sums",
-                        lambda *args: calls.append(1) or chirp_sums(*args))
+    # Delta is the Matsubara closed form); the tapered spectra add the sine ones.  Every order
+    # goes through the transform on its own: one buffer row per weight set
+    rows, sines = [], []
+
+    def kernels(*rule_and_step):
+        Kc, Ks = _kernels_on(*rule_and_step)
+        sines.append(Ks is not None)
+        return Kc, Ks
+
+    def fft(a, **kw):
+        if a.ndim == 2:  # the weights' buffer (the chirp's spectrum is one 1-D transform)
+            rows.append(len(a))
+        return np.fft.fft(a, **kw)
+
+    monkeypatch.setattr(coefficients, "_kernels_on", kernels)
+    monkeypatch.setattr(coefficients, "fft", fft)
     for n_T in (0.0, NT_HIGH):
         build_coefficient_grid(make_spec(kind), make_env(n_T=n_T), T_MAX_RESONANT,
                                QuadratureConfig())
-    assert len(calls) == (1 if kind is SpectralKind.OHMIC else 4)
+    if kind is SpectralKind.OHMIC:
+        assert sines == [False] and rows == [1] * coefficients.GL_ORDER
+    else:
+        assert sines == [True, True] and rows == [2] * (2 * coefficients.GL_ORDER)
 
 
 def test_si_matches_scipy_sici():
@@ -397,7 +455,7 @@ def test_ohmic_delta_pole_count_keeps_its_tail_bound(monkeypatch, n_T, omega_c):
 
 @pytest.mark.parametrize("n_T, omega_c, transforms", [
     (0.0, 1.0, 1), (0.0, 3.0, 1),  # no Matsubara form: K_c needs exponential integrals
-    (1e-10, 3.0, 1), (1e-6, 1.0, 1),  # poles crowded past the chirp-z buffer's size
+    (1e-10, 3.0, 1), (1e-6, 1.0, 1),  # poles crowded past their flat array's cap
     (1e-6, 0.1, 0), (0.01, 3.0, 0), (NT_HIGH, 1.0, 0)])
 def test_ohmic_delta_takes_the_cosine_rule_only_without_matsubara_sums(monkeypatch, n_T,
                                                                        omega_c, transforms):
@@ -703,6 +761,25 @@ def test_default_build_runs_one_rule_and_one_transform(monkeypatch, kind):
     n = len(grid.times) - 1
     assert rules == [0] and transforms == [(grid.times[-1] / n, n + 1)]
     assert np.max(np.abs(grid.times - np.arange(n + 1) * transforms[0][0])) <= 1e-12 * grid.t_max
+
+
+def test_default_tapered_build_holds_one_order_at_a_time():
+    # tracemalloc peak of a default super-Ohmic build: 2.04 MiB with every order's chirp-z sums
+    # and phases held at once, 0.95 MiB streaming one order through one buffer
+    spec, env = make_spec(SpectralKind.SUPER_OHMIC), make_env()
+    build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())  # first-call set-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.2 * 2**20, peak
 
 
 def test_grid_rule_matches_the_half_width_rule():
