@@ -1,7 +1,8 @@
-"""CSV rows of ``%.17g`` values, formatted a block of rows at a time by one numpy kernel.
+"""CSV tables of ``%.17g`` values, formatted a block of rows at a time by one numpy kernel.
 
-Every value is written as the bytes of ``'%.17g' % v``: 17 significant digits,
-correctly rounded (ties to even), so that it reads back exactly.  The kernel
+The coefficient, trajectory and path writers each pass a header and their columns to
+``_write_rows``.  Every value is written as the bytes of ``'%.17g' % v``: 17 significant
+digits, correctly rounded (ties to even), so that it reads back exactly.  The kernel
 makes those bytes for a whole block of rows:
 
 - Digits.  For a finite x with 1e-98 <= |x| < 1e16, E = floor(log10|x|) and
@@ -167,7 +168,9 @@ def format_block(values: np.ndarray) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_rows(stream: IO[str], columns: Sequence[np.ndarray]) -> None:
-    """CSV rows of %.17g values, stacked, formatted and written a fixed block of rows at a time."""
+def _write_rows(stream: IO[str], header: str, columns: Sequence[np.ndarray]) -> None:
+    """The header line, then CSV rows of %.17g values, stacked, formatted and written a fixed
+    block of rows at a time."""
+    stream.write(header + "\n")
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         stream.write(format_block(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])))

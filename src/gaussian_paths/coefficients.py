@@ -45,9 +45,10 @@ its own prefix of samples and is a constant past it, and the pole count is fixed
 bound on the tail's share of Delta (_matsubara_delta).  On the default grid that is 10 poles,
 and Delta lies within 3e-13 of scipy quad of a 4000-pole K_c; the band-limited Delta missed it
 by up to 1.2e-4 near t = 2-4 s steps.  At very low n_T the poles crowd (nu_1 -> 0); where their
-flat array would pass a fixed cap, GL_ORDER times the chirp-z length, and at n_T = 0, whose K_c
-needs exponential integrals, the Ohmic Delta keeps the band-limited cosine rule.  Super-Ohmic and
-white noise are tapered to 0 at omega_max and stay band-limited in both kernels.
+flat array, counted without the window, would pass _POLE_VALUES, and at n_T = 0, whose K_c needs
+exponential integrals, the Ohmic Delta keeps the band-limited cosine rule: its route depends on
+the bath and the step, never on t_max.  Super-Ohmic and white noise are tapered to 0 at omega_max
+and stay band-limited in both kernels.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma (the Ohmic one in closed form) and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
@@ -94,6 +95,7 @@ _PHASE_BLOCK = 64  # samples per entry of _phases' block table, entries of its o
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 _POLE_SPAN = 40.0  # past mu s = 40 a pole's e^{-mu s} < 5e-18: it is its constant
 _TAIL_TOL = 1e-10  # bound on the dropped Matsubara poles' part of Delta, relative to Delta(inf)
+_POLE_VALUES = 1 << 20  # most values the Ohmic Delta's flat pole array may hold (~25 MiB peak)
 
 # Si(x) = int_0^x sin(u)/u du by its Maclaurin series below x = 4 (17 terms; the first left out
 # is 3.3e-21 at x = 4), and above it as pi/2 - F(t) cos(x)/x - G(t) sin(x)/x^2, t = 16/x^2 in
@@ -387,14 +389,13 @@ def _cot_minus_inv(y: float) -> float:
     return 1.0 / math.tan(y) - 1.0 / y
 
 
-def _pole_prefixes(mu: np.ndarray, c: np.ndarray, w0: float, ds: float, m: int,
-                   eps: float) -> np.ndarray:
-    """How many samples n < m each pole e^{-mu_j t} is summed on: its part still to come is at
-    most |c_j|/|z_j| e^{-mu_j t}, z_j = mu_j - i w0, so until that falls below eps (and never
-    past mu_j t = _POLE_SPAN), plus one sample."""
+def _pole_prefixes(mu: np.ndarray, c: np.ndarray, w0: float, ds: float, eps: float) -> np.ndarray:
+    """How many samples each pole e^{-mu_j t} is summed on, on a grid of any length: its part
+    still to come is at most |c_j|/|z_j| e^{-mu_j t}, z_j = mu_j - i w0, so until that falls
+    below eps (and never past mu_j t = _POLE_SPAN), plus one sample."""
     with np.errstate(divide="ignore"):  # a pole of weight 0 takes the 2 samples
         span = np.clip(np.log(np.abs(c) / np.hypot(mu, w0) / eps), 0.0, _POLE_SPAN)
-    return np.minimum(float(m), np.floor(span / (mu * ds)) + 2.0).astype(int)
+    return (np.floor(span / (mu * ds)) + 2.0).astype(int)
 
 
 def _pole_transients(mu: np.ndarray, c: np.ndarray, counts: np.ndarray, w0: float,
@@ -432,8 +433,8 @@ def _log_term(nu: float, w0: float, s: np.ndarray, ds: float) -> np.ndarray:
     return -out
 
 
-def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray, ds: float,
-                     budget: int) -> np.ndarray | None:
+def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray,
+                     ds: float) -> np.ndarray | None:
     """Ohmic Delta(t)/alpha^2 at n_T > 0 from the Matsubara form of K_c (module docstring).
 
     Delta(inf) = alpha^2 (pi/2) j(w0) coth(beta w0/2), coth = 2 n_T + 1, less each term's part
@@ -446,8 +447,9 @@ def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray, ds:
     The cot pole's weight A folds into pole m = round(wc/nu_1), whose c_m cancels it where
     nu_m = wc: with delta = wc - nu_m the pair is A delta [E(wc) - E(nu_m)]/delta
     + (A + c_m) E(nu_m), E(mu) = int_0^t e^{-mu s} cos(w0 s) ds, and A delta, A + c_m and the
-    divided difference are all finite there.  None where the poles' flat array would hold more
-    than budget values.
+    divided difference are all finite there.  None where 2 K, or the poles' flat array on a grid
+    long enough to hold every prefix, would pass _POLE_VALUES: the route depends on the bath and
+    the step, never on the window.
     """
     wc, w0, beta = spec.omega_c, env.omega0, env.beta
     x = 0.5 * beta / math.pi  # 1/nu_1, kept apart as nu_1 overflows its powers at high n_T
@@ -458,7 +460,7 @@ def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray, ds:
     if not tol > 0.0:  # Delta(inf) underflows (omega_c below ~1e-154 omega0)
         return None
     big_k = max(2.0 * a, (4.0 * wc**4 * x**3 / (9.0 * tol)) ** (1.0 / 3.0))
-    if not 2.0 * big_k <= budget:  # every pole takes 2 samples or more
+    if not 2.0 * big_k <= _POLE_VALUES:  # every pole takes 2 samples or more
         return None
     m = round(a)
     k = np.arange(1.0, math.ceil(big_k) + 1.0)
@@ -473,9 +475,10 @@ def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray, ds:
         c[m - 1] = 0.5 * math.pi * wc * wc * (
             cot_rest - 2.0 * (3.0 - u) / (beta * wc * (1.0 - u) * (2.0 - u)))
         a_delta = math.pi * wc * wc / beta * (1.0 + y * cot_rest)
-    counts = _pole_prefixes(mu, c, w0, ds, len(s), tol / len(mu))
-    if counts.sum() > budget:
+    counts = _pole_prefixes(mu, c, w0, ds, tol / len(mu))
+    if counts.sum() > _POLE_VALUES:
         return None
+    counts = np.minimum(counts, len(s))
     d = np.full(len(s), d_inf)
     if m > 0:
         t = s[:min(len(s), int(_POLE_SPAN / (min(wc, m * nu) * ds)) + 2)]
@@ -506,9 +509,7 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray, 
     if ohmic:
         gamma, big_gamma = _ohmic_damping(spec, env, s)
         if env.n_T > 0.0:
-            # the Matsubara sums while their flat pole array is within a cap that grows with t_max
-            panels = len(_panel_edges(spec, env, rq, float(s[-1]), 0)) - 1
-            d = _matsubara_delta(spec, env, s, ds, GL_ORDER * _fast_len(panels + len(s) - 1))
+            d = _matsubara_delta(spec, env, s, ds)
             if d is not None:
                 return a2 * d, gamma, big_gamma
     nodes, wc, ws, width, k_ir = _omega_rule(spec, env, rq, float(s[-1]), 0)
@@ -541,9 +542,7 @@ def gamma_markov(spec: SpectralDensity, env: Environment) -> float:
 
 
 def write_coefficients_csv(grid: CoefficientGrid, stream: IO[str]) -> None:
-    """CSV export: t,delta,gamma,big_gamma,delta_gamma per grid time.
-    Values are the bytes of ``'%.17g' % v``, made in row blocks by the ``_csv`` kernel:
-    digits from a Dekker product exact to 1e-14, and ``%`` itself for near ties (fraction
-    within 1e-6 of 1/2), NaN, inf, subnormals and the values outside the kernel's range."""
-    stream.write("t,delta,gamma,big_gamma,delta_gamma\n")
-    _write_rows(stream, (grid.times, grid.delta, grid.gamma, grid.big_gamma, grid.delta_gamma))
+    """CSV export: t,delta,gamma,big_gamma,delta_gamma per grid time, as ``'%.17g' % v``
+    (``_csv``)."""
+    _write_rows(stream, "t,delta,gamma,big_gamma,delta_gamma",
+                (grid.times, grid.delta, grid.gamma, grid.big_gamma, grid.delta_gamma))

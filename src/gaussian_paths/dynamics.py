@@ -450,10 +450,8 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample.
-    Values are the bytes of ``'%.17g' % v``, made in row blocks by the ``_csv`` kernel:
-    digits from a Dekker product exact to 1e-14, and ``%`` itself for near ties (fraction
-    within 1e-6 of 1/2), NaN, inf, subnormals and the values outside the kernel's range."""
-    stream.write("t,a,c,mu,lambda,discord,big_gamma,delta_gamma\n")
-    _write_rows(stream, (traj.times, traj.a, traj.c, traj.mu, traj.lam,
-                         discord(traj.a, traj.c), traj.big_gamma, traj.delta_gamma))
+    """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample, as
+    ``'%.17g' % v`` (``_csv``)."""
+    _write_rows(stream, "t,a,c,mu,lambda,discord,big_gamma,delta_gamma",
+                (traj.times, traj.a, traj.c, traj.mu, traj.lam, discord(traj.a, traj.c),
+                 traj.big_gamma, traj.delta_gamma))

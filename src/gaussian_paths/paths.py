@@ -229,12 +229,8 @@ def dsep_sweep(r0_values: Sequence[float], channel: Channel, *, t_max: float,
 
 
 def write_path_csv(path: DynamicalPath, stream: IO[str]) -> None:
-    """CSV export: t,mu,lambda,discord per path point.
-    Values are the bytes of ``'%.17g' % v``, made in row blocks by the ``_csv`` kernel:
-    digits from a Dekker product exact to 1e-14, and ``%`` itself for near ties (fraction
-    within 1e-6 of 1/2), NaN, inf, subnormals and the values outside the kernel's range."""
-    stream.write("t,mu,lambda,discord\n")
-    _write_rows(stream, (path.t, path.mu, path.lam, path.discord))
+    """CSV export: t,mu,lambda,discord per path point, as ``'%.17g' % v`` (``_csv``)."""
+    _write_rows(stream, "t,mu,lambda,discord", (path.t, path.mu, path.lam, path.discord))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:

@@ -49,8 +49,9 @@ class SpectralDensity:
     requires: flat to infinity, the cosine kernel of a constant is pi delta(s),
     and Delta(t) would jump at t = 0.  Ohmic is not tapered: j is odd in omega, so
     its damping kernel is exact, (pi/2) omega_c^2 e^{-omega_c s} with no band edge, and
-    at n_T > 0 so is its diffusion kernel, by Matsubara poles; at n_T = 0 that one is cut
-    at omega_max (``coefficients`` module docstring).
+    at n_T > 0 so is its diffusion kernel, by Matsubara poles, unless they crowd past a fixed
+    cap at the coldest, widest baths; there and at n_T = 0 that one is cut at omega_max
+    (``coefficients`` module docstring).
     Every coefficient is linear in alpha^2 j, so a spectrum scaled by p is the same
     channel at coupling alpha sqrt(p).  ``ir_cutoff`` is the infrared
     regularization frequency used when integrating the white-noise

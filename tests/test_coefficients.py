@@ -377,11 +377,15 @@ def qawf_kc(spec, env, s):
 
 
 def matsubara_delta_quad(spec, env, t):
-    """alpha^2 int_0^t K_c(s) cos(omega0 s) ds for ascending t, by scipy quad of matsubara_kc."""
+    """alpha^2 int_0^t K_c(s) cos(omega0 s) ds for ascending t, by scipy quad of matsubara_kc
+    with 4000 poles or more: enough that those left out, whose whole integral is at most
+    alpha^2 wc^4/(3 nu_1^3 N^3), move it by under 1e-13."""
     quad = pytest.importorskip("scipy.integrate").quad
+    nu = 2.0 * math.pi / env.beta
+    n_poles = max(4000, math.ceil((env.alpha**2 * spec.omega_c**4 / (3e-13 * nu**3)) ** (1 / 3)))
 
     def f(s):
-        return matsubara_kc(spec, env, s)[0] * math.cos(env.omega0 * s)
+        return matsubara_kc(spec, env, s, n_poles)[0] * math.cos(env.omega0 * s)
 
     edges = np.concatenate([[0.0], t]).tolist()
     return env.alpha**2 * np.cumsum([quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
@@ -398,14 +402,16 @@ def test_matsubara_kernel_matches_qawf(n_T, omega_c):
     assert np.max(err) <= 1e-13, err
 
 
-@pytest.mark.parametrize("n_T, omega_c", [(10.0, 1.0), (10.0, 0.1), (1.0, 3.0), (0.1, 3.0),
-                                          (0.01, 3.0), (0.01, 0.1)])
-def test_ohmic_delta_matches_quad_of_the_matsubara_kernel(n_T, omega_c):
+@pytest.mark.parametrize("n_T, omega_c, t_max", [
+    *(pytest.param(n_T, omega_c, T_MAX_RESONANT, id=f"{n_T}-{omega_c}") for n_T, omega_c in
+      [(10.0, 1.0), (10.0, 0.1), (1.0, 3.0), (0.1, 3.0), (0.01, 3.0), (0.01, 0.1)]),
+    (0.01, 3.0, 5.0), (0.1, 10.0, 5.0)])
+def test_ohmic_delta_matches_quad_of_the_matsubara_kernel(n_T, omega_c, t_max):
     # every sample from the first: the band-limited Delta missed this by 1.2e-4 near t = 0.01
-    # on the default grid (n_T = 10, omega_c = 1); the closed form is within 2.4e-13 there and
-    # 1.7e-12 at n_T = 0.01, omega_c = 3, where the 4000 poles of the reference leave ~2e-12 out
+    # on the default grid (n_T = 10, omega_c = 1); the closed form is within 2e-13 of the
+    # reference in every case, t_max = 5 windows included
     spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
-    grid = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    grid = build_coefficient_grid(spec, env, t_max, QuadratureConfig())
     idx = np.unique(np.geomspace(1, len(grid.times) - 1, 12).astype(int))
     assert idx[0] == 1 and idx[-1] == len(grid.times) - 1
     ref = matsubara_delta_quad(spec, env, grid.times[idx])
@@ -455,8 +461,8 @@ def test_ohmic_delta_pole_count_keeps_its_tail_bound(monkeypatch, n_T, omega_c):
 
 @pytest.mark.parametrize("n_T, omega_c, transforms", [
     (0.0, 1.0, 1), (0.0, 3.0, 1),  # no Matsubara form: K_c needs exponential integrals
-    (1e-10, 3.0, 1), (1e-6, 1.0, 1),  # poles crowded past their flat array's cap
-    (1e-6, 0.1, 0), (0.01, 3.0, 0), (NT_HIGH, 1.0, 0)])
+    (1e-6, 10.0, 1),  # poles crowded past _POLE_VALUES
+    (1e-10, 3.0, 0), (1e-6, 1.0, 0), (1e-6, 0.1, 0), (0.01, 3.0, 0), (NT_HIGH, 1.0, 0)])
 def test_ohmic_delta_takes_the_cosine_rule_only_without_matsubara_sums(monkeypatch, n_T,
                                                                        omega_c, transforms):
     # where the cosine rule runs, Delta is its cumulative trapezoid bit for bit
@@ -476,6 +482,17 @@ def test_ohmic_delta_takes_the_cosine_rule_only_without_matsubara_sums(monkeypat
         kc, _ = _kernels_on(nodes, wc, None, width, k_ir, s[-1] / (len(s) - 1), len(s))
         delta = env.alpha**2 * coefficients._cumtrapz(np.cos(env.omega0 * s) * kc, s)
         assert grid.delta.tobytes() == delta.tobytes()
+
+
+@pytest.mark.parametrize("omega_c, n_T", [(3.0, 0.0154), (10.0, 0.1), (1.0, 1e-6)])
+def test_ohmic_delta_route_does_not_depend_on_t_max(monkeypatch, omega_c, n_T):
+    # the route is chosen from the bath and the step, so a short window sums the same poles
+    # as a long one; equal to an ulp, not bit for bit
+    monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums, both windows
+    spec, env = make_spec(SpectralKind.OHMIC, omega_c), make_env(n_T=n_T)
+    short, long = (build_coefficient_grid(spec, env, t_max, QuadratureConfig()).delta
+                   for t_max in (5.0, T_MAX_RESONANT))
+    assert np.max(np.abs(short - long[:len(short)])) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", [SpectralKind.WHITE_NOISE, SpectralKind.SUPER_OHMIC])
@@ -763,23 +780,37 @@ def test_default_build_runs_one_rule_and_one_transform(monkeypatch, kind):
     assert np.max(np.abs(grid.times - np.arange(n + 1) * transforms[0][0])) <= 1e-12 * grid.t_max
 
 
-def test_default_tapered_build_holds_one_order_at_a_time():
-    # tracemalloc peak of a default super-Ohmic build: 2.04 MiB with every order's chirp-z sums
-    # and phases held at once, 0.95 MiB streaming one order through one buffer
-    spec, env = make_spec(SpectralKind.SUPER_OHMIC), make_env()
-    build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())  # first-call set-up
+def build_peak(spec, env, t_max):
+    """tracemalloc peak of one grid build, past what was held before it, after a first build
+    has done any one-time set-up."""
+    build_coefficient_grid(spec, env, t_max, QuadratureConfig())
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
-        peak = tracemalloc.get_traced_memory()[1] - held
+        build_coefficient_grid(spec, env, t_max, QuadratureConfig())
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_default_tapered_build_holds_one_order_at_a_time():
+    # tracemalloc peak of a default super-Ohmic build: 2.04 MiB with every order's chirp-z sums
+    # and phases held at once, 0.95 MiB streaming one order through one buffer
+    peak = build_peak(make_spec(SpectralKind.SUPER_OHMIC), make_env(), T_MAX_RESONANT)
     assert peak <= 1.2 * 2**20, peak
+
+
+def test_heaviest_matsubara_build_stays_within_the_pole_cap(monkeypatch):
+    # omega_c = 3 at n_T = 1e-20, where the poles crowd most of the baths the cap admits:
+    # 0.71 M of its 1.05 M values, 24.9 MiB
+    monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums
+    spec, env = make_spec(SpectralKind.OHMIC, 3.0), make_env(n_T=1e-20)
+    peak = build_peak(spec, env, T_MAX_RESONANT)
+    assert peak <= 32 * 2**20, peak
 
 
 def test_grid_rule_matches_the_half_width_rule():
