@@ -12,21 +12,27 @@ cumulative trapezoid.  On a uniform s grid the nodes of the uniform
 panels, o_k + j*W, make each Gauss-Legendre order's cosine/sine sum one
 Bluestein chirp-z transform (Bluestein 1970; Rabiner, Schafer & Rader
 1969) on ``numpy.fft``, O((panels + N_s) log) rather than an
-O(nodes * N_s) trig matrix.  A grid transforms one rule, its accuracy fixed
-a priori by the width bound W <= min(omega0, omega_c)/4, pi/(4 s_max): the
-rule with panels half as wide moves its kernels by at most 3.5e-14 of max|K|
-on the Ohmic spectrum (4.8e-14 over omega_max = 10, 11, ..., 50 times
-max(omega0, omega_c)) and by 1.1e-8 at the default omega_max and 3.8e-6 at
-11 times that scale on the super-Ohmic and white-noise spectra, whose UV
-taper has a kink at omega_max/10.  Each order's phase e^{i o_k s} is the
-product of two small tables, one entry per 64-sample block and one per
-offset within a block, so no exponential is taken per sample.  The orders
-stream through one transform buffer: a build holds one order's sums at a time.  White noise
-starts its panels at the infrared cutoff w_ir, where j coth(w beta/2) ~
-2 j/(beta w): on the first panel cos(w s)/w = (cos(w s) - 1)/w + 1/w, the
-first part smooth (w s <= pi/4 there by the width bound) and the second
-independent of s, so the rule's whole error on it is the constant
-k_ir = (2 j(w_ir)/beta) [log1p(W/w_ir) - sum_k wt_k/w_k], added to K_c.
+O(nodes * N_s) trig matrix.  A grid transforms one rule, 6-point
+Gauss-Legendre on a multiple of 10 panels, so that the super-Ohmic and
+white-noise UV taper's kink at omega_max/10 is a panel edge (for white noise
+0.9 w_ir above it), its accuracy fixed a priori by the width bound
+W <= min(omega0, omega_c, nu_1)/4, pi/(2 s_max), nu_1 = 2 pi/beta: the rule
+with panels half as wide moves its kernels by at most 5.2e-14 of max|K| on
+every spectrum (6.6e-15 over omega_max = 10, 11, ..., 50 times
+max(omega0, omega_c)), roundoff; with the kink inside a panel it was 1.1e-8
+at the default omega_max and 3.8e-6 at 11 times that scale.  The chirp's
+arguments are reduced mod 2 pi before the exponential (_chirp).  Each
+order's phase e^{i o_k s} is the product of two small tables, one entry per
+64-sample block and one per offset within a block, so no exponential is
+taken per sample.  The orders stream through one transform buffer: a build
+holds one order's sums at a time, one row of them at zero temperature, where
+the cosine and sine weights are one array.  White noise starts its panels
+at the infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): below the
+kink cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <= pi/2
+on the first panel by the width bound) and the second independent of s, so
+the rule's whole error on it is the constant
+k_ir = (2 j(w_ir)/beta) [ln(w_K/w_ir) - sum wt/w], w_K the edge at the kink
+and the sum over the panels below it, added to K_c.
 The Ohmic (Drude-Lorentz) j = w omega_c^2/(w^2 + omega_c^2) needs no quadrature.  It is odd
 in w, so K_s(s) = (pi/2) omega_c^2 e^{-omega_c s} exactly for s > 0, at every temperature, and
 gamma(t) and Gamma(t) are its closed forms, exact on any grid.  At n_T > 0, j coth(beta w/2)
@@ -81,17 +87,21 @@ __all__ = [
     "write_coefficients_csv",
 ]
 
-GL_ORDER = 8  # Gauss-Legendre nodes per frequency panel
+GL_ORDER = 6  # Gauss-Legendre nodes per frequency panel
 # leggauss(GL_ORDER) on [-1, 1], mirrored from literals: the import skips numpy.polynomial
-_GL_X = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
-_GL_W = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+_GL_X = (0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_GL_W = (0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 GL_NODES, GL_WEIGHTS = np.array([[-x for x in reversed(_GL_X)] + [*_GL_X], _GL_W[::-1] + _GL_W])
 # leggauss(4), for the smooth part of the Ohmic log term on each s step
 _GL4_X = (0.33998104358485626, 0.8611363115940526)
 _GL4_W = (0.6521451548625464, 0.34785484513745357)
 _GL4_NODES, _GL4_WEIGHTS = np.array([[-x for x in reversed(_GL4_X)] + [*_GL4_X],
                                      _GL4_W[::-1] + _GL4_W])
+_KINK_PANELS = 10  # the UV taper's kink at omega_max/10 is an edge: panel counts are multiples
 _PHASE_BLOCK = 64  # samples per entry of _phases' block table, entries of its offset table
+# 2 pi = _TAU_1 + _TAU_2 + _TAU_3 to 1.7e-34 (Cody & Waite 1980): the first two carry 30 bits each,
+# so k times either is exact for k < 2^23
+_TAU_1, _TAU_2, _TAU_3 = 6.283185303211212, 3.9683743166540886e-09, 2.068073192717642e-18
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 _POLE_SPAN = 40.0  # past mu s = 40 a pole's e^{-mu s} < 5e-18: it is its constant
 _TAIL_TOL = 1e-10  # bound on the dropped Matsubara poles' part of Delta, relative to Delta(inf)
@@ -259,19 +269,22 @@ def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
                  s_max: float, halvings: int) -> np.ndarray:
     """Uniform composite panel edges on [w_ir or 0, omega_max].
 
-    Width bounded by the spectral structure scale min(omega0, omega_c)/4 and by the
-    oscillation bound pi/(4*s_max), over 2**halvings (0 on grids, 1 the tests' finer
-    reference); white noise starts at its infrared cutoff.
+    Width bounded by the spectral structure scale min(omega0, omega_c, nu_1)/4, nu_1 = 2 pi/beta
+    the distance of coth(w beta/2)'s first pole from the real axis, and by the oscillation
+    bound pi/(2*s_max), over 2**halvings (0 on grids, 1 the tests' finer
+    reference); white noise starts at its infrared cutoff.  The panel count is a multiple
+    of _KINK_PANELS, so that edge n/_KINK_PANELS falls on the UV taper's kink at
+    omega_max/_KINK_PANELS (for white noise 0.9 w_ir above it).
     """
-    width = min(min(env.omega0, spec.omega_c) / 4.0,
-                math.pi / (4.0 * max(s_max, 1e-12)))
+    nu_1 = 2.0 * math.pi / env.beta if math.isfinite(env.beta) else math.inf  # coth's poles
+    width = min(min(env.omega0, spec.omega_c, nu_1) / 4.0, math.pi / (2.0 * max(s_max, 1e-12)))
     width /= 2.0 ** halvings
     lo = 0.0
     if spec.kind is SpectralKind.WHITE_NOISE:
         lo = spec.resolved_ir_cutoff(env.omega0)
         if lo >= rq.omega_max:
             raise ConfigError("ir_cutoff must be below omega_max")
-    n = max(1, int(math.ceil((rq.omega_max - lo) / width)))
+    n = _KINK_PANELS * max(1, math.ceil((rq.omega_max - lo) / (_KINK_PANELS * width)))
     return np.linspace(lo, rq.omega_max, n + 1)
 
 
@@ -281,10 +294,11 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
 
     Returns (nodes, wc, ws, width, k_ir) with wc = w * j(w) * coth(w beta/2) * taper
     and ws = w * j(w) * taper, so the kernels are plain cosine/sine sums;
-    nodes[j, k] = nodes[0, k] + j * width.  On the first white-noise panel
-    the 2 j/(beta w) part of wc/w times cos(w s) is (cos(w s) - 1)/w, smooth
-    as w s <= pi/4, plus 1/w: k_ir is the rule's s-independent error on 1/w
-    (0 for the other spectra and at zero temperature).
+    nodes[j, k] = nodes[0, k] + j * width.  At zero temperature coth is 1 and wc is ws,
+    the one array.  On the white-noise panels below the taper's kink the 2 j/(beta w) part
+    of wc/w times cos(w s) is (cos(w s) - 1)/w, smooth (w s <= pi/2 on the first panel),
+    plus 1/w: k_ir is the rule's s-independent error on 1/w over those panels (0 for the
+    other spectra and at zero temperature).
     """
     edges = _panel_edges(spec, env, rq, s_max, halvings)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -295,16 +309,18 @@ def _omega_rule(spec: SpectralDensity, env: Environment, rq: QuadratureConfig, s
     # saturating tails (super-Ohmic, white) decay only through oscillation:
     # linearly damp the last decade of the range to suppress truncation ringing
     if spec.kind in (SpectralKind.SUPER_OHMIC, SpectralKind.WHITE_NOISE):
-        start = rq.omega_max / 10.0
+        start = rq.omega_max / _KINK_PANELS
         g *= np.clip((rq.omega_max - nodes) / (rq.omega_max - start), 0.0, 1.0)
-    therm = thermal_weight(env, nodes)
     width = (edges[-1] - edges[0]) / (len(edges) - 1)
-    k_ir = 0.0
-    if spec.kind is SpectralKind.WHITE_NOISE and math.isfinite(env.beta):
-        k_ir = 2.0 * evaluate_j(spec, edges[0]) / env.beta * (
-            math.log1p(width / edges[0]) - np.sum(wts[0] / nodes[0]))
     ws = wts * g
-    return nodes, ws * therm, ws, width, k_ir
+    if not math.isfinite(env.beta):
+        return nodes, ws, ws, width, 0.0
+    k_ir = 0.0
+    if spec.kind is SpectralKind.WHITE_NOISE:
+        below = len(nodes) // _KINK_PANELS
+        k_ir = 2.0 * evaluate_j(spec, edges[0]) / env.beta * (
+            math.log1p((edges[below] - edges[0]) / edges[0]) - np.sum(wts[:below] / nodes[:below]))
+    return nodes, ws * thermal_weight(env, nodes), ws, width, k_ir
 
 
 def _fast_len(n: int) -> int:
@@ -329,23 +345,42 @@ def _phases(o: float, ds: float, m: int) -> np.ndarray:
     return np.multiply.outer(blocks, offsets).ravel()[:m]
 
 
+def _chirp(theta: float, count: int) -> np.ndarray:
+    """exp(i theta j^2) for j < count (below 2^26), each argument reduced mod 2 pi to within an
+    ulp of its reduced value: theta = hi + lo with hi short enough that hi j^2 is exact, and the
+    multiple k of 2 pi comes off hi j^2 in _TAU_1, _TAU_2, _TAU_3.  The plain product is off by
+    an ulp of theta j^2, ~1e-12 rad at the far end of a default chirp, which outweighed the
+    rule's own error."""
+    j2 = np.arange(count, dtype=float) ** 2
+    unit = math.ldexp(1.0, math.frexp(theta)[1] - 53 + 2 * (count - 1).bit_length())
+    hi = round(theta / unit) * unit
+    arg = hi * j2
+    k = np.rint(arg / (2.0 * math.pi))
+    arg -= k * _TAU_1
+    arg -= k * _TAU_2
+    arg -= k * _TAU_3
+    arg += (theta - hi) * j2
+    return np.exp(1j * arg)
+
+
 def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray | None, width: float,
                 k_ir: float, ds: float, m: int) -> tuple[np.ndarray, np.ndarray | None]:
     """K_c(s) = sum wc cos(w s) + k_ir, K_s(s) = sum ws sin(w s) at s = n ds, n < m; K_s is
     None where ws is, and no sine sums are formed; k_ir is _omega_rule's infrared constant.
+    Where ws is wc (zero temperature) one row's sums give both, Re and Im.
 
     Column k of nodes is o_k + j*width, so its sum is exp(i o_k s) sum_j wt_jk exp(i j width s),
     and as j n = (j^2 + n^2 - (n - j)^2)/2 the j sum is a convolution with the chirp
     c_j = exp(i width ds j^2/2), done by FFT (Bluestein chirp-z) in O((panels + m) log); spectrum
     is the transform of the conjugate chirp's zero-padded window.  The orders stream through one
-    buffer transformed in place (a cosine row and, with ws, a sine row); each order's phase row
-    (_phases) times c_n post-multiplies its sums, whose Re and Im add up in order index.
+    buffer transformed in place (a cosine row and, with a ws of its own, a sine row); each order's
+    phase row (_phases) times c_n post-multiplies its sums, whose Re and Im add up in order index.
     """
     p = len(nodes)
     n = _fast_len(p + m - 1)
-    c = np.exp(0.5j * width * ds * np.arange(max(p, m), dtype=float) ** 2)
+    c = _chirp(0.5 * width * ds, max(p, m))
     spectrum = fft(np.concatenate([c[:m], np.zeros(n - m - p + 1), c[p - 1:0:-1]]).conj())
-    weights = (wc,) if ws is None else (wc, ws)
+    weights = (wc,) if ws is None or ws is wc else (wc, ws)
     buf = np.empty((len(weights), n), complex)
     # -0.0 + x is x, signed zeros included, so the sums add as sum(axis=0) adds from order 0
     Kc, Ks = np.full(m, -0.0), None if ws is None else np.full(m, -0.0)
@@ -361,7 +396,7 @@ def _kernels_on(nodes: np.ndarray, wc: np.ndarray, ws: np.ndarray | None, width:
         np.multiply(post, sums, out=sums)
         Kc += sums[0].real
         if Ks is not None:
-            Ks += sums[1].imag
+            Ks += sums[-1].imag
     Kc += k_ir
     return Kc, Ks
 
@@ -499,8 +534,7 @@ def _coefficient_curves(spec: SpectralDensity, env: Environment, s: np.ndarray, 
     """Delta(t), gamma(t), Gamma(t) on the uniform grid s = n ds.  Ohmic gamma and Gamma are
     closed forms, and so is its Delta at n_T > 0 (_matsubara_delta).  The rest comes from the one
     panel rule (level 0), with no runtime probe: its width bound fixes the accuracy (module
-    docstring for the measured gap to level 1, at most 3.8e-6 of max|K|, from the UV taper's
-    kink), and a cumulative trapezoid in s."""
+    docstring for the measured gap to level 1, roundoff), and a cumulative trapezoid in s."""
     if env.alpha == 0.0:
         z = np.zeros_like(s)
         return z, z.copy(), z.copy()

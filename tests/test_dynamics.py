@@ -523,8 +523,8 @@ def test_grid_crossing_is_the_channels_first():
             separability_time(traj)
 
 
-@pytest.mark.parametrize("n_T, t_sep, d_sep", [(0.01, 2.132424919881291, 0.006474711642021486),
-                                               (0.1, 1.3383370412827162, 0.006593328677591881)])
+@pytest.mark.parametrize("n_T, t_sep, d_sep", [(0.01, 2.1324249198808936, 0.006474711642015796),
+                                               (0.1, 1.3383370412789912, 0.006593328677592658)])
 def test_white_noise_excursion_crossing_independent_of_sampling(quad, n_T, t_sep, d_sep):
     # at r0 = 0.05 white noise lifts lambda past 1/2 early; with two samples on [0, 25]
     # neither sample is past it, yet the crossing is the channel's, as with 11 or 2001
