@@ -19,14 +19,13 @@ white-noise UV taper's kink at omega_max/10 is a panel edge (for white noise
 W <= min(omega0, omega_c, nu_1)/4, pi/(2 s_max), nu_1 = 2 pi/beta: the rule
 with panels half as wide moves its kernels by at most 5.2e-14 of max|K| on
 every spectrum (6.6e-15 over omega_max = 10, 11, ..., 50 times
-max(omega0, omega_c)), roundoff; with the kink inside a panel it was 1.1e-8
-at the default omega_max and 3.8e-6 at 11 times that scale.  The chirp's
-arguments are reduced mod 2 pi before the exponential (_chirp).  Each
-order's phase e^{i o_k s} is the product of two small tables, one entry per
-64-sample block and one per offset within a block, so no exponential is
-taken per sample.  The orders stream through one transform buffer: a build
-holds one order's sums at a time, one row of them at zero temperature, where
-the cosine and sine weights are one array.  White noise starts its panels
+max(omega0, omega_c)), roundoff.  The chirp's arguments are reduced mod
+2 pi before the exponential (_chirp).  Each order's phase e^{i o_k s} is the
+product of two small tables, one entry per 64-sample block and one per
+offset within a block, so no exponential is taken per sample.  The orders
+stream through one transform buffer: a build holds one order's sums at a
+time, one row of them at zero temperature, where the cosine and sine
+weights are one array.  White noise starts its panels
 at the infrared cutoff w_ir, where j coth(w beta/2) ~ 2 j/(beta w): below the
 kink cos(w s)/w = (cos(w s) - 1)/w + 1/w, the first part smooth (w s <= pi/2
 on the first panel by the width bound) and the second independent of s, so
@@ -271,10 +270,10 @@ def _panel_edges(spec: SpectralDensity, env: Environment, rq: QuadratureConfig,
 
     Width bounded by the spectral structure scale min(omega0, omega_c, nu_1)/4, nu_1 = 2 pi/beta
     the distance of coth(w beta/2)'s first pole from the real axis, and by the oscillation
-    bound pi/(2*s_max), over 2**halvings (0 on grids, 1 the tests' finer
-    reference); white noise starts at its infrared cutoff.  The panel count is a multiple
-    of _KINK_PANELS, so that edge n/_KINK_PANELS falls on the UV taper's kink at
-    omega_max/_KINK_PANELS (for white noise 0.9 w_ir above it).
+    bound pi/(2*s_max), over 2**halvings (0 on grids, 1 the tests' finer reference); white
+    noise starts at its infrared cutoff.  The panel count n is a multiple of _KINK_PANELS, so
+    that edge n/_KINK_PANELS falls on the UV taper's kink at omega_max/_KINK_PANELS (for white
+    noise 0.9 w_ir above it).
     """
     nu_1 = 2.0 * math.pi / env.beta if math.isfinite(env.beta) else math.inf  # coth's poles
     width = min(min(env.omega0, spec.omega_c, nu_1) / 4.0, math.pi / (2.0 * max(s_max, 1e-12)))
