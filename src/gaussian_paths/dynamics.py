@@ -24,8 +24,7 @@ import numpy as np
 
 from ._csv import _write_rows
 from .coefficients import CoefficientGrid, _cumtrapz
-from .gaussian_core import (PHYS_TOL, _EPS, PathPoint, SymmetricCM, _physical, discord,
-                            min_symplectic)
+from .gaussian_core import PathPoint, SymmetricCM, _physical, discord, min_symplectic
 
 __all__ = [
     "TrajectoryMode",
@@ -49,8 +48,6 @@ __all__ = [
 
 SEPARABILITY_THRESHOLD = 0.5
 CHANNEL_WINDOWS = 8  # sampled windows kept per grid, and for all Markovian channels
-_CP_SLACK = 0.1 * PHYS_TOL  # a knot with x + Delta_Gamma >= 1 - this is in the CP window
-_KNOT_BLOCK = 64  # CP-window knots per entry of the crossing's running minimum of phi
 
 
 class TrajectoryMode(str, Enum):
@@ -220,33 +217,19 @@ class Channel:
 
     def _grid_crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
         """(t, Gamma(t)) with t <= t_max at which the grid channel's lambda reaches 1/2, or None.
-        The first knot k at or past 1/2 in the map's rounding holds it: (t_{k-1}, t_k] is
-        bisected on the channel's interpolant, in the same rounding, to adjacent floats with
-        lambda < 1/2 at the lower; t, the upper, is t_k or reads lambda >= 1/2.  Near 1/2 the
-        rounded lambda need not be monotone, so t need not be the first such float.
-        MapUnphysicalError if cm0 is unphysical at a knot of [0, t_max]: it is mapped only past
-        the CP window (_knots), unless its own deficit could read unphysical inside it, and the
-        window's first knot at or past 1/2 is _cp_crossing's."""
-        (nodes, big_gamma, delta_gamma, decay,
-         neg_phi, limits) = self._windows(self.mode, self.n_T, None, None, None)
+        cm0 is mapped over the (cached) knots that fix the channel on [0, t_max]:
+        MapUnphysicalError if unphysical there.  The first knot k at or past 1/2 in the map's
+        rounding holds it: (t_{k-1}, t_k] is bisected on the channel's interpolant, in the same
+        rounding, to adjacent floats with lambda < 1/2 at the lower; t, the upper, is t_k or
+        reads lambda >= 1/2.  Near 1/2 the rounded lambda need not be monotone, so t need not
+        be the first such float."""
+        nodes, big_gamma, delta_gamma, decay = self._windows(self.mode, self.n_T, None, None, None)
         end = int(np.searchsorted(nodes, t_max)) + 1  # knots of [0, t_max], one past if between
+        a, c = _secular_map(cm0, decay[:end], delta_gamma[:end], nodes)
+        above = a - c >= SEPARABILITY_THRESHOLD
+        if (k := int(np.argmax(above))) == 0:  # separable cm0, or no knot reaches 1/2
+            return (0.0, 0.0) if above[0] else None
         a0, c0 = cm0
-        lam0 = a0 - c0
-        cp = min(int(limits[0]), end)
-        # a CP map keeps cm0 physical but for cm0's own deficit, times at most max q (_knots);
-        # past half the PHYS_TOL slack (or NaN) every knot is mapped, else only those past cp
-        if not (0.25 - lam0 * (a0 + c0) + 4.0 * _EPS * a0 * a0) * limits[2] <= 0.5 * PHYS_TOL:
-            cp = 0
-        above = None
-        if cp < end:
-            a, c = _secular_map(cm0, decay[cp:end], delta_gamma[cp:end], nodes[cp:])
-            above = a - c >= SEPARABILITY_THRESHOLD
-        if (k := _cp_crossing(a0, c0, lam0, neg_phi, limits[1], cp, decay, delta_gamma)) == cp:
-            if above is None or not above.any():
-                return None
-            k = cp + int(np.argmax(above))
-        if k == 0:  # separable cm0
-            return 0.0, 0.0
         (t0, t1), (g0, g1), (d0, d1) = (v[k - 1:k + 1].tolist()
                                         for v in (nodes, big_gamma, delta_gamma))
         # Gamma, Delta_Gamma as np.interp rounds them, and lambda as _secular_map rounds a - c
@@ -263,48 +246,9 @@ class Channel:
         return hi, float(np.interp(hi, nodes, big_gamma))
 
 
-def _cp_crossing(a0: float, c0: float, lam0: float, neg_phi: np.ndarray, b_max: float, cp: int,
-                 decay: np.ndarray, delta_gamma: np.ndarray) -> int:
-    """The first of the first cp CP-window knots at which the map puts cm0's lambda at or past
-    1/2, or cp.  Exactly, lambda_k >= 1/2 iff lam0 >= phi_k; the map's rounding and phi's move
-    that by at most tol = 4 eps (a0 + c0 + lam0 + b_max) (_knots).  So the first knot with
-    phi < lam0 - tol crosses, none before the first with phi <= lam0 + tol does, and those
-    between are mapped.  The blocks' running minima of phi bound the knots that phi is formed
-    on: from the first block reaching lam0 + tol to the first reaching lam0 - tol."""
-    tol = 4.0 * _EPS * (a0 + c0 + lam0 + b_max)
-    lo = _KNOT_BLOCK * int(neg_phi.searchsorted(-tol - lam0, "left"))
-    hi = min(_KNOT_BLOCK * int(neg_phi.searchsorted(tol - lam0, "right") + 1), cp)
-    if lo >= hi:
-        return cp
-    phi = (0.5 - 0.5 * delta_gamma[lo:hi]) / decay[lo:hi]
-    k = lo + int(sure[0]) if len(sure := np.flatnonzero(phi < lam0 - tol)) else cp
-    if not len(near := np.flatnonzero(phi[:k - lo] <= lam0 + tol)):
-        return k
-    x, d = decay[lo + near[0]:k], delta_gamma[lo + near[0]:k]
-    hits = np.flatnonzero((a0 * x + 0.5 * d) - c0 * x >= SEPARABILITY_THRESHOLD)
-    return lo + int(near[0] + hits[0]) if len(hits) else k
-
-
-def _knots(delta_gamma, decay):
-    """A grid window's crossing tables on its CP window, the first knots with x = e^{-Gamma} > 0,
-    Delta_Gamma >= 0 and x + Delta_Gamma >= 1 - _CP_SLACK, where the map is completely positive
-    (Holevo & Werner, PRA 63, 032312): -min phi over each block of _KNOT_BLOCK knots and those
-    before it, phi = (1 - Delta_Gamma)/(2 x) the lambda0 at which lambda reaches 1/2, and the
-    window's (length, max b, max q) with b = (1 + Delta_Gamma)/x, the scale of phi's rounding,
-    and q = x (x + 2 Delta_Gamma).  There lambda v - 1/4 >= -_CP_SLACK/2 - q tau for a cm0 of
-    deficit tau = 1/4 - lambda0 v0 > 0, so with q tau <= PHYS_TOL/2 no knot reads unphysical."""
-    cp = (decay > 0.0) & (delta_gamma >= 0.0) & (decay + delta_gamma >= 1.0 - _CP_SLACK)
-    end = len(cp) if cp.all() else int(np.argmin(cp))
-    x, d = decay[:end], delta_gamma[:end]
-    block_ends = np.minimum(np.arange(_KNOT_BLOCK, end + _KNOT_BLOCK, _KNOT_BLOCK), end) - 1
-    phi_min = np.minimum.accumulate((0.5 - 0.5 * d) / x)[block_ends]
-    return -phi_min, np.array([end, np.max((1.0 + d) / x), np.max(x * (x + 2.0 * d))])
-
-
 def _window_cache(grid_ref):
     """An lru cache of CHANNEL_WINDOWS windows by (mode, n_T, gamma_m, t_max, n_samples), t_max
-    None at a grid's knots, whose window adds their crossing tables (_knots); a grid's holds its
-    grid only by the weak grid_ref, so dies with it."""
+    None at a grid's knots; a grid's holds its grid only by the weak grid_ref, so dies with it."""
     @lru_cache(maxsize=CHANNEL_WINDOWS)
     def sample_window(mode, n_T, gamma_m, t_max, n_samples):
         grid = grid_ref and grid_ref()
@@ -312,8 +256,6 @@ def _window_cache(grid_ref):
         times = channel.grid.times if t_max is None else np.linspace(0.0, t_max, n_samples)
         big_gamma, delta_gamma = channel(None if t_max is None else times)
         window = (times, big_gamma, delta_gamma, np.exp(-big_gamma))
-        if t_max is None:
-            window += _knots(delta_gamma, window[3])
         for v in window:
             v.flags.writeable = False
         return window
