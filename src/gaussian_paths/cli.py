@@ -243,15 +243,14 @@ def _verify_grid_mode(cfg: RunConfig, checks: list[dict]) -> None:
 
 
 def _common_checks(traj, checks: list[dict], drift_tol: float) -> None:
-    # no per-sample guard: traj's samples are physical (its channel raised otherwise) and
-    # c0 >= 0 is SymmetricCM's rule, so lambda0 = a0 - c0
+    # no per-sample guard: traj's samples are physical (its channel raised otherwise), c0 >= 0
+    # (SymmetricCM), so lambda0 = a0 - c0, and the discord every mode takes next checks D >= 0
     lam0, c0 = min_symplectic(traj.initial), traj.initial.c
     if c0 == 0:  # an uncorrelated state has nothing to damp: c(t) must stay exactly 0
         damp = float(np.max(np.abs(traj.c)))
     else:
         damp = float(np.max(np.abs(traj.c / c0 - np.exp(-traj.big_gamma))))
     checks.append(_check("damping-law-relative-deviation", damp, 1e-10))
-    discord(traj.a, traj.c)  # raises where a sample's D is negative beyond roundoff
     com = constant_of_motion(traj, lam0, purity(traj.initial), traj.channel.lambda_T)
     if com.degenerate:
         checks.append(_check("constant-of-motion-degenerate", 1.0, 1.0, direction="=="))

@@ -49,11 +49,12 @@ pole or the log term moves Delta only while nu t < 40 (e^{-40} < 5e-18), so each
 its own prefix of samples and is a constant past it, and the pole count is fixed a priori by a
 bound on the tail's share of Delta (_matsubara_delta).  On the default grid that is 10 poles,
 and Delta lies within 3e-13 of scipy quad of a 4000-pole K_c; the band-limited Delta missed it
-by up to 1.2e-4 near t = 2-4 s steps.  At very low n_T the poles crowd (nu_1 -> 0); where their
-flat array, counted without the window, would pass _POLE_VALUES, and at n_T = 0, whose K_c needs
-exponential integrals, the Ohmic Delta keeps the band-limited cosine rule: its route depends on
-the bath and the step, never on t_max.  Super-Ohmic and white noise are tapered to 0 at omega_max
-and stay band-limited in both kernels.
+by up to 1.2e-4 near t = 2-4 s steps.  At very low n_T the poles crowd (nu_1 -> 0) and are
+summed _POLE_BLOCK prefix values at a time; where their prefixes, counted without the window,
+would total more than _POLE_VALUES, and at n_T = 0, whose K_c needs exponential integrals, the
+Ohmic Delta keeps the band-limited cosine rule: its route depends on the bath and the step,
+never on t_max.  Super-Ohmic and white noise are tapered to 0 at omega_max and stay
+band-limited in both kernels.
 From the sampled curves the accumulated damping
 Gamma(t) = int_0^t gamma (the Ohmic one in closed form) and the effective diffusion
 Delta_Gamma(t) = e^{-Gamma(t)} int_0^t e^{Gamma(s)} Delta(s) ds follow by
@@ -104,7 +105,8 @@ _TAU_1, _TAU_2, _TAU_3 = 6.283185303211212, 3.9683743166540886e-09, 2.0680731927
 _GAMMA_SPAN = 600.0  # largest move of Gamma within one Delta_Gamma block (e^709 overflows)
 _POLE_SPAN = 40.0  # past mu s = 40 a pole's e^{-mu s} < 5e-18: it is its constant
 _TAIL_TOL = 1e-10  # bound on the dropped Matsubara poles' part of Delta, relative to Delta(inf)
-_POLE_VALUES = 1 << 20  # most values the Ohmic Delta's flat pole array may hold (~25 MiB peak)
+_POLE_VALUES = 1 << 20  # most values the Ohmic Delta's pole prefixes may total (bounds its time)
+_POLE_BLOCK = 1 << 16  # most of those values summed at once (bounds its memory)
 
 # Si(x) = int_0^x sin(u)/u du by its Maclaurin series below x = 4 (17 terms; the first left out
 # is 3.3e-21 at x = 4), and above it as pi/2 - F(t) cos(x)/x - G(t) sin(x)/x^2, t = 16/x^2 in
@@ -436,15 +438,21 @@ def _pole_transients(mu: np.ndarray, c: np.ndarray, counts: np.ndarray, w0: floa
                      s: np.ndarray) -> np.ndarray:
     """sum_j c_j Re[e^{-z_j t}/z_j], z_j = mu_j - i w0: what c_j int_0^t e^{-mu_j s} cos(w0 s) ds
     still lacks of its t -> inf value c_j mu_j/|z_j|^2, at t = s[n] for n < counts[j].  The
-    poles' prefixes lie end to end in one flat array, so no (poles x samples) array is formed;
-    the result is as long as the longest prefix."""
+    poles' prefixes lie end to end in one flat index range, summed _POLE_BLOCK values at a time,
+    so no (poles x samples) array is formed; the result is as long as the longest prefix."""
     ends = np.cumsum(counts)
-    pole = np.repeat(np.arange(len(mu)), counts)
-    n = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-    decay = np.exp(-mu[pole] * s[n])
+    starts, total = ends - counts, int(ends[-1])
     weight = c / (mu - 1j * w0)
-    cos_part = np.bincount(n, decay * weight.real[pole])
-    sin_part = np.bincount(n, decay * weight.imag[pole])
+    cos_part, sin_part = np.zeros(counts.max()), np.zeros(counts.max())
+    for lo in range(0, total, _POLE_BLOCK):
+        hi = min(lo + _POLE_BLOCK, total)
+        j = np.arange(np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi, "left") + 1)
+        pole = np.repeat(j, np.minimum(ends[j], hi) - np.maximum(starts[j], lo))
+        n = np.arange(lo, hi) - starts[pole]
+        decay = np.exp(-mu[pole] * s[n])
+        for part, w in ((cos_part, weight.real), (sin_part, weight.imag)):
+            block = np.bincount(n, decay * w[pole])
+            part[:len(block)] += block
     t = s[:len(cos_part)]
     return np.cos(w0 * t) * cos_part - np.sin(w0 * t) * sin_part
 
@@ -481,9 +489,9 @@ def _matsubara_delta(spec: SpectralDensity, env: Environment, s: np.ndarray,
     The cot pole's weight A folds into pole m = round(wc/nu_1), whose c_m cancels it where
     nu_m = wc: with delta = wc - nu_m the pair is A delta [E(wc) - E(nu_m)]/delta
     + (A + c_m) E(nu_m), E(mu) = int_0^t e^{-mu s} cos(w0 s) ds, and A delta, A + c_m and the
-    divided difference are all finite there.  None where 2 K, or the poles' flat array on a grid
-    long enough to hold every prefix, would pass _POLE_VALUES: the route depends on the bath and
-    the step, never on the window.
+    divided difference are all finite there.  None where 2 K, or the poles' prefixes on a grid
+    long enough to hold every one, would total more than _POLE_VALUES: the route depends on the
+    bath and the step, never on the window.
     """
     wc, w0, beta = spec.omega_c, env.omega0, env.beta
     x = 0.5 * beta / math.pi  # 1/nu_1, kept apart as nu_1 overflows its powers at high n_T

@@ -7,7 +7,8 @@ The covariance matrix map is sigma_t = e^{-Gamma(t)} sigma_0
 
 Its Markovian limit is the damping semigroup toward the thermal state
 (n_T + 1/2) I_4, and the high-temperature short-time limit freezes c
-while a is driven by the accumulated diffusion integral.
+while a is driven by the accumulated diffusion integral.  Channel.crossing
+is the one source of the separability time t_sep and its discord D_sep.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from ._csv import _write_rows
 from .coefficients import CoefficientGrid, _cumtrapz
-from .gaussian_core import PathPoint, SymmetricCM, _physical, discord, min_symplectic
+from .gaussian_core import (PathPoint, SymmetricCM, _physical, _threshold_discord, discord,
+                            min_symplectic)
 
 __all__ = [
     "TrajectoryMode",
@@ -191,12 +193,13 @@ class Channel:
             raise ValueError(f"t_max must be finite and > 0, got {t_max}")
         return self._windows(self.mode, self.n_T, self.gamma_m, t_max, operator.index(n_samples))
 
-    def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
-        """(t_sep, Gamma(t_sep)) at which cm0's lambda reaches 1/2 by t_max (finite, > 0, on
-        the grid).  Markovian: in closed form, no knots checked, since a completely
-        positive map (n_T >= 0) keeps a state physical (Holevo & Werner, PRA 63, 032312); else
-        _grid_crossing.  (0, 0) if separable, None if never; InconclusiveThresholdError if not by
-        t_max while lambda_T lies above 1/2."""
+    def crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float, float] | None:
+        """(t_sep, Gamma(t_sep), D_sep) at which cm0's lambda reaches 1/2 by t_max (finite, > 0,
+        on the grid), D_sep = D(1/2 + c*, c*) from c* = c0 e^{-Gamma} alone (_threshold_discord).
+        Markovian: in closed form, no knots checked, since a completely positive map (n_T >= 0)
+        keeps a state physical (Holevo & Werner, PRA 63, 032312); else _grid_crossing.  (0, 0,
+        cm0's discord) if separable, None if never; InconclusiveThresholdError if not by t_max
+        while lambda_T lies above 1/2."""
         end = math.inf if self.grid is None else self.grid.t_max * (1 + 1e-12)
         if not 0 < t_max < math.inf or t_max > end:
             raise ValueError(f"t_max must be finite, > 0 and within the grid, got {t_max}")
@@ -204,16 +207,21 @@ class Channel:
         if self.grid is not None:
             crossing = self._grid_crossing(cm0, t_max)
         elif lam0 >= SEPARABILITY_THRESHOLD:
-            return 0.0, 0.0
+            crossing = 0.0, 0.0
         elif lam_t <= SEPARABILITY_THRESHOLD:
             return None
         else:
             t_sep = math.log((lam_t - lam0) / (lam_t - SEPARABILITY_THRESHOLD)) / self.gamma_m
             crossing = None if t_sep > t_max * (1 + 1e-12) else (t_sep, self.gamma_m * t_sep)
-        if crossing is None and lam_t > SEPARABILITY_THRESHOLD:
-            raise InconclusiveThresholdError(f"lambda < 1/2 up to t_max = {t_max} but the "
-                                             f"stationary value {lam_t} lies above threshold")
-        return crossing
+        if crossing is None:
+            if lam_t > SEPARABILITY_THRESHOLD:
+                raise InconclusiveThresholdError(f"lambda < 1/2 up to t_max = {t_max} but the "
+                                                 f"stationary value {lam_t} lies above threshold")
+            return None
+        t_sep, big_gamma = crossing
+        if t_sep == 0.0:
+            return t_sep, big_gamma, discord(cm0.a, cm0.c)
+        return t_sep, big_gamma, _threshold_discord(cm0.c * np.exp(-big_gamma).item())
 
     def _grid_crossing(self, cm0: SymmetricCM, t_max: float) -> tuple[float, float] | None:
         """(t, Gamma(t)) with t <= t_max at which the grid channel's lambda reaches 1/2, or None.
@@ -309,8 +317,9 @@ class Trajectory:
         return list(zip(self.times.tolist(), cms))
 
     @cached_property
-    def _crossing(self) -> tuple[float, float] | None:
-        """The channel's crossing from the initial state by t_max, solved once;
+    def _crossing(self) -> tuple[float, float, float] | None:
+        """channel.crossing(initial, t_max), solved once for separability_time and
+        dsep_from_trajectory, which read t_sep and D_sep of one trajectory in two calls;
         InconclusiveThresholdError is raised, not stored, so it raises on every call."""
         return self.channel.crossing(self.initial, self.t_max)
 
@@ -319,9 +328,10 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
                         n_samples: int, grid: CoefficientGrid | None = None,
                         gamma_m: float | None = None, n_T: float | None = None,
                         label: str = "") -> Trajectory:
-    """Trajectory(Channel(mode, n_T, gamma_m, grid), cm0, t_max, n_samples, label) by keywords.
-    Markovian mode needs gamma_m, n_T and no grid, the grid modes a grid that covers [0, t_max]
-    and no gamma_m; an n_T given with a grid must equal the grid's (ValueError otherwise)."""
+    """Trajectory(Channel(mode, n_T, gamma_m, grid), cm0, t_max, n_samples, label) by keywords,
+    kept for keyword callers such as the benchmark's state sweep.  Markovian mode needs gamma_m,
+    n_T and no grid, the grid modes a grid that covers [0, t_max] and no gamma_m; an n_T given
+    with a grid must equal the grid's (ValueError otherwise)."""
     if grid is not None and n_T is not None and n_T != grid.n_T:
         raise ValueError(f"n_T = {n_T} differs from the grid's n_T = {grid.n_T}")
     return Trajectory(Channel(mode, None if grid else n_T, gamma_m, grid), cm0, t_max,
@@ -329,17 +339,11 @@ def simulate_trajectory(cm0: SymmetricCM, *, mode: TrajectoryMode, t_max: float,
 
 
 def separability_time(traj: Trajectory) -> float | None:
-    """Time at which lambda(t) reaches 1/2; None if it never will.  It depends on the initial
-    state, the channel and t_max only, not on n_samples: Markovian mode solves it in closed
-    form, the grid modes bisect lambda on the grid's own interpolant (Gamma and Delta_Gamma
-    linear between knots) within the knot interval of the first knot at or past 1/2, to a
-    float t_sep with lambda < 1/2 one float below it and lambda >= 1/2 at it (or t_sep that
-    knot), in the map's rounding.  Near 1/2 that rounding need not be monotone, so t_sep is a
-    crossing within a few dozen ulps of the first, not always the first float itself.
-
-    A trajectory that has not crossed by t_max while its channel's lambda_T lies above
-    threshold raises InconclusiveThresholdError (too short), distinct from None.
-    """
+    """t_sep of traj's channel.crossing from its initial state by its t_max (Channel.crossing,
+    _grid_crossing for the bisection); None if never, InconclusiveThresholdError if not by t_max
+    while lambda_T lies above 1/2.  It does not depend on n_samples.  Kept, with
+    Trajectory._crossing, for callers that read t_sep and D_sep of one trajectory in two calls,
+    as the benchmark's state sweep does."""
     crossing = traj._crossing
     return None if crossing is None else crossing[0]
 

@@ -5,8 +5,9 @@ eigenvalue, discord) space.  Paths from different environment spectra at
 the same initial state and effective temperature coincide; what the
 spectrum changes is only the speed at which the path is traversed.
 Matching candidate points to a reference at equal lambda makes that
-statement testable, and the discord at the separability crossing gives a
-temperature-universal function of the initial squeezing.
+statement testable, and the discord at the separability crossing
+(Channel.crossing forms it; dsep_sweep and dsep_from_trajectory read it)
+gives a temperature-universal function of the initial squeezing.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._csv import _write_rows
 from .dynamics import Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory
-from .gaussian_core import _EPS, STSParams, SymmetricCM, _threshold_discord, discord, from_sts
+from .gaussian_core import _EPS, STSParams, _threshold_discord, discord, from_sts
 
 __all__ = [
     "DynamicalPath",
@@ -175,23 +176,12 @@ def d_star() -> float:
     return 2.0 * math.log(2.0) - 1.0
 
 
-def _dsep_at(cm0: SymmetricCM, crossing: tuple[float, float] | None) -> float | None:
-    """D(1/2 + c*, c*) at the crossing (t_sep, Gamma(t_sep)) from cm0, with c* = c0 e^{-Gamma}
-    (c0 in high-T mode), from c* alone: lambda = 1/2 there exactly; cm0's own discord at
-    t_sep = 0."""
-    if crossing is None:
-        return None
-    t_sep, big_gamma = crossing
-    if t_sep == 0.0:
-        return discord(cm0.a, cm0.c)
-    return _threshold_discord(cm0.c * np.exp(-big_gamma).item())
-
-
 def dsep_from_trajectory(traj: Trajectory) -> float | None:
-    """Discord at the first separability crossing of a trajectory on its channel; None if
-    never.  An initially separable state gives its own discord.  The crossing is the one
-    separability_time reads, solved once per trajectory."""
-    return _dsep_at(traj.initial, traj._crossing)
+    """D_sep of traj's channel.crossing from its initial state by its t_max; None if never.  An
+    initially separable state gives its own discord.  Kept, like separability_time, for callers
+    that read t_sep and D_sep of one trajectory in two calls: both read Trajectory._crossing."""
+    crossing = traj._crossing
+    return None if crossing is None else crossing[2]
 
 
 @dataclass(frozen=True)
@@ -222,9 +212,9 @@ def dsep_sweep(r0_values: Sequence[float], channel: Channel, *, t_max: float,
             note = "" if crossing is not None else "no-threshold"
         except (InconclusiveThresholdError, MapUnphysicalError) as exc:
             crossing, note = None, f"{type(exc).__name__}: {exc}"
-        t_sep = None if crossing is None else crossing[0]
+        t_sep, _, d_sep = crossing or (None, None, None)
         rows.append(SweepRow(r0=float(r0), n_T=channel.n_T, spectrum=label, mode=channel.mode.value,
-                             t_sep=t_sep, d_sep=_dsep_at(cm0, crossing), note=note))
+                             t_sep=t_sep, d_sep=d_sep, note=note))
     return rows
 
 

@@ -128,27 +128,17 @@ def evaluate_j(spec: SpectralDensity, omega: ArrayLike) -> ArrayLike:
     return float(out) if np.ndim(omega) == 0 else out
 
 
-def _coth(y: np.ndarray) -> np.ndarray:
-    """coth(y) for y > 0, via coth(y) = 1 + 2/(e^{2y} - 1); ValueError for y <= 0 or NaN.
-
-    expm1 keeps the small-y branch accurate (coth(y) ~ 1/y) and the
-    identity coth(beta*omega/2) = 2*n(beta,omega) + 1 exact in floats.
-    """
-    y = np.asarray(y, dtype=float)
-    if not np.all(y > 0):
-        raise ValueError("coth(y) is evaluated for y > 0 only")
-    out = np.ones_like(y)
-    small = y < 350.0  # beyond this 2/(e^{2y}-1) underflows anyway
-    out[small] = 1.0 + 2.0 / np.expm1(2.0 * y[small])
-    return out
-
-
 def thermal_weight(env: Environment, omega: ArrayLike) -> ArrayLike:
-    """coth(omega*beta/2) for omega > 0; identically 1 at zero temperature."""
+    """coth(omega*beta/2) for omega > 0, via coth(y) = 1 + 2/(e^{2y} - 1); identically 1 at zero
+    temperature.  expm1 keeps the small-y branch accurate (coth(y) ~ 1/y) and the identity
+    coth(beta*omega/2) = 2*n(beta,omega) + 1 exact in floats."""
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0):  # NaN fails too
         raise ValueError("thermal_weight requires omega > 0 (it is singular at 0)")
-    out = _coth(0.5 * env.beta * w)  # beta = inf gives y = inf, where coth is exactly 1
+    y = np.asarray(0.5 * env.beta * w)  # beta = inf gives y = inf, where coth is exactly 1
+    out = np.ones_like(y)
+    small = y < 350.0  # beyond this 2/(e^{2y}-1) underflows anyway
+    out[small] = 1.0 + 2.0 / np.expm1(2.0 * y[small])
     return float(out) if np.ndim(omega) == 0 else out
 
 

@@ -253,7 +253,8 @@ def test_run_verify_universality_reference_reaches_the_thermal_state(tmp_path):
     lam = _trajectory_for(cfg).lam
     assert lam.max() > cfg.n_T + 0.5 and lam.min() == lam[0]
     overlap = (cfg.n_T + 0.5 - lam[0]) / (lam.max() - lam[0])
-    assert by_name["universality-matched-fraction"]["value"] == pytest.approx(overlap, rel=1e-14)
+    assert by_name["universality-matched-fraction"]["value"] == pytest.approx(overlap, rel=1e-14,
+                                                                             abs=0)
     assert not ok and not by_name["universality-matched-fraction"]["passed"]
 
 

@@ -470,7 +470,7 @@ def test_ohmic_delta_is_smooth_through_a_matsubara_resonance(monkeypatch, omega_
     monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums throughout
     spec = make_spec(SpectralKind.OHMIC, omega_c)
     n_res = 1.0 / math.expm1(2.0 * math.pi * m / omega_c)
-    assert make_env(n_T=n_res).beta * omega_c == pytest.approx(2.0 * math.pi * m, rel=1e-15)
+    assert make_env(n_T=n_res).beta * omega_c == pytest.approx(2.0 * math.pi * m, rel=1e-15, abs=0)
 
     def grid(n_T):
         return build_coefficient_grid(spec, make_env(n_T=n_T), T_MAX_RESONANT, QuadratureConfig())
@@ -592,8 +592,8 @@ def test_alpha_squared_scaling(quad):
     spec = make_spec(SpectralKind.OHMIC)
     g1 = build_coefficient_grid(spec, make_env(alpha=0.05), 3.0, quad)
     g2 = build_coefficient_grid(spec, make_env(alpha=0.10), 3.0, quad)
-    assert g2.delta == pytest.approx(4.0 * g1.delta, rel=1e-13)
-    assert g2.gamma == pytest.approx(4.0 * g1.gamma, rel=1e-13)
+    assert g2.delta == pytest.approx(4.0 * g1.delta, rel=1e-13, abs=0)
+    assert g2.gamma == pytest.approx(4.0 * g1.gamma, rel=1e-13, abs=0)
 
 
 def test_off_resonance_delta_changes_sign(quad):
@@ -746,7 +746,8 @@ def test_gamma_markov_golden_rule(resonant_grids):
                SpectralKind.WHITE_NOISE: 1.0}
     for kind, (spec, env, grid) in resonant_grids.items():
         gamma_m = gamma_markov(spec, env)
-        assert gamma_m == pytest.approx(env.alpha**2 * 0.5 * math.pi * weights[kind], rel=1e-15)
+        assert gamma_m == pytest.approx(env.alpha**2 * 0.5 * math.pi * weights[kind], rel=1e-15,
+                                        abs=0)
         # the t -> infinity limit of gamma(t): the late mean of the resonant grid
         late = float(np.mean(grid.gamma[grid.times >= 20.0]))
         assert late == pytest.approx(gamma_m, rel=1e-2), kind
@@ -774,8 +775,8 @@ def test_markovian_coefficients_closed_forms():
     bg, dg = markovian(1.0, 10.0, 1.0)
     assert (bg[0], dg[0]) == (0.0, 0.0)
     bg, dg = markovian(1.0, 0.0, math.log(2.0))
-    assert bg[-1] == pytest.approx(math.log(2.0), rel=1e-15)
-    assert dg[-1] == pytest.approx(0.5, rel=1e-15)
+    assert bg[-1] == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
+    assert dg[-1] == pytest.approx(0.5, rel=1e-15, abs=0)
     # asymptote: by gamma_M t = 50 the diffusion factor has saturated at 2 n_T + 1
     _, dg_inf = markovian(1.0, 10.0, 50.0)
     assert dg_inf[-1] == pytest.approx(21.0, rel=1e-12)
@@ -855,11 +856,23 @@ def test_default_tapered_build_holds_one_order_at_a_time():
 
 def test_heaviest_matsubara_build_stays_within_the_pole_cap(monkeypatch):
     # omega_c = 3 at n_T = 1e-20, where the poles crowd most of the baths the cap admits:
-    # 0.71 M of its 1.05 M values, 24.9 MiB
+    # 0.71 M of its 1.05 M values, 24.9 MiB as one flat array, 6.1 MiB summed in blocks of
+    # _POLE_BLOCK values
     monkeypatch.setattr(coefficients, "_kernels_on", None)  # the Matsubara sums
     spec, env = make_spec(SpectralKind.OHMIC, 3.0), make_env(n_T=1e-20)
     peak = build_peak(spec, env, T_MAX_RESONANT)
-    assert peak <= 32 * 2**20, peak
+    assert peak <= 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_matsubara_pole_blocks_move_delta_by_roundoff_only(monkeypatch, block):
+    # n_T = 1: 138 poles, 5,326 prefix values, one block by default.  Blocks of 7 split prefixes
+    # and blocks of 1,000 hold many poles, so only the order of the sums changes
+    spec, env = make_spec(SpectralKind.OHMIC), make_env(n_T=1.0)
+    one = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    monkeypatch.setattr(coefficients, "_POLE_BLOCK", block)
+    split = build_coefficient_grid(spec, env, T_MAX_RESONANT, QuadratureConfig())
+    assert np.max(np.abs(split.delta - one.delta)) <= 1e-15 * np.max(one.delta)
 
 
 def test_grid_rule_matches_the_half_width_rule():

@@ -62,15 +62,15 @@ def test_evolve_cm_identity_and_stationary():
 def test_evolve_cm_arithmetic_against_matrix_oracle():
     bg, dg = math.log(2.0), 10.5
     out = evolve_cm(TWB12, bg, dg)
-    assert out.a == pytest.approx(TWB12.a / 2 + 5.25, rel=1e-14)
-    assert out.c == pytest.approx(TWB12.c / 2, rel=1e-14)
+    assert out.a == pytest.approx(TWB12.a / 2 + 5.25, rel=1e-14, abs=0)
+    assert out.c == pytest.approx(TWB12.c / 2, rel=1e-14, abs=0)
     # full 4x4 covariance-matrix evaluation of the same map
     s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     s3 = np.diag([1.0, -1.0])
     sigma0 = TWB12.a * np.eye(4) + TWB12.c * np.kron(s1, s3)
     sigma1 = math.exp(-bg) * sigma0 + 0.5 * dg * np.eye(4)
-    assert out.a == pytest.approx(sigma1[0, 0], rel=1e-14)
-    assert out.c == pytest.approx(sigma1[0, 2], rel=1e-14)
+    assert out.a == pytest.approx(sigma1[0, 0], rel=1e-14, abs=0)
+    assert out.c == pytest.approx(sigma1[0, 2], rel=1e-14, abs=0)
 
 
 def test_evolve_cm_rejects_unphysical_output():
@@ -148,7 +148,7 @@ def test_evolve_high_t():
     assert evolve_cm(TWB12, 0.0, 0.0).a == TWB12.a
     lam0 = TWB12.a - TWB12.c
     out = evolve_cm(TWB12, 0.0, 2.0 * (0.5 - lam0))
-    assert out.a - out.c == pytest.approx(0.5, rel=1e-13)
+    assert out.a - out.c == pytest.approx(0.5, rel=1e-13, abs=0)
     assert out.c == TWB12.c
 
 
@@ -540,7 +540,7 @@ def test_grid_crossing_is_the_channels_first():
         found.add((separability_time(traj), dsep_from_trajectory(traj)))
     assert len(found) == 1
     # lambda = 0.3 + 0.3 (t - 4) on [4, 5]
-    assert found.pop()[0] == pytest.approx(4.0 + 2.0 / 3.0, rel=1e-15)
+    assert found.pop()[0] == pytest.approx(4.0 + 2.0 / 3.0, rel=1e-15, abs=0)
     # the first knot crossing lies in the knot interval that holds t_max (or ends at it),
     # but its root is past t_max: not reached yet, while lambda_T = 1.5 lies above 1/2
     for t_max in (4.0, 4.5, 4.6):
@@ -641,8 +641,8 @@ def test_high_t_crossing_at_zero_temperature_is_inconclusive_before_it_crosses(q
     grid = build_coefficient_grid(make_spec(SpectralKind.OHMIC), make_env(n_T=0.0), 15.0, quad)
     channel = Channel(TrajectoryMode.HIGH_TEMPERATURE, grid=grid)
     cm0 = from_sts(STSParams(r=0.05, nu_T=0.0))
-    t_sep, big_gamma = channel.crossing(cm0, 15.0)
-    assert 12.7 < t_sep < 12.8 and big_gamma == 0.0
+    t_sep, big_gamma, d_sep = channel.crossing(cm0, 15.0)
+    assert 12.7 < t_sep < 12.8 and big_gamma == 0.0 and d_sep == dsep_universal(0.05)
     with pytest.raises(InconclusiveThresholdError, match="stationary value inf"):
         channel.crossing(cm0, 1.0)
     # lambda_T is read-only; the other modes relax to n_T + 1/2
@@ -827,7 +827,7 @@ def test_constant_of_motion_high_temperature_limit(resonant_grids):
     assert not out.degenerate
     assert _bits(out.value) == _bits(traj.lam - 1.0 / (4.0 * traj.lam * traj.mu))
     point = constant_of_motion(path_point(TWB12, 0.0), 0.1, 1.0, math.inf)
-    assert point.value == pytest.approx(-2.0 * TWB12.c, rel=1e-14)
+    assert point.value == pytest.approx(-2.0 * TWB12.c, rel=1e-14, abs=0)
 
 
 def test_constant_of_motion_array_matches_point_loop(resonant_grids):

@@ -48,8 +48,8 @@ def test_from_sts_closed_forms():
     vac = from_sts(STSParams(0.0, 0.0))
     assert (vac.a, vac.c) == (0.5, 0.0)
     twb = from_sts(TWB12)
-    assert twb.a == pytest.approx(0.5 * math.cosh(2.4), rel=1e-15)
-    assert twb.c == pytest.approx(0.5 * math.sinh(2.4), rel=1e-15)
+    assert twb.a == pytest.approx(0.5 * math.cosh(2.4), rel=1e-15, abs=0)
+    assert twb.c == pytest.approx(0.5 * math.sinh(2.4), rel=1e-15, abs=0)
     thermal = from_sts(STSParams(0.0, 1.0))
     assert (thermal.a, thermal.c) == (1.5, 0.0)
 
@@ -66,7 +66,7 @@ def test_from_sts_names_an_overflow_as_unphysical():
 
 def test_to_sts_closed_forms_and_roundtrip():
     assert to_sts(SymmetricCM(0.5, 0.0)) == STSParams(0.0, 0.0)
-    assert to_sts(SymmetricCM(1.5, 0.0)).nu_T == pytest.approx(1.0, rel=1e-14)
+    assert to_sts(SymmetricCM(1.5, 0.0)).nu_T == pytest.approx(1.0, rel=1e-14, abs=0)
     for p in random_states():
         q = to_sts(from_sts(p))
         assert q.r == pytest.approx(p.r, rel=1e-12, abs=1e-12)
@@ -149,7 +149,7 @@ def test_sts_params_validation():
 def test_mean_photons():
     assert mean_photons(STSParams(0.0, 0.0)) == 0.0
     assert mean_photons(STSParams(0.0, 2.0)) == 2.0
-    assert mean_photons(TWB12) == pytest.approx(math.sinh(1.2) ** 2, rel=1e-14)
+    assert mean_photons(TWB12) == pytest.approx(math.sinh(1.2) ** 2, rel=1e-14, abs=0)
     for p in random_states(50):
         assert mean_photons(p) == pytest.approx(from_sts(p).a - 0.5, rel=1e-12)
 
@@ -157,7 +157,7 @@ def test_mean_photons():
 # --------------------------------------------------------------- measures
 
 def test_purity_closed_forms():
-    assert purity(SymmetricCM(1.0, 0.0)) == pytest.approx(0.25, rel=1e-15)
+    assert purity(SymmetricCM(1.0, 0.0)) == pytest.approx(0.25, rel=1e-15, abs=0)
     for p in random_states(50):
         mu = purity(from_sts(p))
         assert mu == pytest.approx((2.0 * p.nu_T + 1.0) ** -2, rel=1e-11)
@@ -189,12 +189,12 @@ def test_log_negativity():
     assert log_negativity(SymmetricCM(1.5, 0.0)) == 0.0  # separable
     assert log_negativity(from_sts(TWB12)) == pytest.approx(2.4, rel=1e-12)
     # lambda = 1/4 gives E_N = ln 2
-    assert log_negativity(SymmetricCM(1.25, 1.0)) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert log_negativity(SymmetricCM(1.25, 1.0)) == pytest.approx(math.log(2.0), rel=1e-14, abs=0)
 
 
 def test_entropic_h():
     assert entropic_h(0.5) == 0.0
-    assert entropic_h(1.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    assert entropic_h(1.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-15, abs=0)
     x = 1e3
     assert entropic_h(x) == pytest.approx(math.log(x) + 1.0, rel=1e-6)
     # clamp just below the boundary, raise further out (and on NaN), on the
@@ -206,7 +206,7 @@ def test_entropic_h():
             with pytest.raises(UnphysicalStateError):
                 h(bad)
     arr = entropic_h(np.array([0.5, 1.5]))
-    assert arr[0] == 0.0 and arr[1] == pytest.approx(2 * math.log(2), rel=1e-14)
+    assert arr[0] == 0.0 and arr[1] == pytest.approx(2 * math.log(2), rel=1e-14, abs=0)
     assert type(entropic_h(1.5)) is float and type(entropic_h(np.float64(1.5))) is float
 
 
@@ -215,8 +215,8 @@ def test_entropic_h_large_argument_accuracy():
     # (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) cancels to ~1e-9 here
     for x in (1e4, 1e6, 1e8):
         expected = math.log(x) + 1.0 - 1.0 / (24.0 * x * x)
-        assert entropic_h(x) == pytest.approx(expected, rel=1e-15)
-        assert entropic_h(np.array([x]))[0] == pytest.approx(expected, rel=1e-15)
+        assert entropic_h(x) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert entropic_h(np.array([x]))[0] == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_discord_zero_without_correlations():
@@ -437,7 +437,7 @@ def test_path_point_closed_forms():
     assert twb.discord == pytest.approx(entropic_h(0.5 * math.cosh(2.4)), rel=1e-10)
     assert twb.t == 1.5
     thermal = path_point(SymmetricCM(1.5, 0.0), 0.0)
-    assert thermal.mu == pytest.approx(1.0 / 9.0, rel=1e-14)
+    assert thermal.mu == pytest.approx(1.0 / 9.0, rel=1e-14, abs=0)
     assert thermal.lam == 1.5 and thermal.discord == 0.0
 
 

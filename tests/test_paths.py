@@ -279,8 +279,8 @@ def test_sweep_dsep_at_large_squeezing_against_mpmath():
 
 
 def test_d_star_closed_forms():
-    assert d_star() == pytest.approx(0.3862943611198906, rel=1e-15)
-    assert d_star() == pytest.approx(entropic_h(1.5) - 1.0, rel=1e-14)
+    assert d_star() == pytest.approx(0.3862943611198906, rel=1e-15, abs=0)
+    assert d_star() == pytest.approx(entropic_h(1.5) - 1.0, rel=1e-14, abs=0)
     assert abs(dsep_universal(6.0) - d_star()) <= 1e-4
 
 
@@ -444,19 +444,23 @@ def test_dsep_sweep_requires_grid_or_rate(resonant_grids):
         Channel(TrajectoryMode.HIGH_TEMPERATURE, gamma_m=1.0, grid=grid)
 
 
-@pytest.mark.parametrize("mode", [TrajectoryMode.NONMARKOVIAN, TrajectoryMode.HIGH_TEMPERATURE])
+@pytest.mark.parametrize("mode", list(TrajectoryMode))
 def test_dsep_sweep_rows_are_the_channels_crossings(resonant_grids, mode):
-    # a row is (state, channel, t_max) alone: what a trajectory of any sampling reads
+    # a row is channel.crossing of (state, t_max) alone, bit for bit: what a trajectory of any
+    # sampling reads
     _, env, grid = resonant_grids[SpectralKind.OHMIC]
-    channel = Channel(mode, grid=grid)
+    channel = (Channel(mode, env.n_T, gamma_m=1.0) if mode is TrajectoryMode.MARKOVIAN
+               else Channel(mode, grid=grid))
     rows = dsep_sweep([0.0, 0.5, 1.2, 2.5], channel, t_max=25.0, nu0=0.3)
     assert rows[0].t_sep == 0.0 and rows[0].d_sep == 0.0  # separable at t = 0, uncorrelated
     for row in rows:
         assert row.d_sep is not None and row.note == ""
+        cm0 = from_sts(STSParams(r=row.r0, nu_T=0.3))
+        t_sep, _, d_sep = channel.crossing(cm0, 25.0)
+        assert (row.t_sep, row.d_sep) == (t_sep, d_sep)
         for n in (2, 2001):
-            traj = Trajectory(channel, from_sts(STSParams(r=row.r0, nu_T=0.3)), 25.0, n)
-            assert (separability_time(traj), dsep_from_trajectory(traj)) == (row.t_sep,
-                                                                             row.d_sep)
+            traj = Trajectory(channel, cm0, 25.0, n)
+            assert (separability_time(traj), dsep_from_trajectory(traj)) == (t_sep, d_sep)
 
 
 def test_dsep_sweep_rows_are_empty_where_the_map_is_unphysical_on_the_knots(quad):

@@ -12,19 +12,20 @@ from gaussian_paths import (
     thermal_weight,
 )
 from gaussian_paths.coefficients import QuadratureConfig, _panel_edges
-from gaussian_paths.spectral_env import _coth
 
 
 def test_evaluate_j_closed_forms():
-    assert evaluate_j(SpectralDensity(SpectralKind.OHMIC, omega_c=1.0), 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert evaluate_j(SpectralDensity(SpectralKind.SUPER_OHMIC, omega_c=2.0), 2.0) == pytest.approx(1.0, rel=1e-15)
-    assert evaluate_j(SpectralDensity(SpectralKind.WHITE_NOISE, omega_c=3.0), 17.4) == pytest.approx(3.0, rel=1e-15)
+    for kind, omega_c, omega, j in ((SpectralKind.OHMIC, 1.0, 1.0, 0.5),
+                                    (SpectralKind.SUPER_OHMIC, 2.0, 2.0, 1.0),
+                                    (SpectralKind.WHITE_NOISE, 3.0, 17.4, 3.0)):
+        assert evaluate_j(SpectralDensity(kind, omega_c=omega_c), omega) == pytest.approx(
+            j, rel=1e-15, abs=0)
 
 
 def test_evaluate_j_at_cutoff_is_half_peak_scale():
     for kind in (SpectralKind.OHMIC, SpectralKind.SUPER_OHMIC):
         spec = SpectralDensity(kind, omega_c=1.7)
-        assert evaluate_j(spec, 1.7) == pytest.approx(1.7 / 2.0, rel=1e-14)
+        assert evaluate_j(spec, 1.7) == pytest.approx(1.7 / 2.0, rel=1e-14, abs=0)
 
 
 def test_evaluate_j_nonnegative_finite_and_continuous():
@@ -70,13 +71,9 @@ def test_spectral_inputs_reject_nan_and_zero():
     for bad in ({"omega_c": math.nan}, {"omega_c": math.inf}, {"ir_cutoff": math.nan}):
         with pytest.raises(ValueError):
             SpectralDensity(**{"kind": SpectralKind.OHMIC, "omega_c": 1.0, **bad})
-    for y in (math.nan, 0.0, -1.0, np.array([1.0, math.nan])):
+    for w in (math.nan, 0.0, -1.0, np.array([1.0, 0.0]), np.array([0.5, math.nan])):
         with pytest.raises(ValueError):
-            _coth(y)
-    with pytest.raises(ValueError):
-        thermal_weight(env, math.nan)
-    with pytest.raises(ValueError):
-        thermal_weight(env, np.array([0.5, math.nan]))
+            thermal_weight(env, w)
     with pytest.raises(ValueError):
         evaluate_j(spec, math.nan)
     with pytest.raises(ValueError):
@@ -103,8 +100,8 @@ def test_thermal_weight_zero_temperature_is_one():
 def test_thermal_weight_closed_form_coth_ln3():
     # beta*omega = 2 ln 3 gives coth(ln 3) = (3 + 1/3)/(3 - 1/3) = 5/4
     env = Environment.from_beta(omega0=1.0, alpha=0.1, beta=2.0 * math.log(3.0))
-    assert env.n_T == pytest.approx(1.0 / 8.0, rel=1e-14)
-    assert thermal_weight(env, 1.0) == pytest.approx(1.25, rel=1e-14)
+    assert env.n_T == pytest.approx(1.0 / 8.0, rel=1e-14, abs=0)
+    assert thermal_weight(env, 1.0) == pytest.approx(1.25, rel=1e-14, abs=0)
 
 
 def test_thermal_weight_high_temperature_series():
@@ -131,7 +128,7 @@ def test_thermal_weight_rejects_zero_frequency():
 
 def test_thermal_occupation_closed_forms():
     assert thermal_occupation(math.inf, 1.0) == 0.0
-    assert thermal_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert thermal_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14, abs=0)
     # small beta*omega: n ~ 1/(beta omega) - 1/2 + (beta omega)/12
     x = 1e-3
     series = 1.0 / x - 0.5 + x / 12.0
@@ -163,7 +160,7 @@ def test_coth_occupation_identity_machine_precision():
 
 def test_environment_consistency_and_validation():
     env = Environment(omega0=2.0, alpha=0.1, n_T=0.5)
-    assert thermal_occupation(env.beta, 2.0) == pytest.approx(0.5, rel=1e-14)
+    assert thermal_occupation(env.beta, 2.0) == pytest.approx(0.5, rel=1e-14, abs=0)
     assert Environment.from_beta(2.0, 0.1, math.inf).n_T == 0.0
     with pytest.raises(ValueError):
         Environment(omega0=0.0, alpha=0.1, n_T=1.0)
