@@ -1,9 +1,11 @@
-"""CSV tables of ``%.17g`` values, formatted a block of rows at a time by one numpy kernel.
+"""CSV tables of ``%.17g`` values, formatted a block of values at a time by one numpy kernel.
 
 The coefficient, trajectory and path writers each pass a header and their columns to
-``_write_rows``.  Every value is written as the bytes of ``'%.17g' % v``: 17 significant
-digits, correctly rounded (ties to even), so that it reads back exactly.  The kernel
-makes those bytes for a whole block of rows:
+``_write_rows``, which formats whole rows, at most ``_BLOCK_VALUES`` values a block, and can
+write more tables from a block's cells: a simulate's path.csv takes the t, mu, lambda and
+discord cells of its trajectory.csv rows.  Every value is written as the bytes of
+``'%.17g' % v``: 17 significant digits, correctly rounded (ties to even), so that it reads
+back exactly.  The kernel makes those bytes for a whole block:
 
 - Digits.  For a finite x with 1e-98 <= |x| < 1e16, E = floor(log10|x|) and
   D = round(|x| 10^(16-E)), the 17 digits.  10^(16-E) = hi + lo is a pair of doubles
@@ -15,9 +17,9 @@ makes those bytes for a whole block of rows:
   value rounds into the next decade).
 - Text.  The digits come from a 4-digit table and lose their trailing zeros, and
   ``%g``'s layout applies: fixed notation for -4 <= E < 17, ``d.ddde-XX`` below.
-  Each value fills a fixed slot of 25 bytes by one gather from its 28 bytes of
-  parts (digits, point, exponent, sign, separator); the absent bytes are 0 and are
-  deleted from the block at the end.  Zeros are ``0`` and ``-0``.
+  Each value fills a fixed slot of 25 bytes by a gather from its 28 bytes of parts
+  (digits, point, exponent, sign); each table sets its separators in the last byte and
+  deletes the absent (0) bytes.  Zeros are ``0`` and ``-0``.
 
 Every other value (NaN, +-inf, subnormals, exponents outside the window, near
 ties) is written by ``'%.17g' % v``, the reference the tests compare the kernel
@@ -30,7 +32,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-_BLOCK_ROWS = 512
+_BLOCK_VALUES = 4096  # a block's values: 8 columns x 512 rows, the widest table's
 _TIE = 1e-6
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
 # A value's 28 bytes of parts: 0-15 digits 1-16, 16 digit 0, 17 '.', 18 '0', 19 'e',
@@ -91,11 +93,12 @@ def _layouts() -> np.ndarray:
             else:
                 text = digit[:e + 1] + ([_DOT] + digit[e + 1:nd] if nd > e + 1 else [])
             rows.append([_SIGN] + text + [_ABSENT] * (23 - len(text)) + [_SEP])
-    return np.array(rows, dtype=np.intp)
+    return np.array(rows, dtype=np.uint16)
 
 
-def format_block(values: np.ndarray) -> str:
-    """The rows of a 2-D array as CSV text, each value exactly ``'%.17g' % v``."""
+def format_block(values: np.ndarray) -> np.ndarray:
+    """The cells of a 2-D array: per value, the bytes of exactly ``'%.17g' % v`` in a slot of
+    25, padded by absent (0) bytes, its last byte the separator's (left 0)."""
     p10, digits4, zeros4, word5, form_row, layouts = _tables()
     values = np.asarray(values, dtype=np.float64)
     x = values.ravel()
@@ -146,9 +149,7 @@ def format_block(values: np.ndarray) -> str:
     parts[:, :4] = np.take(digits4, groups).T
     parts[:, 4] = _WORD4 + lead
     parts[:, 5] = np.take(word5, e) | np.signbit(x) * np.uint32(_MINUS_IN_WORD5)
-    per_row = parts.reshape(values.shape + (7,))
-    per_row[:, :-1, 6] = ord(",")
-    per_row[:, -1, 6] = ord("\n")
+    parts[:, 6] = 0  # the separator, set per table by _write_rows, and the absent bytes
 
     zeros = np.take(zeros4, groups)
     tz = zeros[3].copy()
@@ -156,21 +157,38 @@ def format_block(values: np.ndarray) -> str:
     for g in (2, 1, 0):  # a group of zeros passes the count on to the group before it
         tz += run * zeros[g]
         run &= zeros[g] == 4
-    del zeros, run
-    src = np.take(layouts, np.take(form_row, e) - tz, axis=0)
-    src += np.arange(0, 28 * x.size, 28)[:, None]
-    out = np.take(parts.view(np.uint8).ravel(), src)
-    del src
+    layout = np.take(form_row, e) - tz
+    del zeros, run, e, groups, tz
+    out = np.empty((x.size, 25), np.uint8)
+    # a value's 25 byte sources, as uint16 offsets into its half block's parts (28 x 2,048 <
+    # 2^16), gathered a half at a time: a 4,096-value block peaks at 0.76 MiB, not the 1.13 of one
+    # intp gather, and formats 6-8% faster (all in range: "clip" leaves out unbuffered)
+    for at in range(0, x.size, _BLOCK_VALUES // 2):
+        src = np.take(layouts, layout[at:at + _BLOCK_VALUES // 2], axis=0)
+        src += np.arange(0, 28 * len(src), 28, dtype=np.uint16)[:, None]
+        np.take(parts.view(np.uint8)[at:].ravel(), src, out=out[at:at + len(src)], mode="clip")
+        del src  # before the next half's
     for i in np.flatnonzero(~ok):
         text = ("%.17g" % x[i]).encode()
         out[i, :24] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.reshape(values.shape + (25,))
 
 
-def _write_rows(stream: IO[str], header: str, columns: Sequence[np.ndarray]) -> None:
-    """The header line, then CSV rows of %.17g values, stacked, formatted and written a fixed
-    block of rows at a time."""
-    stream.write(header + "\n")
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        stream.write(format_block(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])))
+def _write_rows(stream: IO[str], header: str, columns: Sequence[np.ndarray], *more) -> None:
+    """The header line, then CSV rows of %.17g values, formatted a block of _BLOCK_VALUES values
+    at a time.  Each of more, (stream, header, column indices, keep), is one more table written
+    from the same cells: those columns of the rows where keep (a boolean array over the rows,
+    or None for all of them) holds."""
+    tables = [(stream, header, slice(None), None), *more]
+    for out, head, _, _ in tables:
+        out.write(head + "\n")
+    step = _BLOCK_VALUES // len(columns)
+    for start in range(0, len(columns[0]), step):
+        rows = slice(start, start + step)
+        cells = format_block(np.column_stack([c[rows] for c in columns]))
+        for out, _, cols, keep in tables:
+            table = cells[:, cols] if keep is None else cells[keep[rows]][:, cols]
+            table[:, :-1, 24], table[:, -1, 24] = ord(","), ord("\n")
+            out.write(table.tobytes().translate(None, b"\0").decode("ascii"))
+        del cells, table  # before the next block's kernel

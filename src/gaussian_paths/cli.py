@@ -23,22 +23,10 @@ from .coefficients import (
     gamma_markov,
     write_coefficients_csv,
 )
-from .dynamics import (
-    Channel,
-    Trajectory,
-    TrajectoryMode,
-    constant_of_motion,
-    evolve_markovian,
-    write_trajectory_csv,
-)
+from .dynamics import Channel, Trajectory, TrajectoryMode, constant_of_motion, evolve_markovian
 from .gaussian_core import STSParams, discord, from_sts, min_symplectic, purity
-from .paths import (
-    compare_paths,
-    dsep_sweep,
-    extract_path,
-    write_path_csv,
-    write_sweep_csv,
-)
+from .paths import (_write_trajectory_and_path, compare_paths, dsep_sweep, extract_path,
+                    write_sweep_csv)
 from .spectral_env import Environment, SpectralDensity, SpectralKind
 
 __all__ = ["RunConfig", "parse_config", "run_simulate", "run_coefficients",
@@ -165,12 +153,9 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Simulate one trajectory; write trajectory.csv and path.csv."""
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = _trajectory_for(cfg)
-    traj_file = out_dir / "trajectory.csv"
-    with traj_file.open("w") as fh:
-        write_trajectory_csv(traj, fh)
-    path_file = out_dir / "path.csv"
-    with path_file.open("w") as fh:
-        write_path_csv(extract_path(traj), fh)
+    traj_file, path_file = out_dir / "trajectory.csv", out_dir / "path.csv"
+    with traj_file.open("w") as traj_fh, path_file.open("w") as path_fh:
+        _write_trajectory_and_path(traj, traj_fh, path_fh)
     return [traj_file, path_file]
 
 
@@ -339,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
                                   f"got {args.r0_list!r}") from None
             if not r0_values:
                 raise ConfigError("--r0-list is empty")
+            if bad := [r for r in r0_values if not 0 <= r < math.inf]:  # NaN too
+                raise ConfigError(f"--r0-list: each r0 must be finite and >= 0, got {bad[0]}")
             written = run_dsep(cfg, r0_values, out_dir)
         else:
             report, ok = run_verify(cfg, out_dir)

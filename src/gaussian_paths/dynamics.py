@@ -462,6 +462,11 @@ def constant_of_motion(point: PathPoint | Trajectory, lambda0: float, mu0: float
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV export: t,a,c,mu,lambda,discord,big_gamma,delta_gamma per sample, as
     ``'%.17g' % v`` (``_csv``)."""
+    _write_trajectory(traj, stream, traj.mu, traj.lam, discord(traj.a, traj.c))
+
+
+def _write_trajectory(traj: Trajectory, stream, mu, lam, disc, *more) -> None:
+    """write_trajectory_csv given traj's mu, lambda and D, and more tables from its cells."""
     _write_rows(stream, "t,a,c,mu,lambda,discord,big_gamma,delta_gamma",
-                (traj.times, traj.a, traj.c, traj.mu, traj.lam, discord(traj.a, traj.c),
-                 traj.big_gamma, traj.delta_gamma))
+                (traj.times, traj.a, traj.c, mu, lam, disc, traj.big_gamma, traj.delta_gamma),
+                *more)

@@ -19,7 +19,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._csv import _write_rows
-from .dynamics import Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory
+from .dynamics import (Channel, InconclusiveThresholdError, MapUnphysicalError, Trajectory,
+                       _write_trajectory)
 from .gaussian_core import _EPS, STSParams, _threshold_discord, discord, from_sts
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "write_path_csv",
     "write_sweep_csv",
 ]
+
+_PATH_HEADER = "t,mu,lambda,discord"
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +96,17 @@ def extract_path(traj: Trajectory) -> DynamicalPath:
     copied: t is the trajectory's read-only times."""
     mu, lam, t = traj.mu, traj.lam, traj.times
     disc = discord(traj.a, traj.c)
-    if not (moved := np.diff(lam) != 0).all():
-        keep = np.concatenate(([True], (np.diff(mu) != 0) | moved | (np.diff(disc) != 0)))
+    if (keep := _kept(mu, lam, disc)) is not None:
         mu, lam, disc, t = mu[keep], lam[keep], disc[keep], t[keep]
     return DynamicalPath(mu=mu, lam=lam, discord=disc, t=t, trajectory=traj)
+
+
+def _kept(mu: np.ndarray, lam: np.ndarray, disc: np.ndarray) -> np.ndarray | None:
+    """The samples a path keeps: the first and each whose (mu, lambda, D) differs from the one
+    before; None (all of them) where lambda moves at every step."""
+    if (moved := np.diff(lam) != 0).all():
+        return None
+    return np.concatenate(([True], (np.diff(mu) != 0) | moved | (np.diff(disc) != 0)))
 
 
 def compare_paths(reference: DynamicalPath, candidate: DynamicalPath,
@@ -220,7 +230,17 @@ def dsep_sweep(r0_values: Sequence[float], channel: Channel, *, t_max: float,
 
 def write_path_csv(path: DynamicalPath, stream: IO[str]) -> None:
     """CSV export: t,mu,lambda,discord per path point, as ``'%.17g' % v`` (``_csv``)."""
-    _write_rows(stream, "t,mu,lambda,discord", (path.t, path.mu, path.lam, path.discord))
+    _write_rows(stream, _PATH_HEADER, (path.t, path.mu, path.lam, path.discord))
+
+
+def _write_trajectory_and_path(traj: Trajectory, traj_stream: IO[str],
+                               path_stream: IO[str]) -> None:
+    """write_trajectory_csv(traj) and write_path_csv(extract_path(traj)) in one pass, byte for
+    byte: mu, lambda and D formed once, a path row the t, mu, lambda and discord cells (columns
+    0, 3, 4, 5) of a trajectory row that the path keeps."""
+    mu, lam, disc = traj.mu, traj.lam, discord(traj.a, traj.c)
+    _write_trajectory(traj, traj_stream, mu, lam, disc,
+                      (path_stream, _PATH_HEADER, [0, 3, 4, 5], _kept(mu, lam, disc)))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import gaussian_paths
+from gaussian_paths import cli, extract_path, write_path_csv, write_trajectory_csv
 from gaussian_paths.cli import (
     _build_parser,
     _trajectory_for,
@@ -119,6 +121,36 @@ def test_run_simulate_flat_at_zero_coupling(tmp_path):
     # a constant trajectory collapses to a single path point
     assert len((tmp_path / "path.csv").read_text().splitlines()) == 2
     assert {f.name for f in files} == {"trajectory.csv", "path.csv"}
+
+
+CLI_BATCH = {"spectrum": "ohmic", "omega0": "1", "omega_c": "1", "alpha": "0.1", "n_T": "10",
+             "r0": "1.2", "t_max": "25", "mode": "nonmarkovian"}
+
+
+@pytest.mark.parametrize("edit, kept", [
+    # the benchmark's three simulate configs: lambda moves at every step, every sample is kept
+    pytest.param({"spectrum": "superohmic", "n_T": "0"}, 2001, id="superohmic-T0"),
+    pytest.param({"mode": "markovian"}, 2001, id="markovian-ohmic"),
+    pytest.param({"spectrum": "white", "mode": "markovian"}, 2001, id="markovian-white"),
+    # a constant trajectory is one path point
+    pytest.param({"alpha": "0", "t_max": "5", "n_samples": "41"}, 1, id="zero-coupling"),
+    # gamma_M = 1 to t = 3000, past the underflow of e^{-Gamma}: the repeating tail is dropped
+    pytest.param({"alpha": repr(math.sqrt(4 / math.pi)), "n_T": "1", "t_max": "3000",
+                  "mode": "markovian"}, 27, id="markovian-past-underflow"),
+])
+def test_run_simulate_writes_the_writers_bytes(tmp_path, edit, kept):
+    # one pass writes both files: trajectory.csv and path.csv are the bytes that the two
+    # writers give for the same trajectory and its path
+    cfg = parse_config("".join(f"{k} = {v}\n" for k, v in {**CLI_BATCH, **edit}.items()))
+    traj = _trajectory_for(cfg)
+    path = extract_path(traj)
+    assert len(path) == kept
+    run_simulate(cfg, tmp_path)
+    for name, write, source in (("trajectory.csv", write_trajectory_csv, traj),
+                                ("path.csv", write_path_csv, path)):
+        expected = io.StringIO()
+        write(source, expected)
+        assert (tmp_path / name).read_bytes() == expected.getvalue().encode()
 
 
 def test_run_coefficients_reproducible_bytes(tmp_path):
@@ -374,6 +406,24 @@ def test_main_dsep_rejects_an_empty_r0_list(tmp_path, capsys):
                "--r0-list", ","])
     assert rc == 2
     assert "--r0-list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-1", "1e400"])
+def test_main_dsep_rejects_an_r0_that_is_not_finite_and_non_negative(tmp_path, capsys,
+                                                                    monkeypatch, entry):
+    # refused as a ConfigError that names the option, before any grid is built
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "build_coefficient_grid", no_grid)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MINIMAL.replace("mode = markovian", "mode = nonmarkovian"))
+    rc = main(["dsep-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+               "--r0-list", f"0.5,{entry}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "coefficients.ConfigError" in err and "--r0-list" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """The CSV writers against a per-row ``%.17g`` reference formatter, byte for byte."""
 import io
+import tracemalloc
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaussian_paths import discord, write_coefficients_csv, write_path_csv, write_trajectory_csv
-from gaussian_paths._csv import _BLOCK_ROWS
+from gaussian_paths import (discord, extract_path, write_coefficients_csv, write_path_csv,
+                            write_trajectory_csv)
+from gaussian_paths._csv import _BLOCK_VALUES
+from gaussian_paths.paths import _write_trajectory_and_path
 
 # 0.1 is the value whose %.17g (0.10000000000000001) differs from repr
 EDGE_VALUES = [0.0, -0.0, 5e-324, 1e300, 25.0, 0.1]
@@ -76,17 +79,18 @@ def _path(cols):
     return write_path_csv, path, "t,mu,lambda,discord", cols
 
 
-WRITERS = {"coefficients": (_coefficients, 5), "trajectory": (_trajectory, 7),
-           "path": (_path, 4)}
+# writer: its stand-in, the columns drawn for it, the columns it writes
+WRITERS = {"coefficients": (_coefficients, 5, 5), "trajectory": (_trajectory, 7, 8),
+           "path": (_path, 4, 4)}
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 @pytest.mark.parametrize("table", ["two-blocks-and-a-partial", "one-row", "edge-values",
                                    "hard-cases", "no-rows"])
 def test_writer_matches_per_row_reference(writer, table):
-    make, k = WRITERS[writer]
-    if table == "two-blocks-and-a-partial":
-        cols = _columns(2 * _BLOCK_ROWS + 123, k, seed=7)
+    make, k, width = WRITERS[writer]
+    if table == "two-blocks-and-a-partial":  # blocks hold _BLOCK_VALUES values, whole rows
+        cols = _columns(2 * (_BLOCK_VALUES // width) + 123, k, seed=7)
     elif table == "one-row":
         cols = _columns(1, k, seed=8)
     elif table == "edge-values":
@@ -120,3 +124,54 @@ def test_writer_matches_per_row_reference_on_any_doubles(table):
     buf = io.StringIO()
     write(obj, buf)
     assert buf.getvalue() == reference_csv(header, expected)
+
+
+def test_one_pass_writes_the_trajectory_and_its_path():
+    # every third sample repeats the one before, across the block edges of both tables: the
+    # one pass writes what the two writers write for the trajectory and its extracted path
+    write, traj, *_ = _trajectory(_columns(2 * (_BLOCK_VALUES // 8) + 123, 7, seed=11))
+    for name in ("a", "c", "mu", "lam"):
+        getattr(traj, name)[2::3] = getattr(traj, name)[1::3][:len(traj.a[2::3])]
+    path = extract_path(traj)
+    assert len(path) == len(traj.a) - len(traj.a[2::3])
+    expected = []
+    for writer, source in ((write, traj), (write_path_csv, path)):
+        expected.append(io.StringIO())
+        writer(source, expected[-1])
+    written = io.StringIO(), io.StringIO()
+    _write_trajectory_and_path(traj, *written)
+    assert [w.getvalue() for w in written] == [e.getvalue() for e in expected]
+
+
+class _Sink:
+    """A stream that keeps nothing, so that a traced peak is the writer's own."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _peak(write, *args) -> int:
+    write(*args)  # the first call builds the kernel's tables
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS) + ["trajectory-and-path"])
+def test_writer_peaks_no_higher_than_the_widest_block(writer):
+    # the reference: the trajectory writer on one block, its 8 columns x 512 rows
+    write, traj, *_ = _trajectory(_columns(_BLOCK_VALUES // 8, 7, seed=9))
+    budget = _peak(write, traj, _Sink())
+    make, k, width = WRITERS.get(writer, WRITERS["trajectory"])
+    rows = 2 * (_BLOCK_VALUES // width) + 123
+    write, obj, *_ = make(_columns(rows, k, seed=10))
+    if writer == "trajectory-and-path":
+        peak = _peak(_write_trajectory_and_path, obj, _Sink(), _Sink())
+    else:
+        peak = _peak(write, obj, _Sink())
+    # besides its blocks a writer holds at most two arrays over the whole table, the
+    # discord column and the path's keep rule, 16 bytes a row
+    assert peak <= budget + 16 * rows
